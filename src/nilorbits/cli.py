@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import duality as du
@@ -46,8 +45,7 @@ def _parse_partition(text: str):
 
 
 def _bare_partition(text: str):
-    lam = _parse_partition(text)
-    return lam.parts if isinstance(lam, DecoratedPartition) else lam
+    return pt.bare(_parse_partition(text))
 
 
 def _parse_pair(text: str):
@@ -381,10 +379,6 @@ def _run_verify(args, out: _Out) -> int:
         reports = [fa.verify_faithful(_parse_partition(args.partition),
                                       args.letter, twist)]
     else:
-        bound = int(os.environ.get(pt._ENUM_BOUND_ENV, pt.DEFAULT_ENUM_BOUND))
-        if args.rank > bound:
-            raise PartitionError(
-                f"rank {args.rank} exceeds the verification bound {bound}")
         reports = fa.verify_all(args.letter, args.rank, twist)
     lines = []
     ok = True

@@ -52,10 +52,6 @@ class MarkedOrbit:
                f"{format_partition(self.marking)}"
 
 
-def _bare(lam) -> Partition:
-    return lam.parts if isinstance(lam, DecoratedPartition) else lam
-
-
 def pair_shape(mu: Partition, nu: Partition, letter: str) -> sp.PseudoLeviShape:
     """The maximal pseudo-Levi shape carrying the orbit pair (mu, nu), with
     the factor memberships checked."""
@@ -121,7 +117,7 @@ def d_S(mu: Partition, nu: Partition, letter: str) -> Partition:
     rep1 = _dual_factor_rep(mu, y)
     rep2 = _dual_factor_rep(nu, x)
     induced = sp.j_induce(shape, rep1, rep2)
-    return _bare(sp.springer_support(induced, "dual"))
+    return pt.bare(sp.springer_support(induced, "dual"))
 
 
 def _dual_factor_rep(lam: Partition, letter: str) -> sp.WeylIrrep:
@@ -155,7 +151,7 @@ def d_A_triv(lam, letter: str) -> MarkedOrbit:
     ``letter``; for a very even type-D input the decoration is dropped and
     the result carries the decoration-undetermined flag."""
     from . import faithful
-    bare = _bare(lam)
+    bare = pt.bare(lam)
     co = dual_letter(letter)
     if not is_type_partition(bare, co):
         raise PartitionError(f"{format_partition(bare)} is not a "
@@ -170,7 +166,7 @@ def closure_le(lam1, lam2, letter: str) -> bool:
     """Closure order on orbit avatars: dominance of partitions; two very
     even type-D orbits with the same partition and different decorations are
     incomparable."""
-    b1, b2 = _bare(lam1), _bare(lam2)
+    b1, b2 = pt.bare(lam1), pt.bare(lam2)
     if letter == "D" and isinstance(lam1, DecoratedPartition) \
             and isinstance(lam2, DecoratedPartition):
         if lam1.very_even and lam2.very_even and b1 == b2:

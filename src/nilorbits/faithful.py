@@ -14,22 +14,16 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from importlib import resources
+from itertools import product
 
 from . import duality as du
 from . import partitions as pt
 from . import springer as sp
-from . import symbols as sy
 from .partitions import (DecoratedPartition, Partition, PartitionError,
                          dual_letter, format_partition, is_type_partition,
                          is_very_even)
 
-OMEGA = {"B": 1, "C": 0, "D": 1}
-
 USE_DEFAULT = "use-default"
-
-
-def _bare(lam):
-    return lam.parts if isinstance(lam, DecoratedPartition) else lam
 
 
 def pi_mu(lam, letter: str) -> tuple[Partition, Partition]:
@@ -39,7 +33,7 @@ def pi_mu(lam, letter: str) -> tuple[Partition, Partition]:
     the odd ones; a part with odd multiplicity contributes once to the first
     output and once to the second, a part with even positive multiplicity
     contributes twice to the second only."""
-    bare = _bare(lam)
+    bare = pt.bare(lam)
     co = dual_letter(letter)
     if not is_type_partition(bare, co):
         raise PartitionError(f"{format_partition(bare)} is not a "
@@ -62,7 +56,7 @@ def is_edge_case(lam, letter: str) -> tuple[bool, str]:
     """Shapes whose second subpartition is too small or too large to sit on
     a product shape: a single largest part over an odd run and then even
     runs (with the top gap even), and the two smallest type-D duals."""
-    bare = _bare(lam)
+    bare = pt.bare(lam)
     co = dual_letter(letter)
     if not is_type_partition(bare, co):
         raise PartitionError(f"{format_partition(bare)} is not a "
@@ -81,122 +75,6 @@ def is_edge_case(lam, letter: str) -> tuple[bool, str]:
             and (values[0] - values[1]) % 2 == 0:
         return True, "second subpartition is a pair of ones"
     return False, "not an edge shape"
-
-
-def _distinct_with_mults(lam: Partition) -> tuple[list[int], list[int]]:
-    values = sorted(set(lam))
-    return values, [pt.multiplicity(lam, v) for v in values]
-
-
-def dual_factor_symbol(lam, letter: str) -> sy.Symbol:
-    """The a-symbol of the Springer character of the in-type dual of the
-    second parity subpartition of ``lam``, written directly in terms of the
-    part data of ``lam`` (shrieked to defect one in type B).
-
-    The block boundaries of the result satisfy two parity identities that
-    the flip-transport argument needs; both are asserted here."""
-    bare = _bare(lam)
-    co = dual_letter(letter)
-    if not is_type_partition(bare, co):
-        raise PartitionError(f"{format_partition(bare)} is not a "
-                             f"{co}-partition")
-    values, mults = _distinct_with_mults(bare)
-    ell = len(values)
-    lam_v = [0] + values                    # lam_v[i], 1-based values
-    if letter == "B":
-        p0 = 1 if len(bare) % 2 == 0 else 2
-    else:
-        p0 = 0
-    p = [p0] + mults                        # multiplicities incl. the pad
-    P = [0] * (ell + 1)                     # P[i] = p_0 + ... + p_i
-    for i in range(ell + 1):
-        P[i] = (P[i - 1] if i else 0) + p[i]
-    Q = [0] * (ell + 2)                     # Q[i] = p_i + ... + p_l
-    for i in range(ell, 0, -1):
-        Q[i] = Q[i + 1] + p[i]
-    Q[0] = Q[1] + p[0]
-
-    omega = OMEGA[letter]
-    cs = [c for c in range(1, ell + 1) if Q[c] % 2 == omega]
-    r = len(cs)
-    # eta, H, t for the blocks of the second subpartition's transpose
-    eta = [0] * (r + 1)
-    H = [0] * (r + 1)
-    for j, c in enumerate(cs, start=1):
-        q_c = lam_v[c] - lam_v[c - 1]
-        eta[j] = 1 if q_c % 2 else 2
-        H[j] = H[j - 1] + eta[j]
-    t = [0] * (r + 1)
-    t[0] = Q[0] - (Q[cs[0]] if r else 0)
-    for j in range(1, r + 1):
-        t[j] = Q[cs[j - 1]] - (Q[cs[j]] if j < r else 0)
-    Pd = [0] * (r + 1)
-    for j, c in enumerate(cs, start=1):
-        Pd[j] = P[c - 1]
-
-    # end-parity of the runs between selected indices
-    for i in range(1, r):
-        assert (lam_v[cs[i - 1]] - lam_v[cs[i] - 1]) % 2 == 0, \
-            f"end parity fails for {format_partition(bare)} in type {letter}"
-
-    tp = [x // 2 for x in t]
-    Hp = [x // 2 for x in H]
-    Pp = [x // 2 for x in Pd]
-    chi = lambda x: x % 2
-
-    top: list[int] = []
-    bottom: list[int] = []
-
-    def block(j: int, last: bool) -> tuple[list[int], list[int]]:
-        if j == 0:
-            if letter == "B":
-                a = list(range(tp[0] if not last else tp[0] + 1))
-                b = [v + 1 for v in range(tp[0])]
-            elif letter == "C":
-                a = list(range(tp[0] + 1))
-                b = list(range(tp[0]))
-            else:
-                a = list(range(tp[0] + (1 if last else 0)))
-                b = list(range(tp[0] + 1))
-            return a, b
-        base = Pp[j] + Hp[j]
-        run = list(range(tp[j] + (1 if last else 0)))
-        if letter == "C":
-            a = [base + v + 1 for v in run]
-            b = [base + v + chi(H[j]) for v in range(tp[j])]
-        else:
-            a = [base + v + chi(H[j]) for v in run]
-            b = [base + v + 1 for v in range(tp[j])]
-        return a, b
-
-    for j in range(r + 1):
-        last = j == r and letter in ("B", "D")
-        a, b = block(j, last)
-        top.extend(a)
-        bottom.extend(b)
-
-    out = sy.Symbol(tuple(top), tuple(bottom), "a")
-
-    # block-end identity: one step right of each qualifying boundary the
-    # interleaved reading drops by exactly one
-    omega_dual = OMEGA[co]
-    rbar = list(reversed(sy.bar(out)))      # rbar[q] is entry q+1 from the right
-    for i in range(1, ell + 1):
-        if lam_v[i] % 2 == omega_dual and lam_v[i - 1] % 2 == omega_dual:
-            q_i = Q[i]
-            assert rbar[q_i] + 1 == rbar[q_i - 1], \
-                (f"block-end identity fails at {i} for "
-                 f"{format_partition(bare)} in type {letter}")
-
-    _, mu = pi_mu(bare, letter)
-    half = sum(mu) // 2
-    if letter == "B":
-        assert out.defect == 1 and (not out.top or out.top[0] == 0)
-        assert sum(v - i for i, v in enumerate(out.top)) + \
-            sum(v - i - 1 for i, v in enumerate(out.bottom)) == half
-    else:
-        assert sy.symbol_size(out, letter if letter == "C" else "D") == half
-    return out
 
 
 @dataclass(frozen=True)
@@ -226,7 +104,7 @@ def _factor_rep(lam: Partition, letter: str, kappa: int = 0) -> sp.WeylIrrep:
 
 
 def _full_pair(lam, letter: str, provenance: str) -> FaithfulPair:
-    bare = _bare(lam)
+    bare = pt.bare(lam)
     co = dual_letter(letter)
     d = pt.dual(bare, co)
     n = pt.rank_of(d, letter)
@@ -242,7 +120,7 @@ def _full_pair(lam, letter: str, provenance: str) -> FaithfulPair:
 def _matching_dual_decoration(lam, letter: str) -> int:
     """Decoration of the dual orbit whose sign-twisted character matches the
     unique character over ``lam``; found by direct comparison."""
-    bare = _bare(lam)
+    bare = pt.bare(lam)
     kappa = lam.kappa if isinstance(lam, DecoratedPartition) else 0
     co = dual_letter(letter)
     target = sp.rep_of_orbit(
@@ -263,7 +141,7 @@ def faithful_pair(lam, letter: str) -> FaithfulPair:
     diagram, everything else the parity-subpartition product shape."""
     if letter not in pt.LETTERS:
         raise PartitionError(f"classical types only, got {letter!r}")
-    bare = _bare(lam)
+    bare = pt.bare(lam)
     co = dual_letter(letter)
     if not is_type_partition(bare, co):
         raise PartitionError(f"{format_partition(bare)} is not a "
@@ -311,16 +189,11 @@ class FaithfulnessReport:
         return [e for e, f in self.witnesses if f is None]
 
 
-def _family_pool(pair: FaithfulPair, apply_sgn_twist: bool):
-    members1 = sp.family_members(pair.families[0])
-    members2 = sp.family_members(pair.families[1])
+def _sorted_members(fid: sp.FamilyId, apply_sgn_twist: bool):
+    members = sp.family_members(fid)
     if apply_sgn_twist:
-        members1 = [sp.sgn_twist(m) for m in members1]
-        members2 = [sp.sgn_twist(m) for m in members2]
-    pool = [(f1, f2) for f1 in members1 for f2 in members2]
-    pool.sort(key=lambda fs: (fs[0].first, fs[0].second, fs[0].kappa,
-                              fs[1].first, fs[1].second, fs[1].kappa))
-    return pool
+        members = [sp.sgn_twist(m) for m in members]
+    return sorted(members, key=lambda m: (m.first, m.second, m.kappa))
 
 
 def verify_faithful(lam, letter: str, apply_sgn_twist: bool = True) -> FaithfulnessReport:
@@ -330,19 +203,22 @@ def verify_faithful(lam, letter: str, apply_sgn_twist: bool = True) -> Faithfuln
     dual of the orbit.  Condition (ii): every character with this dual-side
     Springer support meets the (sign-twisted) family pool in restriction;
     the first pool member with positive multiplicity is recorded as the
-    witness.  ``apply_sgn_twist=False`` drops the twist and serves as a
+    witness.  The pool is the product of the two families, each sorted by
+    (first, second, kappa).  ``apply_sgn_twist=False`` drops the twist and serves as a
     negative control."""
     pair = faithful_pair(lam, letter)
     target = du.d_A_triv(lam, letter)
     image = du.sbar(*pair.orbit_pair, letter)
     condition_i = image == target
 
-    pool = _family_pool(pair, apply_sgn_twist)
+    members1 = _sorted_members(pair.families[0], apply_sgn_twist)
+    members2 = _sorted_members(pair.families[1], apply_sgn_twist)
     witnesses = []
     condition_ii = True
     for rep in sp.dual_fiber(lam, letter):
         found = None
-        for f1, f2 in pool:
+        # a fresh product per character: the scan stops at the first hit
+        for f1, f2 in product(members1, members2):
             if pair.shape.full:
                 hit = f2 == rep
             else:

@@ -32,9 +32,19 @@ class PartitionError(ValueError):
 
 
 def enum_bound() -> int:
-    """Rank guard for exhaustive enumerations (env override NILORBITS_MAX_RANK)."""
+    """Rank guard for exhaustive enumerations (env override NILORBITS_MAX_RANK,
+    a non-negative integer; an empty value means unset)."""
     raw = os.environ.get(_ENUM_BOUND_ENV)
-    return int(raw) if raw else DEFAULT_ENUM_BOUND
+    if not raw:
+        return DEFAULT_ENUM_BOUND
+    try:
+        bound = int(raw)
+    except ValueError:
+        bound = -1
+    if bound < 0:
+        raise PartitionError(f"{_ENUM_BOUND_ENV} must be a non-negative "
+                             f"integer, got {raw!r}")
+    return bound
 
 
 def as_partition(parts) -> Partition:
@@ -209,8 +219,7 @@ def is_special(lam, letter: str) -> bool:
     Decorated input is accepted; both decorations of a very even partition
     are special.
     """
-    if isinstance(lam, DecoratedPartition):
-        lam = lam.parts
+    lam = bare(lam)
     _check_letter(letter)
     if not is_type_partition(lam, letter):
         raise PartitionError(f"{format_partition(lam)} is not a {letter}-partition")
@@ -246,10 +255,7 @@ def dual(lam, letter: str):
     B-collapse; D -> D by transpose and D-collapse.  The decoration of a very
     even type-D image is not computed: the result is a bare partition.
     """
-    kappa_in = None
-    if isinstance(lam, DecoratedPartition):
-        kappa_in = lam.kappa
-        lam = lam.parts
+    lam = bare(lam)
     _check_letter(letter)
     if not is_type_partition(lam, letter):
         raise PartitionError(f"{format_partition(lam)} is not a {letter}-partition")
@@ -257,7 +263,6 @@ def dual(lam, letter: str):
         return collapse(lower_last(transpose(lam)), "C")
     if letter == "C":
         return collapse(raise_first(transpose(lam)), "B")
-    del kappa_in  # decoration transport is out of scope
     return collapse(transpose(lam), "D")
 
 
@@ -365,24 +370,9 @@ class DecoratedPartition:
         return f"{body}:{self.kappa}" if self.very_even else body
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """Ordered pair of partitions; the avatar of an irreducible character of
-    a hyperoctahedral group."""
-
-    first: Partition
-    second: Partition
-
-    def __post_init__(self):
-        object.__setattr__(self, "first", as_partition(self.first))
-        object.__setattr__(self, "second", as_partition(self.second))
-
-    @property
-    def total(self) -> int:
-        return sum(self.first) + sum(self.second)
-
-    def __str__(self) -> str:
-        return f"({format_partition(self.first)},{format_partition(self.second)})"
+def bare(lam) -> Partition:
+    """The partition underneath a possibly decorated one."""
+    return lam.parts if isinstance(lam, DecoratedPartition) else lam
 
 
 def canonical_pair(first, second) -> tuple[Partition, Partition]:

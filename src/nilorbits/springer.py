@@ -259,27 +259,25 @@ def dual_fiber(lam, letter: str, k: int | None = None) -> list[WeylIrrep]:
     monotonic dual-side s-symbol."""
     conv = dual_letter(letter)
     kappa = lam.kappa if isinstance(lam, DecoratedPartition) else 0
-    bare = lam.parts if isinstance(lam, DecoratedPartition) else lam
+    bare = pt.bare(lam)
     first, second, _ = springer_bipartition(
         DecoratedPartition(bare, kappa) if conv == "D" else bare, conv)
     rank = sum(first) + sum(second)
     if k is None:
         k = max(sy.min_size_pair(first, second, conv), len(bare) // 2 + 1)
     ssym = sy.symbol_of_pair(first, second, conv, "s", k)
-    members = sy.enumerate_class(ssym, conv)
-    out = []
-    seen = set()
-    for member in members:
-        f, s = sy.pair_of_symbol(member, conv)
-        if conv == "D":
-            rep = WeylIrrep(letter, rank, f, s,
-                            kappa if f == s else 0)
-        else:
-            rep = WeylIrrep(letter, rank, f, s)
-        if rep not in seen:
-            seen.add(rep)
-            out.append(rep)
-    return out
+    return _irreps_of_symbols(sy.enumerate_class(ssym, conv), conv,
+                              letter, rank, kappa)
+
+
+def _irreps_of_symbols(symbols, conv: str, letter: str, rank: int,
+                       kappa: int) -> list[WeylIrrep]:
+    """The distinct characters whose symbols in the ``conv`` convention are
+    listed, in order of first appearance; ``WeylIrrep`` keeps the decoration
+    only on a degenerate type-D pair."""
+    return list(dict.fromkeys(
+        WeylIrrep(letter, rank, *sy.pair_of_symbol(sym, conv), kappa)
+        for sym in symbols))
 
 
 def is_special_rep(rep: WeylIrrep) -> bool:
@@ -317,23 +315,12 @@ def family_of(rep: WeylIrrep) -> FamilyId:
 
 
 def family_members(fid: FamilyId) -> list[WeylIrrep]:
-    """The complete family: all characters whose a-symbol has the same entry
-    multiset at a common size (plus the decoration rule in type D)."""
+    """The complete family: the characters of all a-symbols similar to the
+    family's monotonic a-symbol, enumerated by ``similar_symbols`` (plus the
+    decoration rule in type D)."""
     base = Symbol(fid.top, fid.bottom, "a")
-    members = sy.similar_symbols(base, fid.letter)
-    out = []
-    seen = set()
-    for member in members:
-        f, s = sy.pair_of_symbol(member, fid.letter)
-        if fid.letter == "D":
-            rep = WeylIrrep(fid.letter, fid.rank, f, s,
-                            fid.kappa if f == s else 0)
-        else:
-            rep = WeylIrrep(fid.letter, fid.rank, f, s)
-        if rep not in seen:
-            seen.add(rep)
-            out.append(rep)
-    return out
+    return _irreps_of_symbols(sy.similar_symbols(base, fid.letter),
+                              fid.letter, fid.letter, fid.rank, fid.kappa)
 
 
 def special_rep(fid: FamilyId) -> WeylIrrep:

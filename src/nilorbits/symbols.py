@@ -255,12 +255,8 @@ def refinement(sym: Symbol, letter: str) -> tuple[Block, ...]:
     if not is_monotonic(sym):
         raise SymbolError(f"{sym} is not monotonic")
     order = underline(sym) if sym.defect == 0 else sym
-    if order.defect == 1:
-        labelled = [(v, "t") for v in order.top] + \
-                   [(v, "b") for v in order.bottom]
-    else:
-        labelled = [(v, "t") for v in order.top] + \
-                   [(v, "b") for v in order.bottom]
+    labelled = [(v, "t") for v in order.top] + \
+               [(v, "b") for v in order.bottom]
     labelled.sort(key=lambda p: p[0])
     blocks: list[Block] = []
     rest: list[tuple[int, str]] = []
@@ -315,9 +311,9 @@ def flips(sym: Symbol, letter: str, flip_set) -> Symbol:
 
 
 def enumerate_class(sym: Symbol, letter: str, k: int | None = None) -> list[Symbol]:
-    """All symbols of the letter similar to sym at size k, via block flips of
-    the monotonic representative.  Valid for s-symbols, where every similar
-    symbol is a flip of the monotonic one."""
+    """All s-symbols of the letter similar to sym at size k, via block flips
+    of the monotonic representative: every similar s-symbol is a flip of the
+    monotonic one.  a-symbol classes are enumerated by ``similar_symbols``."""
     if k is not None:
         sym = at_size(sym, letter, k)
     mono = monotonic_representative(sym, letter)
@@ -335,32 +331,26 @@ def enumerate_class(sym: Symbol, letter: str, k: int | None = None) -> list[Symb
 
 
 def similar_symbols(sym: Symbol, letter: str, k: int | None = None) -> list[Symbol]:
-    """All symbols of the letter with the same entry multiset at size k,
-    by direct enumeration of row splittings.  Agrees with ``enumerate_class``
-    on s-symbols and is the complete family for a-symbols."""
+    """The family of an a-symbol: all a-symbols of the letter with the same
+    entry multiset at size k, sorted by rows.  A repeated entry sits in both
+    rows and the single entries are dealt between the rows in every way that
+    keeps the row lengths.  s-symbols are refused; their classes come from
+    ``enumerate_class``."""
+    if sym.kind != "a":
+        raise SymbolError(f"{sym} is an s-symbol; enumerate its class with "
+                          f"enumerate_class")
     if k is not None:
         sym = at_size(sym, letter, k)
-    values = sym.entries()
-    len_top = len(sym.top)
-    gap = 2 if sym.kind == "s" else 1
-    out: list[Symbol] = []
-
-    def place(i, top, bottom):
-        if len(top) > len_top or len(bottom) > len(values) - len_top:
-            return
-        if i == len(values):
-            cand = Symbol(tuple(top), tuple(bottom), sym.kind)
-            if is_type_symbol(cand, letter):
-                out.append(cand)
-            return
-        v = values[i]
-        if not top or v - top[-1] >= gap:
-            place(i + 1, top + [v], bottom)
-        if not bottom or v - bottom[-1] >= gap:
-            place(i + 1, top, bottom + [v])
-
-    place(0, [], [])
-    return sorted(set(out), key=lambda s: (s.top, s.bottom))
+    if not has_type_shape(sym, letter):
+        return []
+    entries = set(sym.top) | set(sym.bottom)
+    both = set(sym.top) & set(sym.bottom)
+    # combinations() yields the dealt top entries in lexicographic order, and
+    # merging the same repeated entries into each keeps that order
+    return [Symbol(tuple(sorted(both.union(dealt))),
+                   tuple(sorted(entries.difference(dealt))), "a")
+            for dealt in combinations(sorted(entries - both),
+                                      len(sym.top) - len(both))]
 
 
 def add(s1: Symbol, s2: Symbol) -> Symbol:

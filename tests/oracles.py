@@ -5,9 +5,12 @@ from the wreath-product Murnaghan-Nakayama rule; the even-signed subgroup
 gets its split classes and half characters from the classical difference
 formula, pinned to a concrete labelling by brute-force conjugacy at small
 rank.  Everything is verified internally through orthogonality relations.
+A brute-force search over row splittings serves as the reference for the
+symbol-class enumerators, and the fully sorted product of two families as
+the reference for the witness scan of the faithfulness check.
 
 Only the tests use this module; the library computes multiplicities through
-Littlewood-Richardson products.
+Littlewood-Richardson products and symbol classes in closed form.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from itertools import product
 from math import factorial
 
 from nilorbits import partitions as pt
+from nilorbits import springer as sp
+from nilorbits import symbols as sy
 
 
 # ---------------------------------------------------------------------------
@@ -373,3 +378,55 @@ def mult_d_restriction(n: int, avatar, m: int, f1, f2) -> int:
     denom = d_order(m) * d_order(n - m)
     assert total % denom == 0
     return total // denom
+
+
+# ---------------------------------------------------------------------------
+# symbol classes by brute force
+
+def similar_symbols_bruteforce(sym, letter: str, k: int | None = None):
+    """All symbols of the letter and kind of ``sym`` with its entry multiset
+    at size k, by trying every row for every entry.  The reference for
+    ``symbols.enumerate_class`` (s-symbols) and ``symbols.similar_symbols``
+    (a-symbols)."""
+    if k is not None:
+        sym = sy.at_size(sym, letter, k)
+    values = sym.entries()
+    len_top = len(sym.top)
+    gap = 2 if sym.kind == "s" else 1
+    out = []
+
+    def place(i, top, bottom):
+        if len(top) > len_top or len(bottom) > len(values) - len_top:
+            return
+        if i == len(values):
+            cand = sy.Symbol(tuple(top), tuple(bottom), sym.kind)
+            if sy.is_type_symbol(cand, letter):
+                out.append(cand)
+            return
+        v = values[i]
+        if not top or v - top[-1] >= gap:
+            place(i + 1, top + [v], bottom)
+        if not bottom or v - bottom[-1] >= gap:
+            place(i + 1, top, bottom + [v])
+
+    place(0, [], [])
+    return sorted(set(out), key=lambda s: (s.top, s.bottom))
+
+
+# ---------------------------------------------------------------------------
+# the witness pool of the faithfulness check, fully built and sorted
+
+def sorted_family_pool(pair, apply_sgn_twist: bool):
+    """Every (first-family member, second-family member) pair of a
+    ``FaithfulPair``, optionally sign-twisted, sorted on the concatenated
+    (first, second, kappa) keys of the two members.  The first pair with a
+    hit is the witness that ``faithful.verify_faithful`` must report."""
+    members1 = sp.family_members(pair.families[0])
+    members2 = sp.family_members(pair.families[1])
+    if apply_sgn_twist:
+        members1 = [sp.sgn_twist(m) for m in members1]
+        members2 = [sp.sgn_twist(m) for m in members2]
+    pool = [(f1, f2) for f1 in members1 for f2 in members2]
+    pool.sort(key=lambda fs: (fs[0].first, fs[0].second, fs[0].kappa,
+                              fs[1].first, fs[1].second, fs[1].kappa))
+    return pool

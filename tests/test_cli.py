@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from nilorbits import cli
 from nilorbits import duality as du
 from nilorbits import faithful as fa
@@ -79,6 +81,17 @@ def test_exit_codes():
     assert code == cli.EXIT_VERIFY
     code, _ = run("verify-faithful", "-t", "C", "-n", "3")
     assert code == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("value, code", (("abc", cli.EXIT_PRECONDITION),
+                                         ("-1", cli.EXIT_PRECONDITION),
+                                         ("", cli.EXIT_OK)))
+@pytest.mark.parametrize("verb", ("verify-faithful", "enumerate"))
+def test_rank_bound_environment(monkeypatch, verb, value, code):
+    """A malformed or negative NILORBITS_MAX_RANK is a violated
+    precondition; an empty one means the default bound."""
+    monkeypatch.setenv("NILORBITS_MAX_RANK", value)
+    assert run(verb, "-t", "C", "-n", "3")[0] == code
 
 
 def test_verify_witness_file(tmp_path):

@@ -1,5 +1,6 @@
 import pytest
 
+import oracles as O
 from nilorbits import duality as du
 from nilorbits import faithful as F
 from nilorbits import partitions as P
@@ -88,6 +89,125 @@ def test_edge_cases():
                     (letter, lam, mu)
 
 
+OMEGA = {"B": 1, "C": 0, "D": 1}
+
+
+def _distinct_with_mults(lam) -> tuple[list[int], list[int]]:
+    values = sorted(set(lam))
+    return values, [P.multiplicity(lam, v) for v in values]
+
+
+def dual_factor_symbol(lam, letter: str) -> S.Symbol:
+    """The a-symbol of the Springer character of the in-type dual of the
+    second parity subpartition of ``lam``, written directly in terms of the
+    part data of ``lam`` (shrieked to defect one in type B).
+
+    The block boundaries of the result satisfy two parity identities that
+    the flip-transport argument needs; both are asserted here."""
+    bare = P.bare(lam)
+    co = P.dual_letter(letter)
+    if not P.is_type_partition(bare, co):
+        raise P.PartitionError(f"{P.format_partition(bare)} is not a "
+                               f"{co}-partition")
+    values, mults = _distinct_with_mults(bare)
+    ell = len(values)
+    lam_v = [0] + values                    # lam_v[i], 1-based values
+    if letter == "B":
+        p0 = 1 if len(bare) % 2 == 0 else 2
+    else:
+        p0 = 0
+    p = [p0] + mults                        # multiplicities incl. the pad
+    Pc = [0] * (ell + 1)                    # Pc[i] = p_0 + ... + p_i
+    for i in range(ell + 1):
+        Pc[i] = (Pc[i - 1] if i else 0) + p[i]
+    Q = [0] * (ell + 2)                     # Q[i] = p_i + ... + p_l
+    for i in range(ell, 0, -1):
+        Q[i] = Q[i + 1] + p[i]
+    Q[0] = Q[1] + p[0]
+
+    omega = OMEGA[letter]
+    cs = [c for c in range(1, ell + 1) if Q[c] % 2 == omega]
+    r = len(cs)
+    # eta, H, t for the blocks of the second subpartition's transpose
+    eta = [0] * (r + 1)
+    H = [0] * (r + 1)
+    for j, c in enumerate(cs, start=1):
+        q_c = lam_v[c] - lam_v[c - 1]
+        eta[j] = 1 if q_c % 2 else 2
+        H[j] = H[j - 1] + eta[j]
+    t = [0] * (r + 1)
+    t[0] = Q[0] - (Q[cs[0]] if r else 0)
+    for j in range(1, r + 1):
+        t[j] = Q[cs[j - 1]] - (Q[cs[j]] if j < r else 0)
+    Pd = [0] * (r + 1)
+    for j, c in enumerate(cs, start=1):
+        Pd[j] = Pc[c - 1]
+
+    # end-parity of the runs between selected indices
+    for i in range(1, r):
+        assert (lam_v[cs[i - 1]] - lam_v[cs[i] - 1]) % 2 == 0, \
+            f"end parity fails for {P.format_partition(bare)} in type {letter}"
+
+    tp = [x // 2 for x in t]
+    Hp = [x // 2 for x in H]
+    Pp = [x // 2 for x in Pd]
+    chi = lambda x: x % 2
+
+    top: list[int] = []
+    bottom: list[int] = []
+
+    def block(j: int, last: bool) -> tuple[list[int], list[int]]:
+        if j == 0:
+            if letter == "B":
+                a = list(range(tp[0] if not last else tp[0] + 1))
+                b = [v + 1 for v in range(tp[0])]
+            elif letter == "C":
+                a = list(range(tp[0] + 1))
+                b = list(range(tp[0]))
+            else:
+                a = list(range(tp[0] + (1 if last else 0)))
+                b = list(range(tp[0] + 1))
+            return a, b
+        base = Pp[j] + Hp[j]
+        run = list(range(tp[j] + (1 if last else 0)))
+        if letter == "C":
+            a = [base + v + 1 for v in run]
+            b = [base + v + chi(H[j]) for v in range(tp[j])]
+        else:
+            a = [base + v + chi(H[j]) for v in run]
+            b = [base + v + 1 for v in range(tp[j])]
+        return a, b
+
+    for j in range(r + 1):
+        last = j == r and letter in ("B", "D")
+        a, b = block(j, last)
+        top.extend(a)
+        bottom.extend(b)
+
+    out = S.Symbol(tuple(top), tuple(bottom), "a")
+
+    # block-end identity: one step right of each qualifying boundary the
+    # interleaved reading drops by exactly one
+    omega_dual = OMEGA[co]
+    rbar = list(reversed(S.bar(out)))       # rbar[q] is entry q+1 from the right
+    for i in range(1, ell + 1):
+        if lam_v[i] % 2 == omega_dual and lam_v[i - 1] % 2 == omega_dual:
+            q_i = Q[i]
+            assert rbar[q_i] + 1 == rbar[q_i - 1], \
+                (f"block-end identity fails at {i} for "
+                 f"{P.format_partition(bare)} in type {letter}")
+
+    _, mu = F.pi_mu(bare, letter)
+    half = sum(mu) // 2
+    if letter == "B":
+        assert out.defect == 1 and (not out.top or out.top[0] == 0)
+        assert sum(v - i for i, v in enumerate(out.top)) + \
+            sum(v - i - 1 for i, v in enumerate(out.bottom)) == half
+    else:
+        assert S.symbol_size(out, letter if letter == "C" else "D") == half
+    return out
+
+
 def test_dual_factor_symbol_against_springer_path():
     """The explicit block formulas agree with computing the in-type dual of
     the subpartition and taking its Springer symbol (rank <= 5)."""
@@ -95,7 +215,7 @@ def test_dual_factor_symbol_against_springer_path():
         co = P.dual_letter(letter)
         for rank in range(1, 6):
             for lam in P.type_partitions(co, rank):
-                got = F.dual_factor_symbol(lam, letter)
+                got = dual_factor_symbol(lam, letter)
                 _, mu = F.pi_mu(lam, letter)
                 y = "D" if letter in ("B", "D") else "C"
                 dls = P.self_dual(mu, y)
@@ -123,7 +243,7 @@ def test_dual_factor_symbol_block_jump():
     """Block-end condition used by the flip transport: at a qualifying
     boundary the interleaved reading of the constructed symbol drops by one.
     The constructor asserts this internally; here one instance is pinned."""
-    sym = F.dual_factor_symbol((2, 1, 1), "B")
+    sym = dual_factor_symbol((2, 1, 1), "B")
     rbar = list(reversed(S.bar(sym)))
     # q-positions of the parts of (2,1,1): heights 3 and 1
     assert rbar[3] + 1 == rbar[2] or rbar[1] + 1 == rbar[0]
@@ -135,7 +255,7 @@ def test_interval_positions():
     right of the interleaved reading (rank <= 6)."""
     for letter in P.LETTERS:
         co = P.dual_letter(letter)
-        omega_dual = F.OMEGA[co]
+        omega_dual = OMEGA[co]
         for rank in range(1, 7):
             for lam in P.type_partitions(co, rank):
                 first, second, _ = sp.springer_bipartition(
@@ -199,6 +319,27 @@ def test_verify_faithful_small(letter, rank):
         assert report.condition_i, report.orbit
         assert report.condition_ii, report.orbit
         assert all(f is not None for _, f in report.witnesses)
+
+
+@pytest.mark.parametrize("twist", (True, False))
+def test_witnesses_match_sorted_pool(twist):
+    """Each witness is the first hit in the fully sorted product of the two
+    families (rank <= 6), with and without the sign twist."""
+    for letter in P.LETTERS:
+        co = P.dual_letter(letter)
+        for rank in range(1, 7):
+            reports = F.verify_all(letter, rank, twist)
+            for lam, report in zip(P.enumerate_orbits(co, rank), reports):
+                pair = report.pair
+                pool = O.sorted_family_pool(pair, twist)
+                expected = []
+                for rep in sp.dual_fiber(lam, letter):
+                    hits = (f"{f1} x {f2}" for f1, f2 in pool
+                            if (f2 == rep if pair.shape.full else
+                                sp.restriction_multiplicity(
+                                    rep, pair.shape, f1, f2) > 0))
+                    expected.append((str(rep), next(hits, None)))
+                assert report.witnesses == tuple(expected), report.orbit
 
 
 def test_negative_control_rank3():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles as O
 from nilorbits import partitions as P
 from nilorbits import symbols as S
 
@@ -126,7 +127,7 @@ def test_enumerate_class_matches_splittings():
             sym = S.symbol_of_pair(lam, mu, letter, "s",
                                    S.min_size_pair(lam, mu, letter) + 1)
             assert S.enumerate_class(sym, letter) == \
-                S.similar_symbols(sym, letter)
+                O.similar_symbols_bruteforce(sym, letter)
 
 
 def test_class_size_subregular():
@@ -145,6 +146,33 @@ def test_family_flip_gap():
     assert len(blocks) == 1  # a single interval, no defect-preserving flip
 
 
+def test_similar_symbols_matches_splittings():
+    """The closed-form family enumerator returns exactly the a-symbols the
+    row-splitting search finds, in the same order, for every family of B, C
+    and D through rank 8, at the minimal size and two padded sizes."""
+    for letter in ("B", "C", "D"):
+        for n in range(0, 9):
+            families = {S.normalize(S.monotonic_representative(
+                S.symbol_of_pair(lam, mu, letter, "a"), letter), letter)
+                for lam, mu in bipartitions(n)}
+            for base in families:
+                k0 = len(base.bottom)
+                for k in (k0, k0 + 1, k0 + 2):
+                    assert S.similar_symbols(base, letter, k) == \
+                        O.similar_symbols_bruteforce(base, letter, k), \
+                        (letter, base, k)
+    # a symbol without the shape of the type has no class in either
+    off_shape = S.Symbol((0, 2), (1,), "a")
+    assert S.similar_symbols(off_shape, "D") == \
+        O.similar_symbols_bruteforce(off_shape, "D") == []
+
+
+def test_similar_symbols_refuses_s_symbols():
+    sym = S.symbol_of_pair((1,), (1,), "B", "s")
+    with pytest.raises(S.SymbolError):
+        S.similar_symbols(sym, "B")
+
+
 def test_one_monotonic_member_per_class():
     """Every similarity class of s-symbols has exactly one monotonic member
     at each size."""
@@ -154,7 +182,7 @@ def test_one_monotonic_member_per_class():
                 for k in range(S.min_size_pair(lam, mu, letter),
                                S.min_size_pair(lam, mu, letter) + 3):
                     sym = S.symbol_of_pair(lam, mu, letter, "s", k)
-                    members = S.similar_symbols(sym, letter)
+                    members = O.similar_symbols_bruteforce(sym, letter)
                     mono = [m for m in members if S.is_monotonic(m)]
                     if letter == "D":
                         mono = {S.underline(m) for m in mono}
