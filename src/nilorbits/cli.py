@@ -178,11 +178,6 @@ class _Out:
             print(text if text is not None else str(obj), file=self.stream)
 
 
-def _fmt(lam) -> str:
-    return str(lam) if isinstance(lam, DecoratedPartition) else \
-        format_partition(lam)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="nilorbits", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -273,28 +268,24 @@ def _run(args, out: _Out) -> int:
     verb = args.verb
     if verb == "collapse":
         got = pt.collapse(_bare_partition(args.partition), args.letter)
-        out.emit(got, _fmt(got))
+        out.emit(got, format_partition(got))
     elif verb == "dual":
         got = pt.dual(_parse_partition(args.partition), args.letter)
-        out.emit(got, _fmt(got))
+        out.emit(got, format_partition(got))
     elif verb == "special":
         got = pt.is_special(_parse_partition(args.partition), args.letter)
         out.emit(got, "true" if got else "false")
     elif verb == "markable":
         got = pt.markable_parts(_bare_partition(args.partition), args.letter)
-        out.emit(got, _fmt(got))
+        out.emit(got, format_partition(got))
     elif verb == "reduce":
         got = pt.reduction(_bare_partition(args.orbit),
                            _bare_partition(args.mu), args.letter)
-        out.emit(got, _fmt(got))
+        out.emit(got, format_partition(got))
     elif verb == "springer":
         lam = _parse_partition(args.partition)
         conv = args.letter if args.side == "group" else \
             pt.dual_letter(args.letter)
-        if conv == "D" and not isinstance(lam, DecoratedPartition):
-            lam = DecoratedPartition(lam, 0)
-        if conv != "D" and isinstance(lam, DecoratedPartition):
-            lam = lam.parts
         symbol = sp.springer_symbol(lam, conv)
         rendered = sy.render(symbol.sym if isinstance(
             symbol, sy.DecoratedSymbol) else symbol)
@@ -334,7 +325,7 @@ def _run(args, out: _Out) -> int:
     elif verb == "ds":
         got = du.d_S(_bare_partition(args.mu), _bare_partition(args.nu),
                      args.letter)
-        out.emit(got, _fmt(got))
+        out.emit(got, format_partition(got))
     elif verb == "da":
         got = du.d_A_triv(_parse_partition(args.partition), args.letter)
         out.emit(got, str(got))
@@ -365,7 +356,7 @@ def _run(args, out: _Out) -> int:
             out.emit(got, str(got))
     elif verb == "enumerate":
         for lam in pt.enumerate_orbits(args.letter, args.rank):
-            out.emit(lam, _fmt(lam))
+            out.emit(lam, format_partition(lam))
     else:  # pragma: no cover
         raise UsageError(f"unknown verb {verb!r}")
     return EXIT_OK
@@ -423,10 +414,15 @@ def run(argv, stream=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PartitionError, SymbolError, AmbiguousDecorationError) as exc:
+    except (PartitionError, SymbolError, AmbiguousDecorationError,
+            fa.TableError, OSError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -114,18 +114,10 @@ def d_S(mu: Partition, nu: Partition, letter: str) -> Partition:
     fibers of ``sbar``."""
     shape = pair_shape(mu, nu, letter)
     y, x = shape.factor_letters
-    rep1 = _dual_factor_rep(mu, y)
-    rep2 = _dual_factor_rep(nu, x)
+    rep1 = sp.rep_of_orbit(pt.self_dual(mu, y), y, y)
+    rep2 = sp.rep_of_orbit(pt.self_dual(nu, x), x, x)
     induced = sp.j_induce(shape, rep1, rep2)
     return pt.bare(sp.springer_support(induced, "dual"))
-
-
-def _dual_factor_rep(lam: Partition, letter: str) -> sp.WeylIrrep:
-    """Springer character of the in-type dual of a factor orbit."""
-    dlam = pt.self_dual(lam, letter)
-    if letter == "D":
-        return sp.rep_of_orbit(DecoratedPartition(dlam, 0), "D", "D")
-    return sp.rep_of_orbit(dlam, letter, letter)
 
 
 @lru_cache(maxsize=None)
@@ -151,13 +143,8 @@ def d_A_triv(lam, letter: str) -> MarkedOrbit:
     ``letter``; for a very even type-D input the decoration is dropped and
     the result carries the decoration-undetermined flag."""
     from . import faithful
-    bare = pt.bare(lam)
-    co = dual_letter(letter)
-    if not is_type_partition(bare, co):
-        raise PartitionError(f"{format_partition(bare)} is not a "
-                             f"{co}-partition")
-    dual_orbit = pt.dual(bare, co)
-    pi, _ = faithful.pi_mu(bare, letter)
+    pi, _ = faithful.pi_mu(lam, letter)
+    dual_orbit = pt.dual(pt.bare(lam), dual_letter(letter))
     return MarkedOrbit(letter, dual_orbit,
                        pt.reduction(dual_orbit, pi, letter))
 

@@ -26,6 +26,22 @@ from .partitions import (DecoratedPartition, Partition, PartitionError,
 USE_DEFAULT = "use-default"
 
 
+class TableError(ValueError):
+    """Raised when an exceptional table fails its checksum or has a
+    malformed row."""
+
+
+def _orbit(lam, letter: str) -> Partition:
+    """The bare partition of a dual-side orbit, checked against the dual
+    type of ``letter``."""
+    bare = pt.bare(lam)
+    co = dual_letter(letter)
+    if not is_type_partition(bare, co):
+        raise PartitionError(f"{format_partition(bare)} is not a "
+                             f"{co}-partition")
+    return bare
+
+
 def pi_mu(lam, letter: str) -> tuple[Partition, Partition]:
     """Parity-selected subpartitions of the transpose of a dual-side orbit.
 
@@ -33,13 +49,8 @@ def pi_mu(lam, letter: str) -> tuple[Partition, Partition]:
     the odd ones; a part with odd multiplicity contributes once to the first
     output and once to the second, a part with even positive multiplicity
     contributes twice to the second only."""
-    bare = pt.bare(lam)
-    co = dual_letter(letter)
-    if not is_type_partition(bare, co):
-        raise PartitionError(f"{format_partition(bare)} is not a "
-                             f"{co}-partition")
     keep = 0 if letter == "C" else 1
-    t = pt.transpose(bare)
+    t = pt.transpose(_orbit(lam, letter))
     pi, mu = [], []
     for x in set(t):
         if x % 2 != keep:
@@ -56,11 +67,7 @@ def is_edge_case(lam, letter: str) -> tuple[bool, str]:
     """Shapes whose second subpartition is too small or too large to sit on
     a product shape: a single largest part over an odd run and then even
     runs (with the top gap even), and the two smallest type-D duals."""
-    bare = pt.bare(lam)
-    co = dual_letter(letter)
-    if not is_type_partition(bare, co):
-        raise PartitionError(f"{format_partition(bare)} is not a "
-                             f"{co}-partition")
+    bare = _orbit(lam, letter)
     if letter == "C":
         return False, "type C has no edge shapes"
     if letter == "D" and bare in ((1, 1), (3, 1)):
@@ -97,37 +104,28 @@ class FaithfulPair:
                 f"{format_partition(self.orbit_pair[1])}) ({self.provenance})")
 
 
-def _factor_rep(lam: Partition, letter: str, kappa: int = 0) -> sp.WeylIrrep:
-    if letter == "D":
-        return sp.rep_of_orbit(DecoratedPartition(lam, kappa), "D", "D")
-    return sp.rep_of_orbit(lam, letter, letter)
-
-
-def _full_pair(lam, letter: str, provenance: str) -> FaithfulPair:
-    bare = pt.bare(lam)
-    co = dual_letter(letter)
-    d = pt.dual(bare, co)
+def _full_pair(lam, letter: str, d: Partition,
+               provenance: str) -> FaithfulPair:
     n = pt.rank_of(d, letter)
     shape = sp.full_shape(letter, n)
     y, _ = shape.factor_letters
-    kappa = _matching_dual_decoration(lam, letter) \
+    kappa = _matching_dual_decoration(lam, d) \
         if letter == "D" and is_very_even(d) else 0
     fam1 = sp.family_of(sp.trivial_rep(y, 0))
-    fam2 = sp.family_of(_factor_rep(d, letter, kappa))
+    fam2 = sp.family_of(sp.rep_of_orbit(DecoratedPartition(d, kappa),
+                                        letter, letter))
     return FaithfulPair(letter, n, shape, (fam1, fam2), ((), d), provenance)
 
 
-def _matching_dual_decoration(lam, letter: str) -> int:
-    """Decoration of the dual orbit whose sign-twisted character matches the
-    unique character over ``lam``; found by direct comparison."""
-    bare = pt.bare(lam)
+def _matching_dual_decoration(lam, d: Partition) -> int:
+    """Decoration of the type-D dual orbit ``d`` whose sign-twisted
+    character matches the unique character over ``lam``; found by direct
+    comparison."""
     kappa = lam.kappa if isinstance(lam, DecoratedPartition) else 0
-    co = dual_letter(letter)
-    target = sp.rep_of_orbit(
-        DecoratedPartition(bare, kappa) if co == "D" else bare, co, letter)
-    d = pt.dual(bare, co)
+    target = sp.rep_of_orbit(lam, "D", "D")
     for guess in (kappa, 1 - kappa):
-        twisted = sp.sgn_twist(_factor_rep(d, letter, guess))
+        twisted = sp.sgn_twist(sp.rep_of_orbit(DecoratedPartition(d, guess),
+                                               "D", "D"))
         if twisted == target:
             return guess
     raise PartitionError(
@@ -135,29 +133,19 @@ def _matching_dual_decoration(lam, letter: str) -> int:
         f"{target}; decoration transport convention is inconsistent")
 
 
-def faithful_pair(lam, letter: str) -> FaithfulPair:
-    """Shape and family for the orbit, routed by its kind: very even or
-    single-character orbits use the full diagram, edge shapes use the full
-    diagram, everything else the parity-subpartition product shape."""
-    if letter not in pt.LETTERS:
-        raise PartitionError(f"classical types only, got {letter!r}")
+def _route(lam, letter: str, fiber) -> FaithfulPair:
+    """Shape and family for a checked orbit whose dual fibre is ``fiber``."""
     bare = pt.bare(lam)
-    co = dual_letter(letter)
-    if not is_type_partition(bare, co):
-        raise PartitionError(f"{format_partition(bare)} is not a "
-                             f"{co}-partition")
+    d = pt.dual(bare, dual_letter(letter))
     if letter == "D" and is_very_even(bare):
-        return _full_pair(lam, letter, "unique-representation")
+        return _full_pair(lam, letter, d, "unique-representation")
     edge, _reason = is_edge_case(bare, letter)
     if edge:
-        return _full_pair(lam, letter, "edge-case")
-    pi, _ = pi_mu(bare, letter)
-    trivially_marked = pt.reduction(pt.dual(bare, co), pi, letter) == ()
-    if trivially_marked and len(sp.dual_fiber(lam, letter)) == 1:
+        return _full_pair(lam, letter, d, "edge-case")
+    pi, mu = pi_mu(bare, letter)
+    if pt.reduction(d, pi, letter) == () and len(fiber) == 1:
         # the full diagram hits the Achar dual only when the marking is empty
-        return _full_pair(lam, letter, "unique-representation")
-    _, mu = pi_mu(bare, letter)
-    d = pt.dual(bare, co)
+        return _full_pair(lam, letter, d, "unique-representation")
     nu = pt.subtract(d, mu)
     if letter == "D" and is_very_even(nu):
         raise sp.AmbiguousDecorationError(
@@ -166,10 +154,18 @@ def faithful_pair(lam, letter: str) -> FaithfulPair:
             f"determined without decoration transport")
     shape = du.pair_shape(mu, nu, letter)
     y, x = shape.factor_letters
-    fam1 = sp.family_of(_factor_rep(mu, y))
-    fam2 = sp.family_of(_factor_rep(nu, x))
+    fam1 = sp.family_of(sp.rep_of_orbit(mu, y, y))
+    fam2 = sp.family_of(sp.rep_of_orbit(nu, x, x))
     return FaithfulPair(letter, shape.rank, shape, (fam1, fam2), (mu, nu),
                         "general-construction")
+
+
+def faithful_pair(lam, letter: str) -> FaithfulPair:
+    """Shape and family for the orbit, routed by its kind: very even or
+    single-character orbits use the full diagram, edge shapes use the full
+    diagram, everything else the parity-subpartition product shape."""
+    _orbit(lam, letter)
+    return _route(lam, letter, sp.dual_fiber(lam, letter))
 
 
 @dataclass(frozen=True)
@@ -206,7 +202,9 @@ def verify_faithful(lam, letter: str, apply_sgn_twist: bool = True) -> Faithfuln
     witness.  The pool is the product of the two families, each sorted by
     (first, second, kappa).  ``apply_sgn_twist=False`` drops the twist and serves as a
     negative control."""
-    pair = faithful_pair(lam, letter)
+    _orbit(lam, letter)
+    fiber = sp.dual_fiber(lam, letter)
+    pair = _route(lam, letter, fiber)
     target = du.d_A_triv(lam, letter)
     image = du.sbar(*pair.orbit_pair, letter)
     condition_i = image == target
@@ -215,7 +213,7 @@ def verify_faithful(lam, letter: str, apply_sgn_twist: bool = True) -> Faithfuln
     members2 = _sorted_members(pair.families[1], apply_sgn_twist)
     witnesses = []
     condition_ii = True
-    for rep in sp.dual_fiber(lam, letter):
+    for rep in fiber:
         found = None
         # a fresh product per character: the scan stops at the first hit
         for f1, f2 in product(members1, members2):
@@ -229,10 +227,8 @@ def verify_faithful(lam, letter: str, apply_sgn_twist: bool = True) -> Faithfuln
         witnesses.append((str(rep), found))
         if found is None:
             condition_ii = False
-    label = str(lam) if isinstance(lam, DecoratedPartition) else \
-        format_partition(lam)
-    return FaithfulnessReport(label, letter, pair, condition_i, condition_ii,
-                              tuple(witnesses))
+    return FaithfulnessReport(format_partition(lam), letter, pair,
+                              condition_i, condition_ii, tuple(witnesses))
 
 
 def verify_all(letter: str, rank: int, apply_sgn_twist: bool = True):
@@ -320,12 +316,15 @@ def load_exceptional_table(path: str | None = None) -> list[ExceptionalEntry]:
             body.append(line)
     digest = hashlib.sha256("\n".join(body).encode()).hexdigest()
     if claimed != digest:
-        raise ValueError(f"exceptional table checksum mismatch: file says "
+        raise TableError(f"exceptional table checksum mismatch: file says "
                          f"{claimed}, content hashes to {digest}")
     out = []
     for line in body:
-        group, label, mask, factor, family = line.split("|")
-        out.append(ExceptionalEntry(group, label, mask, factor, family))
+        fields = line.split("|")
+        if len(fields) != 5:
+            raise TableError(f"exceptional table row {line!r} has "
+                             f"{len(fields)} fields, expected 5")
+        out.append(ExceptionalEntry(*fields))
     return out
 
 

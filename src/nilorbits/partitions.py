@@ -135,6 +135,7 @@ def dominance_le(lam: Partition, mu: Partition) -> bool:
 
 def dual_letter(letter: str) -> str:
     """Type of the Langlands dual algebra: B <-> C, D <-> D."""
+    _check_letter(letter)
     return {"B": "C", "C": "B", "D": "D"}[letter]
 
 
@@ -300,6 +301,8 @@ def type_partitions(letter: str, rank: int) -> tuple[Partition, ...]:
 def enumerate_orbits(letter: str, rank: int, bound: int | None = None):
     """All orbit avatars for the type: bare partitions for B and C, decorated
     partitions for D (very even ones appear once per decoration)."""
+    if rank < 0:
+        raise PartitionError(f"rank must be non-negative, got {rank}")
     limit = enum_bound() if bound is None else bound
     if rank > limit:
         raise PartitionError(

@@ -17,7 +17,7 @@ from . import partitions as pt
 from . import symbols as sy
 from .partitions import (DecoratedPartition, Partition, PartitionError,
                          as_partition, dual_letter, format_partition,
-                         is_type_partition, is_very_even)
+                         is_type_partition)
 from .symbols import DecoratedSymbol, Symbol, SymbolError
 
 log = logging.getLogger(__name__)
@@ -255,16 +255,14 @@ def collapse_symbol(lam: Partition, kappa: int = 0) -> DecoratedSymbol:
 
 def dual_fiber(lam, letter: str, k: int | None = None) -> list[WeylIrrep]:
     """All characters of the rank-n type-``letter`` group whose dual-side
-    Springer support is ``lam``, enumerated through block flips of the
-    monotonic dual-side s-symbol."""
+    Springer support is ``lam``: the similarity class of its dual-side
+    s-symbol, enumerated by ``enumerate_class``."""
     conv = dual_letter(letter)
-    kappa = lam.kappa if isinstance(lam, DecoratedPartition) else 0
-    bare = pt.bare(lam)
-    first, second, _ = springer_bipartition(
-        DecoratedPartition(bare, kappa) if conv == "D" else bare, conv)
+    first, second, kappa = springer_bipartition(lam, conv)
     rank = sum(first) + sum(second)
     if k is None:
-        k = max(sy.min_size_pair(first, second, conv), len(bare) // 2 + 1)
+        k = max(sy.min_size_pair(first, second, conv),
+                len(pt.bare(lam)) // 2 + 1)
     ssym = sy.symbol_of_pair(first, second, conv, "s", k)
     return _irreps_of_symbols(sy.enumerate_class(ssym, conv), conv,
                               letter, rank, kappa)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .partitions import (Partition, as_partition, canonical_pair,
                          format_partition)
@@ -311,23 +311,21 @@ def flips(sym: Symbol, letter: str, flip_set) -> Symbol:
 
 
 def enumerate_class(sym: Symbol, letter: str, k: int | None = None) -> list[Symbol]:
-    """All s-symbols of the letter similar to sym at size k, via block flips
-    of the monotonic representative: every similar s-symbol is a flip of the
-    monotonic one.  a-symbol classes are enumerated by ``similar_symbols``."""
+    """All s-symbols of the letter similar to sym at size k: the blocks of
+    the monotonic representative's refinement dealt between the rows, each
+    block but a pair in either orientation, keeping the deals with the shape
+    of the type.  a-symbol classes are enumerated by ``similar_symbols``."""
     if k is not None:
         sym = at_size(sym, letter, k)
     mono = monotonic_representative(sym, letter)
-    blocks = refinement(mono, letter)
-    candidates = [i for i, blk in enumerate(blocks, start=1)
-                  if blk.top != blk.bottom]
-    out = []
-    for r in range(len(candidates) + 1):
-        for subset in combinations(candidates, r):
-            try:
-                out.append(flips(mono, letter, subset))
-            except SymbolError:
-                continue
-    return sorted(set(out), key=lambda s: (s.top, s.bottom))
+    orientations = [((blk.top, blk.bottom),) if blk.tag == "pair" else
+                    ((blk.top, blk.bottom), (blk.bottom, blk.top))
+                    for blk in refinement(mono, letter)]
+    deals = (Symbol(tuple(v for top, _ in deal for v in top),
+                    tuple(v for _, bottom in deal for v in bottom), sym.kind)
+             for deal in product(*orientations))
+    return sorted((s for s in deals if has_type_shape(s, letter)),
+                  key=lambda s: (s.top, s.bottom))
 
 
 def similar_symbols(sym: Symbol, letter: str, k: int | None = None) -> list[Symbol]:

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -81,6 +84,44 @@ def test_exit_codes():
     assert code == cli.EXIT_VERIFY
     code, _ = run("verify-faithful", "-t", "C", "-n", "3")
     assert code == cli.EXIT_OK
+    code, _ = run("enumerate", "-t", "B", "-n", "-3")
+    assert code == cli.EXIT_PRECONDITION
+    code, _ = run("verify-faithful", "-t", "C", "-n", "-3")
+    assert code == cli.EXIT_PRECONDITION
+
+
+def _bad_table(tmp_path):
+    path = tmp_path / "tampered.txt"
+    path.write_text("# sha256: deadbeef\nF4|A_2|11110|B4|7,1,1\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", (
+    lambda tmp: ("exceptional", "F4", "A_2", "--table",
+                 str(tmp / "missing.txt")),
+    lambda tmp: ("exceptional", "F4", "A_2", "--table", _bad_table(tmp)),
+    lambda tmp: ("verify-faithful", "-t", "C", "3,3,1", "--witness-file",
+                 str(tmp / "no-such-dir" / "witnesses.txt")),
+), ids=("missing-table", "bad-checksum", "unwritable-witness-file"))
+def test_bad_files_exit_2(tmp_path, capsys, argv):
+    """Missing, corrupt or unwritable files are violated preconditions:
+    exit 2 with a one-line message, never a traceback."""
+    code, _ = run(*argv(tmp_path))
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PRECONDITION
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_module_entry_point():
+    """``python -m nilorbits.cli`` runs the command line."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "nilorbits.cli",
+                           "enumerate", "-t", "B", "-n", "1"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == ["3", "1^3"]
 
 
 @pytest.mark.parametrize("value, code", (("abc", cli.EXIT_PRECONDITION),

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import oracles as O
@@ -321,6 +323,24 @@ def test_verify_faithful_small(letter, rank):
         assert all(f is not None for _, f in report.witnesses)
 
 
+@pytest.mark.parametrize("letter", P.LETTERS)
+def test_faithful_pair_matches_report(letter):
+    """The public routing and the one inside the verification agree on
+    every orbit through rank 8."""
+    co = P.dual_letter(letter)
+    for rank in range(9):
+        for lam in P.enumerate_orbits(co, rank):
+            assert F.faithful_pair(lam, letter) == \
+                F.verify_faithful(lam, letter).pair, lam
+
+
+@pytest.mark.parametrize("entry", (du.d_A_triv, sp.dual_fiber, F.pi_mu,
+                                   F.faithful_pair))
+def test_non_classical_letter_refused(entry):
+    with pytest.raises(P.PartitionError):
+        entry((3, 1), "A")
+
+
 @pytest.mark.parametrize("twist", (True, False))
 def test_witnesses_match_sorted_pool(twist):
     """Each witness is the first hit in the fully sorted product of the two
@@ -397,6 +417,16 @@ def test_exceptional_checksum(tmp_path):
     lines = ["# sha256: 0" * 1]
     tampered = tmp_path / "tampered.txt"
     tampered.write_text("# sha256: deadbeef\nF4|A_2|11110|B4|7,1,1\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(F.TableError):
         F.load_exceptional_table(str(tampered))
     del source, lines
+
+
+def test_exceptional_malformed_row(tmp_path):
+    """A row without five fields is refused even when its checksum holds."""
+    row = "F4|A_2|11110|B4"
+    digest = hashlib.sha256(row.encode()).hexdigest()
+    table = tmp_path / "short.txt"
+    table.write_text(f"# sha256: {digest}\n{row}\n")
+    with pytest.raises(F.TableError):
+        F.load_exceptional_table(str(table))

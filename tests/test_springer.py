@@ -63,6 +63,19 @@ def test_support_roundtrip(letter, rank):
         assert sp.springer_support(rep, "dual") == lam
 
 
+@pytest.mark.parametrize("letter", P.LETTERS)
+def test_dual_fibres_partition_irreps(letter):
+    """The dual fibres over all dual orbits list every character of the
+    group exactly once (ranks 1-8; at rank 0 type D lists the zero orbit
+    under both decorations)."""
+    co = P.dual_letter(letter)
+    for rank in range(1, 9):
+        listed = [rep for lam in P.enumerate_orbits(co, rank)
+                  for rep in sp.dual_fiber(lam, letter)]
+        assert sorted(listed, key=str) == \
+            sorted(sp.irreps(letter, rank), key=str), (letter, rank)
+
+
 def test_support_examples():
     for n in (2, 3):
         triv = sp.trivial_rep("B", n)

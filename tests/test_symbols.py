@@ -120,14 +120,18 @@ def test_monotonic_representative():
 
 
 def test_enumerate_class_matches_splittings():
-    """Block flips reach exactly the similar s-symbols of the same size."""
+    """Dealing the refinement blocks reaches exactly the similar s-symbols
+    of the same size, for every bipartition of rank <= 6 at the minimal and
+    two padded sizes."""
     for letter in ("B", "C", "D"):
-        total = 4 if letter != "B" else 3
-        for lam, mu in bipartitions(total):
-            sym = S.symbol_of_pair(lam, mu, letter, "s",
-                                   S.min_size_pair(lam, mu, letter) + 1)
-            assert S.enumerate_class(sym, letter) == \
-                O.similar_symbols_bruteforce(sym, letter)
+        for total in range(7):
+            for lam, mu in bipartitions(total):
+                k0 = S.min_size_pair(lam, mu, letter)
+                for k in (k0, k0 + 1, k0 + 2):
+                    sym = S.symbol_of_pair(lam, mu, letter, "s", k)
+                    assert S.enumerate_class(sym, letter) == \
+                        O.similar_symbols_bruteforce(sym, letter), \
+                        (letter, lam, mu, k)
 
 
 def test_class_size_subregular():
