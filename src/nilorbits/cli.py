@@ -117,6 +117,8 @@ def record_of(obj) -> dict:
                 "orbit_label": obj.dual_orbit_label,
                 "node_mask": obj.node_mask, "factor_type": obj.factor_type,
                 "family_orbit": obj.family_orbit}
+    if obj == fa.USE_DEFAULT:
+        return {"kind": "use_default"}
     if isinstance(obj, fa.FaithfulPair):
         return {"kind": "faithful_pair", "letter": obj.letter,
                 "rank": obj.rank, "node": obj.shape.k,
@@ -163,6 +165,8 @@ def object_of(record: dict):
         return fa.ExceptionalEntry(record["group"], record["orbit_label"],
                                    record["node_mask"], record["factor_type"],
                                    record["family_orbit"])
+    if kind == "use_default":
+        return fa.USE_DEFAULT
     raise ValueError(f"unknown record kind {kind!r}")
 
 
@@ -347,13 +351,7 @@ def _run(args, out: _Out) -> int:
         return _run_verify(args, out)
     elif verb == "exceptional":
         got = fa.exceptional_lookup(args.group, args.label, args.table_path)
-        if got == fa.USE_DEFAULT:
-            if out.mode == "structured":
-                print(json.dumps({"kind": "use_default"}), file=out.stream)
-            else:
-                print(fa.USE_DEFAULT, file=out.stream)
-        else:
-            out.emit(got, str(got))
+        out.emit(got, str(got))
     elif verb == "enumerate":
         for lam in pt.enumerate_orbits(args.letter, args.rank):
             out.emit(lam, format_partition(lam))

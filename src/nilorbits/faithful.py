@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from itertools import product
 
@@ -297,17 +298,24 @@ def _catalog_key(label: str) -> str:
 
 
 def load_exceptional_table(path: str | None = None) -> list[ExceptionalEntry]:
-    """Parse and checksum the shipped table (or an override file)."""
+    """Parse and checksum the shipped table (once per process) or an
+    override file (on every call)."""
     if path is None:
-        text = resources.files("nilorbits").joinpath(
-            "exceptional_tables.txt").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    lines = text.splitlines()
+        return list(_shipped_table())
+    with open(path, encoding="utf-8") as fh:
+        return _parse_table(fh.read())
+
+
+@lru_cache(maxsize=None)
+def _shipped_table() -> tuple[ExceptionalEntry, ...]:
+    return tuple(_parse_table(resources.files("nilorbits").joinpath(
+        "exceptional_tables.txt").read_text()))
+
+
+def _parse_table(text: str) -> list[ExceptionalEntry]:
     claimed = None
     body = []
-    for line in lines:
+    for line in text.splitlines():
         if line.startswith("# sha256:"):
             claimed = line.split(":", 1)[1].strip()
         elif line.startswith("#") or not line.strip():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from . import partitions as pt
 from . import symbols as sy
@@ -361,13 +362,13 @@ class PseudoLeviShape:
             return self.rank >= 2 and self.k in (1, self.rank - 1)
         return False
 
-    @property
+    @cached_property
     def factor_letters(self) -> tuple[str, str]:
         self._assert_product()
         return ("D", "B") if self.letter == "B" else \
             (self.letter, self.letter)
 
-    @property
+    @cached_property
     def factor_ranks(self) -> tuple[int, int]:
         self._assert_product()
         return self.k, self.rank - self.k
@@ -446,9 +447,11 @@ def j_induce(shape: PseudoLeviShape, rep1: WeylIrrep, rep2: WeylIrrep,
                          f"for {rep1} and {rep2}")
 
 
+@lru_cache(maxsize=None)
 def lr_coefficient(mu1: Partition, mu2: Partition, mu: Partition) -> int:
     """Littlewood-Richardson coefficient: the number of lattice-word skew
-    tableaux of shape mu/mu1 and content mu2, counted directly."""
+    tableaux of shape mu/mu1 and content mu2, counted directly.  Memoised
+    per process, so the arguments must be hashable (tuples)."""
     mu1, mu2, mu = as_partition(mu1), as_partition(mu2), as_partition(mu)
     if sum(mu1) + sum(mu2) != sum(mu):
         raise PartitionError(
@@ -518,9 +521,10 @@ def restriction_multiplicity(rep: WeylIrrep, shape: PseudoLeviShape,
             f"{rep} has very even dual support; restriction is not resolved "
             f"per decoration")
     total = 0
+    size = sum(rep.first)
     for a1, b1 in _lifts(rep1):
         for a2, b2 in _lifts(rep2):
-            if sum(a1) + sum(a2) != sum(rep.first):
+            if sum(a1) + sum(a2) != size:
                 continue  # size-mismatched splits contribute nothing
             total += lr_coefficient(a1, a2, rep.first) * \
                 lr_coefficient(b1, b2, rep.second)

@@ -15,7 +15,10 @@ changed error also changes the digest.  The groups:
   without it;
 * ``families``: every family's members through rank 10;
 * ``classes``: the ``enumerate_class`` and ``similar_symbols`` classes of
-  every bipartition through rank 8, at the minimal and two padded sizes.
+  every bipartition through rank 8, at the minimal and two padded sizes;
+* ``restrictions``: every ``restriction_multiplicity`` of every
+  non-degenerate character through rank 7, over every product shape and
+  factor pair.
 """
 
 from __future__ import annotations
@@ -77,6 +80,22 @@ def classes():
                             yield _render(sy.similar_symbols, a_sym, letter)
 
 
+def restrictions():
+    for letter in pt.LETTERS:
+        for rank in range(8):
+            for shape in sp.product_shapes(letter, rank):
+                (y, x), (p, q) = shape.factor_letters, shape.factor_ranks
+                pairs = [(r1, r2) for r1 in sp.irreps(y, p)
+                         for r2 in sp.irreps(x, q)]
+                for rep in sp.irreps(letter, rank):
+                    if rep.degenerate:
+                        continue
+                    for r1, r2 in pairs:
+                        yield (f"{rep!r} {shape!r} {r1!r} {r2!r} " +
+                               _render(sp.restriction_multiplicity,
+                                       rep, shape, r1, r2))
+
+
 def digest(lines) -> str:
     h = hashlib.sha256()
     for line in lines:
@@ -88,7 +107,7 @@ def digest(lines) -> str:
 def main() -> None:
     groups = {"fibres": fibres(), "reports-twist": reports(True),
               "reports-no-twist": reports(False), "families": families(),
-              "classes": classes()}
+              "classes": classes(), "restrictions": restrictions()}
     for name, lines in groups.items():
         print(f"{name} {digest(lines)}")
 

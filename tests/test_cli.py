@@ -112,16 +112,27 @@ def test_bad_files_exit_2(tmp_path, capsys, argv):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
-def test_module_entry_point():
-    """``python -m nilorbits.cli`` runs the command line."""
+def _python_m(module, *argv):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "nilorbits.cli",
-                           "enumerate", "-t", "B", "-n", "1"],
+    return subprocess.run([sys.executable, "-m", module, *argv],
                           capture_output=True, text=True, env=env,
                           timeout=60)
+
+
+def test_module_entry_point():
+    """``python -m nilorbits.cli`` runs the command line."""
+    proc = _python_m("nilorbits.cli", "enumerate", "-t", "B", "-n", "1")
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["3", "1^3"]
+
+
+def test_package_entry_point():
+    """``python -m nilorbits`` runs the same command line."""
+    argv = ("enumerate", "-t", "B", "-n", "1")
+    proc = _python_m("nilorbits", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _python_m("nilorbits.cli", *argv).stdout
 
 
 @pytest.mark.parametrize("value, code", (("abc", cli.EXIT_PRECONDITION),
@@ -159,6 +170,9 @@ def test_structured_outputs_roundtrip():
         sp.WeylIrrep("B", 2, (1,), (1,)))
     code, recs = run_json("exceptional", "F4", "B_2")
     assert cli.object_of(recs[0]) == fa.exceptional_lookup("F4", "B_2")
+    code, recs = run_json("exceptional", "E6", "A_2")
+    assert recs == [{"kind": "use_default"}]
+    assert cli.object_of(recs[0]) == fa.USE_DEFAULT
 
 
 def test_record_roundtrip_all_kinds():
@@ -172,6 +186,7 @@ def test_record_roundtrip_all_kinds():
         sp.family_of(sp.WeylIrrep("B", 2, (1,), (1,))),
         wf.wf_iwahori_real((5,), "C"),
         fa.exceptional_lookup("E8", "E_8(b_4)"),
+        fa.USE_DEFAULT,
         True,
         7,
     ]

@@ -323,6 +323,22 @@ def test_verify_faithful_small(letter, rank):
         assert all(f is not None for _, f in report.witnesses)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("letter", P.LETTERS)
+def test_verify_all_through_rank_12(letter):
+    """Every dual orbit of ranks 1-12 is verified faithful, and the dual
+    fibres list every character of the group exactly once.  Opt-in:
+    ``python -m pytest -m slow``."""
+    co = P.dual_letter(letter)
+    for rank in range(1, 13):
+        failed = [r.orbit for r in F.verify_all(letter, rank) if not r.ok]
+        assert failed == [], (letter, rank)
+        listed = [rep for lam in P.enumerate_orbits(co, rank)
+                  for rep in sp.dual_fiber(lam, letter)]
+        assert sorted(listed, key=str) == \
+            sorted(sp.irreps(letter, rank), key=str), (letter, rank)
+
+
 @pytest.mark.parametrize("letter", P.LETTERS)
 def test_faithful_pair_matches_report(letter):
     """The public routing and the one inside the verification agree on
@@ -430,3 +446,32 @@ def test_exceptional_malformed_row(tmp_path):
     table.write_text(f"# sha256: {digest}\n{row}\n")
     with pytest.raises(F.TableError):
         F.load_exceptional_table(str(table))
+
+
+def test_shipped_table_hashed_once(monkeypatch):
+    """The shipped table is parsed and checksummed once per process."""
+    calls = []
+
+    class CountingHashlib:
+        @staticmethod
+        def sha256(data):
+            calls.append(data)
+            return hashlib.sha256(data)
+
+    F.exceptional_lookup("F4", "A_2")
+    monkeypatch.setattr(F, "hashlib", CountingHashlib)
+    for _ in range(5):
+        assert F.exceptional_lookup("F4", "A_2").factor_type == "B4"
+    assert calls == []
+    table = F.load_exceptional_table()
+    table.clear()  # a caller's copy; the cached table is untouched
+    assert len(F.load_exceptional_table()) == 16
+
+
+def test_override_table_read_every_call(tmp_path):
+    """An override file is re-read and re-checked on every call."""
+    tampered = tmp_path / "tampered.txt"
+    tampered.write_text("# sha256: deadbeef\nF4|A_2|11110|B4|7,1,1\n")
+    for _ in range(2):
+        with pytest.raises(F.TableError):
+            F.exceptional_lookup("F4", "A_2", str(tampered))

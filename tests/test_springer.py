@@ -233,11 +233,31 @@ def test_lr_examples():
         sp.lr_coefficient((2,), (1,), (2,))
 
 
+def test_lr_unnormalised_arguments():
+    """Trailing zeros name the same partition, so the same coefficient."""
+    assert sp.lr_coefficient((2, 1, 0), (2, 1), (3, 2, 1, 0)) == \
+        sp.lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
+    assert sp.lr_coefficient((1, 0), (0,), (1,)) == 1
+
+
+def test_errors_are_raised_on_every_call():
+    """The memoised LR coefficients and shape factor data cache answers,
+    not errors."""
+    shape = sp.PseudoLeviShape("B", 1, 4)
+    for _ in range(2):
+        with pytest.raises(P.PartitionError):
+            sp.lr_coefficient((2,), (1,), (2,))
+        with pytest.raises(P.PartitionError):
+            shape.factor_letters
+        with pytest.raises(P.PartitionError):
+            shape.factor_ranks
+
+
 def test_lr_against_characters():
     """Direct tableau counts match the symmetric-group inner product."""
     from math import factorial
-    for a in range(0, 4):
-        for b in range(0, 4):
+    for a in range(0, 5):
+        for b in range(0, 5):
             for mu1 in P.integer_partitions(a):
                 for mu2 in P.integer_partitions(b):
                     for mu in P.integer_partitions(a + b):
