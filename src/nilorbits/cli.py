@@ -126,6 +126,11 @@ def record_of(obj) -> dict:
                 "families": [record_of(f) for f in obj.families],
                 "orbit_pair": [list(obj.orbit_pair[0]),
                                list(obj.orbit_pair[1])]}
+    if isinstance(obj, fa.FaithfulnessReport):
+        return {"kind": "faithfulness_report", "letter": obj.letter,
+                "orbit": obj.orbit, "condition_i": obj.condition_i,
+                "condition_ii": obj.condition_ii,
+                "witnesses": [list(w) for w in obj.witnesses]}
     raise TypeError(f"no structured form for {obj!r}")
 
 
@@ -167,6 +172,20 @@ def object_of(record: dict):
                                    record["family_orbit"])
     if kind == "use_default":
         return fa.USE_DEFAULT
+    if kind == "faithful_pair":
+        letter, rank = record["letter"], record["rank"]
+        mu, nu = record["orbit_pair"]
+        return fa.FaithfulPair(
+            letter, rank, sp.PseudoLeviShape(letter, record["node"], rank),
+            tuple(object_of(f) for f in record["families"]),
+            (tuple(mu), tuple(nu)), record["provenance"])
+    if kind == "faithfulness_report":
+        # the record holds no pair: it is rebuilt from the orbit
+        letter, orbit = record["letter"], record["orbit"]
+        return fa.FaithfulnessReport(
+            orbit, letter, fa.faithful_pair(pt.parse_partition(orbit), letter),
+            record["condition_i"], record["condition_ii"],
+            tuple(tuple(w) for w in record["witnesses"]))
     raise ValueError(f"unknown record kind {kind!r}")
 
 
@@ -293,9 +312,7 @@ def _run(args, out: _Out) -> int:
         symbol = sp.springer_symbol(lam, conv)
         rendered = sy.render(symbol.sym if isinstance(
             symbol, sy.DecoratedSymbol) else symbol)
-        first, second, kappa = sp.springer_bipartition(lam, conv)
-        rep = sp.WeylIrrep(args.letter, sum(first) + sum(second), first,
-                           second, kappa)
+        rep = sp.rep_of_orbit(lam, conv, args.letter)
         out.emit(symbol, rendered + f"\ncharacter {rep}")
     elif verb == "family":
         rep = _parse_irrep(args.bipartition, args.letter)
@@ -387,12 +404,7 @@ def _run_verify(args, out: _Out) -> int:
             fh.write(body + "\n")
     if out.mode == "structured":
         for rep in reports:
-            print(json.dumps({
-                "kind": "faithfulness_report", "letter": rep.letter,
-                "orbit": rep.orbit, "condition_i": rep.condition_i,
-                "condition_ii": rep.condition_ii,
-                "witnesses": [list(w) for w in rep.witnesses]},
-                sort_keys=True), file=out.stream)
+            out.emit(rep)
     else:
         print(body, file=out.stream)
     return EXIT_OK if ok else EXIT_VERIFY

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from . import partitions as pt
 from . import springer as sp
@@ -87,27 +86,6 @@ def sbar(mu: Partition, nu: Partition, letter: str) -> MarkedOrbit:
     return MarkedOrbit(letter, lam, pt.reduction(lam, mu, letter))
 
 
-def lift_pairs(marked: MarkedOrbit) -> list[tuple[Partition, Partition]]:
-    """All pseudo-Levi orbit pairs mapping to the marked orbit, smallest
-    first factor first."""
-    lam = marked.orbit
-    values = sorted(set(lam), reverse=True)
-    choices = [range(pt.multiplicity(lam, v) + 1) for v in values]
-    out = []
-    for combo in product(*choices):
-        mu = pt.as_partition([v for v, m in zip(values, combo)
-                              for _ in range(m)])
-        nu = pt.subtract(lam, mu)
-        try:
-            pair_shape(mu, nu, marked.letter)
-        except PartitionError:
-            continue
-        if pt.reduction(lam, mu, marked.letter) == marked.marking:
-            out.append((mu, nu))
-    out.sort(key=lambda pair: (sum(pair[0]), pair[0]))
-    return out
-
-
 def d_S(mu: Partition, nu: Partition, letter: str) -> Partition:
     """Sommers duality on the orbit-pair avatar: truncated induction of the
     pair of in-factor duals, read off on the dual side.  Constant on the
@@ -123,12 +101,15 @@ def d_S(mu: Partition, nu: Partition, letter: str) -> Partition:
 @lru_cache(maxsize=None)
 def _d_S_of_marked(letter: str, orbit: Partition,
                    marking: Partition) -> Partition:
-    lifts = lift_pairs(MarkedOrbit(letter, orbit, marking))
-    if not lifts:
+    # (marking, orbit - marking) lifts the marked orbit whenever any pair
+    # does; when it sits on no shape, no pair does
+    rest = pt.subtract(orbit, marking)
+    try:
+        pair_shape(marking, rest, letter)
+    except PartitionError:
         raise PartitionError(
-            f"no pseudo-Levi pair realizes {orbit} | {marking}")
-    mu, nu = lifts[0]
-    return d_S(mu, nu, letter)
+            f"no pseudo-Levi pair realizes {orbit} | {marking}") from None
+    return d_S(marking, rest, letter)
 
 
 def d_S_marked(marked: MarkedOrbit) -> Partition:

@@ -120,18 +120,17 @@ def _full_pair(lam, letter: str, d: Partition,
 
 def _matching_dual_decoration(lam, d: Partition) -> int:
     """Decoration of the type-D dual orbit ``d`` whose sign-twisted
-    character matches the unique character over ``lam``; found by direct
-    comparison."""
+    character matches the unique character over ``lam``: the decoration of
+    ``lam`` itself, checked by direct comparison."""
     kappa = lam.kappa if isinstance(lam, DecoratedPartition) else 0
     target = sp.rep_of_orbit(lam, "D", "D")
-    for guess in (kappa, 1 - kappa):
-        twisted = sp.sgn_twist(sp.rep_of_orbit(DecoratedPartition(d, guess),
-                                               "D", "D"))
-        if twisted == target:
-            return guess
-    raise PartitionError(
-        f"no decoration of {format_partition(d)} twists onto "
-        f"{target}; decoration transport convention is inconsistent")
+    twisted = sp.sgn_twist(sp.rep_of_orbit(DecoratedPartition(d, kappa),
+                                           "D", "D"))
+    if twisted != target:
+        raise PartitionError(
+            f"{format_partition(d)}:{kappa} does not twist onto {target}; "
+            f"decoration transport convention is inconsistent")
+    return kappa
 
 
 def _route(lam, letter: str, fiber) -> FaithfulPair:

@@ -23,8 +23,6 @@ from .symbols import DecoratedSymbol, Symbol, SymbolError
 
 log = logging.getLogger(__name__)
 
-_MAX_COMMON_SIZE = 64
-
 
 class AmbiguousDecorationError(ValueError):
     """Raised when an operation would need the decoration bookkeeping that
@@ -46,6 +44,9 @@ class WeylIrrep:
     def __post_init__(self):
         if self.letter not in pt.LETTERS:
             raise PartitionError(f"bad type letter {self.letter!r}")
+        if self.kappa not in (0, 1):
+            raise PartitionError(f"decoration must be 0 or 1, got "
+                                 f"{self.kappa}")
         first, second, kappa = self.first, self.second, self.kappa
         if self.letter == "D":
             first, second = pt.canonical_pair(first, second)
@@ -61,8 +62,6 @@ class WeylIrrep:
             raise PartitionError(
                 f"bipartition {self} has total "
                 f"{sum(self.first) + sum(self.second)}, expected {self.rank}")
-        if kappa not in (0, 1):
-            raise PartitionError(f"decoration must be 0 or 1, got {kappa}")
 
     @property
     def degenerate(self) -> bool:
@@ -413,9 +412,8 @@ def j_induce(shape: PseudoLeviShape, rep1: WeylIrrep, rep2: WeylIrrep,
              k: int | None = None) -> WeylIrrep:
     """Truncated induction of a special pair through symbol addition: the
     dual-type s-symbol of the result is the entrywise sum of the factor
-    a-symbols at a common size, the first factor shrieked in type B.  The
-    starting size ``k`` is bumped until the sum is a symbol of the dual
-    type; the result does not depend on it."""
+    a-symbols at the common size ``k`` (the minimal one by default), the
+    first factor shrieked in type B.  The result does not depend on ``k``."""
     _factor_check(shape, rep1, rep2)
     if not (is_special_rep(rep1) and is_special_rep(rep2)):
         raise PartitionError(
@@ -429,22 +427,21 @@ def j_induce(shape: PseudoLeviShape, rep1: WeylIrrep, rep2: WeylIrrep,
     elif k < k_min:
         raise PartitionError(f"size {k} is below the minimal common "
                              f"size {k_min}")
-    while k < _MAX_COMMON_SIZE:
-        a1 = rep_asymbol(rep1, k=k)
-        a2 = rep_asymbol(rep2, k=k)
-        if shape.letter == "B":
-            a1 = sy.shriek(a1)
-        total = sy.add(a1, a2)
-        if sy.is_type_symbol(total, conv_out) and \
-                sy.symbol_size(total, conv_out) == shape.rank:
-            f, s = sy.pair_of_symbol(total, conv_out)
-            if conv_out == "D" and f == s and f:
-                log.debug("induced symbol %s has equal rows; returning "
-                          "decoration 0", total)
-            return WeylIrrep(shape.letter, shape.rank, f, s)
-        k += 1
-    raise PartitionError(f"no common symbol size below {_MAX_COMMON_SIZE} "
-                         f"for {rep1} and {rep2}")
+    a1 = rep_asymbol(rep1, k=k)
+    a2 = rep_asymbol(rep2, k=k)
+    if shape.letter == "B":
+        a1 = sy.shriek(a1)
+    total = sy.add(a1, a2)
+    if not (sy.is_type_symbol(total, conv_out) and
+            sy.symbol_size(total, conv_out) == shape.rank):
+        raise PartitionError(f"the sum {total} of the symbols of {rep1} and "
+                             f"{rep2} at size {k} is not a {conv_out}"
+                             f"{shape.rank} symbol")
+    f, s = sy.pair_of_symbol(total, conv_out)
+    if conv_out == "D" and f == s and f:
+        log.debug("induced symbol %s has equal rows; returning "
+                  "decoration 0", total)
+    return WeylIrrep(shape.letter, shape.rank, f, s)
 
 
 @lru_cache(maxsize=None)

@@ -18,13 +18,18 @@ changed error also changes the digest.  The groups:
   every bipartition through rank 8, at the minimal and two padded sizes;
 * ``restrictions``: every ``restriction_multiplicity`` of every
   non-degenerate character through rank 7, over every product shape and
-  factor pair.
+  factor pair;
+* ``duality``: ``d_S_marked`` of every reduced marking of every orbit of
+  B, C, D through rank 9, then ``j_induce`` of every factor pair on every
+  product shape through rank 8, at the minimal common size and at size 6.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+import oracles
+from nilorbits import duality as du
 from nilorbits import faithful as fa
 from nilorbits import partitions as pt
 from nilorbits import springer as sp
@@ -96,6 +101,24 @@ def restrictions():
                                        rep, shape, r1, r2))
 
 
+def duality():
+    for letter in pt.LETTERS:
+        for rank in range(10):
+            for lam in pt.type_partitions(letter, rank):
+                for marking in oracles.reduced_markings(lam, letter):
+                    marked = du.MarkedOrbit(letter, lam, marking)
+                    yield f"{marked!r} {_render(du.d_S_marked, marked)}"
+    for letter in pt.LETTERS:
+        for rank in range(9):
+            for shape in sp.product_shapes(letter, rank):
+                (y, x), (p, q) = shape.factor_letters, shape.factor_ranks
+                for r1 in sp.irreps(y, p):
+                    for r2 in sp.irreps(x, q):
+                        for k in (None, 6):
+                            yield (f"{shape!r} {r1!r} {r2!r} {k} " +
+                                   _render(sp.j_induce, shape, r1, r2, k))
+
+
 def digest(lines) -> str:
     h = hashlib.sha256()
     for line in lines:
@@ -107,7 +130,8 @@ def digest(lines) -> str:
 def main() -> None:
     groups = {"fibres": fibres(), "reports-twist": reports(True),
               "reports-no-twist": reports(False), "families": families(),
-              "classes": classes(), "restrictions": restrictions()}
+              "classes": classes(), "restrictions": restrictions(),
+              "duality": duality()}
     for name, lines in groups.items():
         print(f"{name} {digest(lines)}")
 

@@ -6,8 +6,9 @@ gets its split classes and half characters from the classical difference
 formula, pinned to a concrete labelling by brute-force conjugacy at small
 rank.  Everything is verified internally through orthogonality relations.
 A brute-force search over row splittings serves as the reference for the
-symbol-class enumerators, and the fully sorted product of two families as
-the reference for the witness scan of the faithfulness check.
+symbol-class enumerators, the fully sorted product of two families as
+the reference for the witness scan of the faithfulness check, and a filter
+over the subsets of the markable parts as the list of reduced markings.
 
 Only the tests use this module; the library computes multiplicities through
 Littlewood-Richardson products and symbol classes in closed form.
@@ -16,7 +17,7 @@ Littlewood-Richardson products and symbol classes in closed form.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 
 from nilorbits import partitions as pt
@@ -430,3 +431,13 @@ def sorted_family_pool(pair, apply_sgn_twist: bool):
     pool.sort(key=lambda fs: (fs[0].first, fs[0].second, fs[0].kappa,
                               fs[1].first, fs[1].second, fs[1].kappa))
     return pool
+
+
+def reduced_markings(lam, letter: str):
+    """Every reduced marking of the orbit: the subsets of its markable
+    parts that are their own reduction."""
+    marks = pt.markable_parts(lam, letter)
+    for r in range(len(marks) + 1):
+        for sub in combinations(marks, r):
+            if pt.reduction(lam, sub, letter) == sub:
+                yield sub

@@ -173,6 +173,10 @@ def test_structured_outputs_roundtrip():
     code, recs = run_json("exceptional", "E6", "A_2")
     assert recs == [{"kind": "use_default"}]
     assert cli.object_of(recs[0]) == fa.USE_DEFAULT
+    code, recs = run_json("faithful", "-t", "C", "3,3,1")
+    assert cli.object_of(recs[0]) == fa.faithful_pair((3, 3, 1), "C")
+    code, recs = run_json("verify-faithful", "-t", "D", "-n", "4")
+    assert [cli.object_of(r) for r in recs] == fa.verify_all("D", 4)
 
 
 def test_record_roundtrip_all_kinds():
@@ -187,6 +191,11 @@ def test_record_roundtrip_all_kinds():
         wf.wf_iwahori_real((5,), "C"),
         fa.exceptional_lookup("E8", "E_8(b_4)"),
         fa.USE_DEFAULT,
+        fa.faithful_pair((3, 3, 1), "C"),
+        fa.faithful_pair(P.DecoratedPartition((2, 2), 1), "D"),
+        fa.verify_faithful((2, 1, 1), "B"),
+        fa.verify_faithful(P.DecoratedPartition((4, 4), 1), "D"),
+        fa.verify_faithful((3, 3, 1), "C", apply_sgn_twist=False),
         True,
         7,
     ]
@@ -194,6 +203,13 @@ def test_record_roundtrip_all_kinds():
         rec = cli.record_of(obj)
         rebuilt = cli.object_of(json.loads(json.dumps(rec)))
         assert rebuilt == obj, rec
+
+
+def test_irrep_record_refuses_bad_decoration():
+    rec = cli.record_of(sp.WeylIrrep("B", 1, (1,), ()))
+    rec["decoration"] = 9
+    with pytest.raises(P.PartitionError):
+        cli.object_of(rec)
 
 
 def test_verify_structured():

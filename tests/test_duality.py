@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+import oracles as O
 from nilorbits import duality as du
 from nilorbits import partitions as P
 
@@ -140,8 +141,47 @@ def test_d_s_marked_agrees_on_all_lifts(letter, rank):
             seen.setdefault(marked, set()).add(du.d_S(mu, nu, letter))
         for marked, values in seen.items():
             assert values == {du.d_S_marked(marked)}
-            lifts = du.lift_pairs(marked)
-            assert all(du.sbar(a, b, letter) == marked for a, b in lifts)
+
+
+def check_marking_lifts(letter, upto):
+    """``d_S_marked`` raises exactly when no pair over the orbit has the
+    marked orbit as its ``sbar`` image; otherwise (marking, orbit - marking)
+    is one of those pairs, and ``d_S`` agrees with the smallest of them.
+    Returns the counts of markings with and without a lift."""
+    lifted = unlifted = 0
+    for rank in range(upto + 1):
+        for lam in P.type_partitions(letter, rank):
+            images = {}
+            for mu, nu in all_pairs_over(lam, letter):
+                images.setdefault(du.sbar(mu, nu, letter), set()).add((mu, nu))
+            for marking in O.reduced_markings(lam, letter):
+                marked = du.MarkedOrbit(letter, lam, marking)
+                if marked not in images:
+                    with pytest.raises(P.PartitionError,
+                                       match="no pseudo-Levi pair realizes"):
+                        du.d_S_marked(marked)
+                    unlifted += 1
+                    continue
+                pairs = images[marked]
+                assert (marking, P.subtract(lam, marking)) in pairs
+                assert du.d_S_marked(marked) == du.d_S(*min(pairs), letter)
+                lifted += 1
+    return lifted, unlifted
+
+
+@pytest.mark.parametrize("letter,counts", [("B", (360, 360)),
+                                           ("C", (395, 0)),
+                                           ("D", (215, 203))])
+def test_d_s_marked_lifts_through_the_marking(letter, counts):
+    assert check_marking_lifts(letter, 8) == counts
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("letter,counts", [("B", (963, 963)),
+                                           ("C", (1068, 0)),
+                                           ("D", (579, 560))])
+def test_d_s_marked_lifts_through_rank_10(letter, counts):
+    assert check_marking_lifts(letter, 10) == counts
 
 
 def test_closure_le_decorations():

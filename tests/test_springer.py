@@ -27,6 +27,17 @@ def test_irrep_validation():
     assert plain.kappa == 0 and plain.first == (2,)
 
 
+@pytest.mark.parametrize("letter,first,second", [("B", (1,), ()),
+                                                 ("D", (2,), (1,)),
+                                                 ("D", (1,), (1,))])
+def test_irrep_refuses_bad_decoration(letter, first, second):
+    """The decoration is checked before it is normalised away, as for
+    ``DecoratedPartition``."""
+    rank = sum(first) + sum(second)
+    with pytest.raises(P.PartitionError, match="decoration must be 0 or 1"):
+        sp.WeylIrrep(letter, rank, first, second, 7)
+
+
 def test_springer_symbol_examples():
     assert sp.springer_symbol((3, 1, 1), "B") == S.Symbol((0, 2), (1,), "a")
     # the zero orbit carries the sign-type character
@@ -200,12 +211,35 @@ def test_j_induce_requires_special():
         sp.j_induce(shape, unit, nonspecial)
 
 
+def special_factor_pairs(upto):
+    """Every pair of special factor characters on every product shape of
+    rank at most ``upto``, with the minimal common symbol size."""
+    for letter in P.LETTERS:
+        for rank in range(upto + 1):
+            for shape in sp.product_shapes(letter, rank):
+                (y, x), (p, q) = shape.factor_letters, shape.factor_ranks
+                specials1 = [r for r in sp.irreps(y, p) if sp.is_special_rep(r)]
+                specials2 = [r for r in sp.irreps(x, q) if sp.is_special_rep(r)]
+                for rep1 in specials1:
+                    for rep2 in specials2:
+                        k0 = max(S.min_size_pair(rep1.first, rep1.second, y),
+                                 S.min_size_pair(rep2.first, rep2.second, x),
+                                 1)
+                        yield shape, rep1, rep2, k0
+
+
 def test_j_induce_independent_of_size():
-    shape = sp.PseudoLeviShape("B", 2, 3)
-    rep1 = sp.rep_of_orbit(P.DecoratedPartition((3, 1), 0), "D", "D")
-    rep2 = sp.rep_of_orbit((3,), "B", "B")
-    results = {sp.j_induce(shape, rep1, rep2, k=k) for k in (2, 3, 4, 5)}
-    assert len(results) == 1
+    """The symbol sum lands in the dual type at the minimal common size and
+    at the next three, with the same result (1053 pairs through rank 6)."""
+    count = 0
+    for shape, rep1, rep2, k0 in special_factor_pairs(6):
+        results = {sp.j_induce(shape, rep1, rep2, k=k)
+                   for k in (None, k0, k0 + 1, k0 + 2, k0 + 3)}
+        assert len(results) == 1, (shape, rep1, rep2)
+        count += 1
+    assert count == 1053
+    with pytest.raises(P.PartitionError, match="below the minimal"):
+        sp.j_induce(shape, rep1, rep2, k=k0 - 1)
 
 
 def test_j_induce_shriek_path_worked_instance():
