@@ -10,7 +10,8 @@ the classical types, so no group-theoretic model is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate, zip_longest
 
 from . import partitions as pt
 from . import springer as sp
@@ -39,6 +40,16 @@ class MarkedOrbit:
                 f"marking {format_partition(self.marking)} is not reduced on "
                 f"{format_partition(self.orbit)} (its reduction is "
                 f"{format_partition(reduced)})")
+
+    # cached outside the dataclass fields, so repr, ==, hash and records
+    # do not see them
+    @cached_property
+    def _orbit_sums(self) -> tuple[int, ...]:
+        return tuple(accumulate(self.orbit))
+
+    @cached_property
+    def _sommers_sums(self) -> tuple[int, ...]:
+        return tuple(accumulate(d_S_marked(self)))
 
     @property
     def decoration_undetermined(self) -> bool:
@@ -87,15 +98,20 @@ def sbar(mu: Partition, nu: Partition, letter: str) -> MarkedOrbit:
 
 
 def d_S(mu: Partition, nu: Partition, letter: str) -> Partition:
-    """Sommers duality on the orbit-pair avatar: truncated induction of the
-    pair of in-factor duals, read off on the dual side.  Constant on the
-    fibers of ``sbar``."""
+    """Sommers duality on the orbit-pair avatar: the transpose of the first
+    factor plus the in-factor dual of the second, part by part, collapsed
+    into the dual type; it equals truncated induction of the pair of
+    in-factor duals, read off on the dual side.  Constant on the fibers of
+    ``sbar``.  Compare the partition descriptions in E. Sommers, *Lusztig's
+    canonical quotient and generalized duality*, J. Algebra 243 (2001), and
+    P. Achar, *An order-reversing duality map for conjugacy classes in
+    Lusztig's canonical quotient*, Transform. Groups 8 (2003)."""
     shape = pair_shape(mu, nu, letter)
-    y, x = shape.factor_letters
-    rep1 = sp.rep_of_orbit(pt.self_dual(mu, y), y, y)
-    rep2 = sp.rep_of_orbit(pt.self_dual(nu, x), x, x)
-    induced = sp.j_induce(shape, rep1, rep2)
-    return pt.bare(sp.springer_support(induced, "dual"))
+    _, x = shape.factor_letters
+    first = pt.transpose(pt.as_partition(mu))
+    second = pt.dual(pt.as_partition(nu), x)
+    summed = [a + b for a, b in zip_longest(first, second, fillvalue=0)]
+    return pt.collapse(tuple(summed), dual_letter(letter))
 
 
 @lru_cache(maxsize=None)
@@ -117,15 +133,52 @@ def d_S_marked(marked: MarkedOrbit) -> Partition:
     return _d_S_of_marked(marked.letter, marked.orbit, marked.marking)
 
 
+def _orbit(lam, letter: str) -> Partition:
+    """The sorted bare partition of a dual-side orbit, checked against the
+    dual type of ``letter``."""
+    bare = pt.as_partition(pt.bare(lam))
+    co = dual_letter(letter)
+    if not is_type_partition(bare, co):
+        raise PartitionError(f"{format_partition(bare)} is not a "
+                             f"{co}-partition")
+    return bare
+
+
+def pi_mu(lam, letter: str) -> tuple[Partition, Partition]:
+    """Parity-selected subpartitions of the transpose of a dual-side orbit.
+
+    For a type-C group the even parts of the transpose are kept, for B and D
+    the odd ones; a part with odd multiplicity contributes once to the first
+    output and once to the second, a part with even positive multiplicity
+    contributes twice to the second only."""
+    keep = 0 if letter == "C" else 1
+    t = pt.transpose(_orbit(lam, letter))
+    pi, mu = [], []
+    for x in set(t):
+        if x % 2 != keep:
+            continue
+        if pt.multiplicity(t, x) % 2:
+            pi.append(x)
+            mu.append(x)
+        else:
+            mu.extend([x, x])
+    return pt.as_partition(pi), pt.as_partition(mu)
+
+
 def d_A_triv(lam, letter: str) -> MarkedOrbit:
     """Achar duality evaluated on a trivially marked dual orbit: the dual
     partition, marked by the reduction of the parity-selected subpartition
     of the transpose.  ``lam`` is a partition of the dual type of
     ``letter``; for a very even type-D input the decoration is dropped and
     the result carries the decoration-undetermined flag."""
-    from . import faithful
-    pi, _ = faithful.pi_mu(lam, letter)
-    dual_orbit = pt.dual(pt.bare(lam), dual_letter(letter))
+    return _d_A_of_orbit(letter, _orbit(lam, letter))
+
+
+@lru_cache(maxsize=None)
+def _d_A_of_orbit(letter: str, bare: Partition) -> MarkedOrbit:
+    # one MarkedOrbit per orbit, so its cached prefix sums are shared too
+    pi, _ = pi_mu(bare, letter)
+    dual_orbit = pt.dual(bare, dual_letter(letter))
     return MarkedOrbit(letter, dual_orbit,
                        pt.reduction(dual_orbit, pi, letter))
 
@@ -148,9 +201,9 @@ def le_A(m1: MarkedOrbit, m2: MarkedOrbit) -> bool:
     if m1.letter != m2.letter:
         raise PartitionError(f"cannot compare types {m1.letter} and "
                              f"{m2.letter}")
-    if not pt.dominance_le(m1.orbit, m2.orbit):
+    if not pt.sums_dominated(m1._orbit_sums, m2._orbit_sums):
         return False
-    return pt.dominance_le(d_S_marked(m2), d_S_marked(m1))
+    return pt.sums_dominated(m2._sommers_sums, m1._sommers_sums)
 
 
 def maximal_marked(items) -> list[MarkedOrbit]:

@@ -18,6 +18,8 @@ import os
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import le
 
 Partition = tuple[int, ...]
 
@@ -79,14 +81,6 @@ def union(lam: Partition, mu: Partition) -> Partition:
     return as_partition(lam + mu)
 
 
-def ordered_union(lam: Partition, mu: Partition) -> Partition:
-    """Concatenation union; requires min part of lam >= max part of mu."""
-    if lam and mu and lam[-1] < mu[0]:
-        raise PartitionError(
-            f"ordered union needs min(first)={lam[-1]} >= max(second)={mu[0]}")
-    return lam + mu
-
-
 def contains(lam: Partition, mu: Partition) -> bool:
     """True if mu is a subpartition of lam (multiplicity-wise)."""
     return all(multiplicity(lam, x) >= multiplicity(mu, x) for x in set(mu))
@@ -121,16 +115,20 @@ def lower_last(lam: Partition) -> Partition:
 
 def dominance_le(lam: Partition, mu: Partition) -> bool:
     """True iff lam <= mu in the dominance order (equal totals required)."""
-    if sum(lam) != sum(mu):
+    return sums_dominated(tuple(accumulate(lam)), tuple(accumulate(mu)))
+
+
+def sums_dominated(lam_sums, mu_sums) -> bool:
+    """``dominance_le`` on the prefix sums of the two partitions.  With
+    equal totals, comparing up to the end of the shorter sequence decides:
+    the shorter one has reached the total there, and no prefix sum exceeds
+    the total."""
+    total_l = lam_sums[-1] if lam_sums else 0
+    total_m = mu_sums[-1] if mu_sums else 0
+    if total_l != total_m:
         raise PartitionError(
-            f"dominance compares equal totals, got {sum(lam)} != {sum(mu)}")
-    total_l = total_m = 0
-    for i in range(max(len(lam), len(mu))):
-        total_l += lam[i] if i < len(lam) else 0
-        total_m += mu[i] if i < len(mu) else 0
-        if total_l > total_m:
-            return False
-    return True
+            f"dominance compares equal totals, got {total_l} != {total_m}")
+    return all(map(le, lam_sums, mu_sums))
 
 
 def dual_letter(letter: str) -> str:

@@ -21,7 +21,13 @@ changed error also changes the digest.  The groups:
   factor pair;
 * ``duality``: ``d_S_marked`` of every reduced marking of every orbit of
   B, C, D through rank 9, then ``j_induce`` of every factor pair on every
-  product shape through rank 8, at the minimal common size and at size 6.
+  product shape through rank 8, at the minimal common size and at size 6;
+* ``order``: ``le_A`` on every ordered pair of reduced marked orbits of one
+  type and rank, through rank 7, then ``d_A_triv`` of every dual orbit
+  through rank 12 and ``wf_of_wrep`` of every character through rank 10.
+
+``GROUPS`` maps each group name to a function returning its lines, and
+``tests/test_answer_digests.py`` pins the digests.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from nilorbits import faithful as fa
 from nilorbits import partitions as pt
 from nilorbits import springer as sp
 from nilorbits import symbols as sy
+from nilorbits import wavefront as wf
 
 
 def _render(call, *args) -> str:
@@ -119,6 +126,29 @@ def duality():
                                    _render(sp.j_induce, shape, r1, r2, k))
 
 
+def order():
+    for letter in pt.LETTERS:
+        for rank in range(8):
+            marked = [du.MarkedOrbit(letter, lam, marking)
+                      for lam in pt.type_partitions(letter, rank)
+                      for marking in oracles.reduced_markings(lam, letter)]
+            for m1 in marked:
+                for m2 in marked:
+                    yield f"{m1!r} {m2!r} {_render(du.le_A, m1, m2)}"
+    for letter, lam in _orbits(12):
+        yield f"{letter} {lam!r} {_render(du.d_A_triv, lam, letter)}"
+    for letter in pt.LETTERS:
+        for rank in range(11):
+            for rep in sp.irreps(letter, rank):
+                yield f"{rep!r} {_render(wf.wf_of_wrep, rep)}"
+
+
+GROUPS = {"fibres": fibres, "reports-twist": lambda: reports(True),
+          "reports-no-twist": lambda: reports(False), "families": families,
+          "classes": classes, "restrictions": restrictions,
+          "duality": duality, "order": order}
+
+
 def digest(lines) -> str:
     h = hashlib.sha256()
     for line in lines:
@@ -128,12 +158,8 @@ def digest(lines) -> str:
 
 
 def main() -> None:
-    groups = {"fibres": fibres(), "reports-twist": reports(True),
-              "reports-no-twist": reports(False), "families": families(),
-              "classes": classes(), "restrictions": restrictions(),
-              "duality": duality()}
-    for name, lines in groups.items():
-        print(f"{name} {digest(lines)}")
+    for name, lines in GROUPS.items():
+        print(f"{name} {digest(lines())}")
 
 
 if __name__ == "__main__":

@@ -7,8 +7,10 @@ formula, pinned to a concrete labelling by brute-force conjugacy at small
 rank.  Everything is verified internally through orthogonality relations.
 A brute-force search over row splittings serves as the reference for the
 symbol-class enumerators, the fully sorted product of two families as
-the reference for the witness scan of the faithfulness check, and a filter
-over the subsets of the markable parts as the list of reduced markings.
+the reference for the witness scan of the faithfulness check, a filter
+over the subsets of the markable parts as the list of reduced markings,
+truncated induction as the reference for the closed form of Sommers
+duality, and the padded running-total loop as the reference for dominance.
 
 Only the tests use this module; the library computes multiplicities through
 Littlewood-Richardson products and symbol classes in closed form.
@@ -20,6 +22,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
 
+from nilorbits import duality as du
 from nilorbits import partitions as pt
 from nilorbits import springer as sp
 from nilorbits import symbols as sy
@@ -441,3 +444,33 @@ def reduced_markings(lam, letter: str):
         for sub in combinations(marks, r):
             if pt.reduction(lam, sub, letter) == sub:
                 yield sub
+
+
+# ---------------------------------------------------------------------------
+# Sommers duality by truncated induction, and dominance by running totals
+
+def d_S_by_induction(mu, nu, letter: str):
+    """Sommers dual of the orbit pair (mu, nu): truncated induction of the
+    pair of in-factor duals, read off on the dual side.  The reference for
+    the closed form ``duality.d_S``."""
+    shape = du.pair_shape(mu, nu, letter)
+    y, x = shape.factor_letters
+    rep1 = sp.rep_of_orbit(pt.self_dual(mu, y), y, y)
+    rep2 = sp.rep_of_orbit(pt.self_dual(nu, x), x, x)
+    induced = sp.j_induce(shape, rep1, rep2)
+    return pt.bare(sp.springer_support(induced, "dual"))
+
+
+def dominance_le_loop(lam, mu) -> bool:
+    """Dominance by running totals over the longer partition, the shorter
+    one padded with zeros.  The reference for ``partitions.dominance_le``."""
+    if sum(lam) != sum(mu):
+        raise pt.PartitionError(
+            f"dominance compares equal totals, got {sum(lam)} != {sum(mu)}")
+    total_l = total_m = 0
+    for i in range(max(len(lam), len(mu))):
+        total_l += lam[i] if i < len(lam) else 0
+        total_m += mu[i] if i < len(mu) else 0
+        if total_l > total_m:
+            return False
+    return True

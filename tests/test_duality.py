@@ -1,10 +1,14 @@
+import collections
+import dataclasses
 from itertools import product
 
 import pytest
 
 import oracles as O
+from nilorbits import cli
 from nilorbits import duality as du
 from nilorbits import partitions as P
+from nilorbits import springer as sp
 
 
 def all_pairs_over(lam, letter):
@@ -182,6 +186,131 @@ def test_d_s_marked_lifts_through_the_marking(letter, counts):
                                            ("D", (579, 560))])
 def test_d_s_marked_lifts_through_rank_10(letter, counts):
     assert check_marking_lifts(letter, 10) == counts
+
+
+@dataclasses.dataclass(frozen=True)
+class Raised:
+    kind: type
+    message: str
+
+
+def _outcome(call, *args):
+    """The value of the call, or the type and message of its error."""
+    try:
+        return call(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return Raised(type(exc), str(exc))
+
+
+def check_d_s_against_induction(letter, upto):
+    """The closed form of ``d_S`` against truncated induction: every pair of
+    every product shape, then every split of every orbit into (first, rest),
+    most of which sit on no shape; errors compare by type.  Returns the
+    number of pairs and of refusals."""
+    pairs = []
+    for rank in range(upto + 1):
+        for shape in sp.product_shapes(letter, rank):
+            (y, x), (p, q) = shape.factor_letters, shape.factor_ranks
+            pairs += [(mu, nu) for mu in P.type_partitions(y, p)
+                      for nu in P.type_partitions(x, q)]
+        for lam in P.type_partitions(letter, rank):
+            values = sorted(set(lam), reverse=True)
+            for combo in product(*[range(P.multiplicity(lam, v) + 1)
+                                   for v in values]):
+                mu = tuple(v for v, m in zip(values, combo) for _ in range(m))
+                pairs.append((mu, P.subtract(lam, mu)))
+    refused = 0
+    for mu, nu in pairs:
+        got = _outcome(du.d_S, mu, nu, letter)
+        want = _outcome(O.d_S_by_induction, mu, nu, letter)
+        if isinstance(want, Raised):
+            assert isinstance(got, Raised) and got.kind is want.kind, (mu, nu)
+            refused += 1
+        else:
+            assert got == want, (mu, nu)
+    return len(pairs), refused
+
+
+@pytest.mark.parametrize("letter", P.LETTERS)
+def test_d_s_matches_induction(letter):
+    total, refused = check_d_s_against_induction(letter, 7)
+    assert 0 < refused < total
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("letter", P.LETTERS)
+def test_d_s_matches_induction_through_rank_10(letter):
+    total, refused = check_d_s_against_induction(letter, 10)
+    assert 0 < refused < total
+
+
+def _d_S_marked_by_definition(marked):
+    """Sommers dual of a marked orbit through (marking, orbit - marking),
+    by truncated induction; refused when that pair sits on no shape."""
+    rest = P.subtract(marked.orbit, marked.marking)
+    try:
+        du.pair_shape(marked.marking, rest, marked.letter)
+    except P.PartitionError:
+        raise P.PartitionError(f"no pseudo-Levi pair realizes "
+                               f"{marked.orbit} | {marked.marking}") from None
+    return O.d_S_by_induction(marked.marking, rest, marked.letter)
+
+
+def test_le_a_matches_definition():
+    """``le_A`` against its definition on every ordered pair of reduced
+    marked orbits of one type through rank 6: orbit dominance first (unequal
+    ranks raise), then the Sommers duals the other way, the second orbit's
+    dual evaluated first, so a marking with no lift raises only when the
+    orbits compare and the second orbit's error wins."""
+    for letter in P.LETTERS:
+        marked = [du.MarkedOrbit(letter, lam, marking)
+                  for rank in range(7)
+                  for lam in P.type_partitions(letter, rank)
+                  for marking in O.reduced_markings(lam, letter)]
+        sommers = {m: _outcome(_d_S_marked_by_definition, m) for m in marked}
+
+        def definition(m1, m2):
+            if not O.dominance_le_loop(m1.orbit, m2.orbit):
+                return False
+            for m in (m2, m1):
+                if isinstance(sommers[m], Raised):
+                    raise sommers[m].kind(sommers[m].message)
+            return O.dominance_le_loop(sommers[m2], sommers[m1])
+
+        outcomes = collections.Counter()
+        for m1 in marked:
+            for m2 in marked:
+                got = _outcome(du.le_A, m1, m2)
+                assert got == _outcome(definition, m1, m2), (m1, m2)
+                outcomes[got.message.split()[0] if isinstance(got, Raised)
+                         else got] += 1
+        # both answers, unequal totals and markings with no lift all occur
+        # (type C has no marking without a lift)
+        assert outcomes[True] and outcomes[False]
+        assert outcomes["dominance"]
+        assert bool(outcomes["no"]) == (letter != "C")
+    b, c = du.MarkedOrbit("B", (3,), ()), du.MarkedOrbit("C", (2,), ())
+    assert _outcome(du.le_A, b, c) == Raised(P.PartitionError,
+                                             "cannot compare types B and C")
+
+
+def test_order_caches_leave_identity_alone():
+    """Filling the cached prefix sums changes no field, repr, hash, equality
+    or record of a marked orbit."""
+    fresh = du.MarkedOrbit("B", (3, 1, 1), (3, 1))
+    used = du.MarkedOrbit("B", (3, 1, 1), (3, 1))
+    before = (repr(used), hash(used), cli.record_of(used))
+    assert du.le_A(used, used)
+    assert (repr(used), hash(used), cli.record_of(used)) == before
+    assert used == fresh and hash(used) == hash(fresh)
+    assert dataclasses.astuple(used) == ("B", (3, 1, 1), (3, 1))
+
+
+def test_d_a_triv_returns_one_object_per_orbit():
+    a = du.d_A_triv((2, 1, 1), "B")
+    assert du.d_A_triv([1, 2, 1], "B") is a
+    assert du.d_A_triv(P.DecoratedPartition((2, 2), 1), "D") is \
+        du.d_A_triv((2, 2), "D")
 
 
 def test_closure_le_decorations():

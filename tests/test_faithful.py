@@ -8,6 +8,7 @@ from nilorbits import faithful as F
 from nilorbits import partitions as P
 from nilorbits import springer as sp
 from nilorbits import symbols as S
+from nilorbits import wavefront as wf
 
 
 def bare(lam):
@@ -355,6 +356,27 @@ def test_faithful_pair_matches_report(letter):
 def test_non_classical_letter_refused(entry):
     with pytest.raises(P.PartitionError):
         entry((3, 1), "A")
+
+
+def _answer(entry, lam, letter):
+    try:
+        return entry(lam, letter)
+    except Exception as exc:  # noqa: BLE001 - the error is the answer
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("entry", (du.d_A_triv, F.pi_mu, F.faithful_pair,
+                                   F.verify_faithful, wf.wf_iwahori_real))
+def test_unsorted_orbits_are_sorted(entry):
+    """An orbit given as an unsorted tuple or a list gets the answer of its
+    sorted tuple (every dual orbit through rank 5, parts reversed)."""
+    assert _answer(entry, (1, 3, 1), "C") == _answer(entry, (3, 1, 1), "C")
+    for letter in P.LETTERS:
+        for rank in range(6):
+            for lam in P.type_partitions(P.dual_letter(letter), rank):
+                want = _answer(entry, lam, letter)
+                assert _answer(entry, lam[::-1], letter) == want, lam
+                assert _answer(entry, list(lam[::-1]), letter) == want, lam
 
 
 @pytest.mark.parametrize("twist", (True, False))

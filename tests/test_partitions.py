@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles as O
 from nilorbits import partitions as P
 
 
@@ -61,9 +62,6 @@ def test_union_family():
     assert P.union((3, 1), (2, 1)) == (3, 2, 1, 1)
     assert P.lower_last((3, 1, 1)) == (3, 1)
     assert P.raise_first((2, 2)) == (3, 2)
-    assert P.ordered_union((3, 2), (2, 1)) == (3, 2, 2, 1)
-    with pytest.raises(P.PartitionError):
-        P.ordered_union((3, 1), (2,))
     with pytest.raises(P.PartitionError):
         P.subtract((3, 1), (2,))
 
@@ -79,6 +77,23 @@ def test_dominance():
     assert P.dominance_le((3, 1, 1), (3, 1, 1))
     with pytest.raises(P.PartitionError):
         P.dominance_le((2,), (1,))
+
+
+def test_dominance_matches_running_totals():
+    """The prefix-sum rule agrees with the padded running-total loop on every
+    pair of partitions of each n <= 12, and both refuse unequal totals with
+    the same message."""
+    for n in range(13):
+        lams = list(P.integer_partitions(n))
+        for lam in lams:
+            for mu in lams:
+                assert P.dominance_le(lam, mu) == O.dominance_le_loop(lam, mu)
+    for lam, mu in (((2,), (1,)), ((), (1,)), ((3, 1), (2, 1, 1, 1))):
+        with pytest.raises(P.PartitionError) as got:
+            P.dominance_le(lam, mu)
+        with pytest.raises(P.PartitionError) as want:
+            O.dominance_le_loop(lam, mu)
+        assert str(got.value) == str(want.value)
 
 
 def test_type_membership():
