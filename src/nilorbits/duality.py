@@ -151,8 +151,13 @@ def pi_mu(lam, letter: str) -> tuple[Partition, Partition]:
     the odd ones; a part with odd multiplicity contributes once to the first
     output and once to the second, a part with even positive multiplicity
     contributes twice to the second only."""
+    return _pi_mu(_orbit(lam, letter), letter)
+
+
+def _pi_mu(bare: Partition, letter: str) -> tuple[Partition, Partition]:
+    # ``pi_mu`` of an orbit that ``_orbit`` has already checked
     keep = 0 if letter == "C" else 1
-    t = pt.transpose(_orbit(lam, letter))
+    t = pt.transpose(bare)
     pi, mu = [], []
     for x in set(t):
         if x % 2 != keep:
@@ -177,7 +182,7 @@ def d_A_triv(lam, letter: str) -> MarkedOrbit:
 @lru_cache(maxsize=None)
 def _d_A_of_orbit(letter: str, bare: Partition) -> MarkedOrbit:
     # one MarkedOrbit per orbit, so its cached prefix sums are shared too
-    pi, _ = pi_mu(bare, letter)
+    pi, _ = _pi_mu(bare, letter)
     dual_orbit = pt.dual(bare, dual_letter(letter))
     return MarkedOrbit(letter, dual_orbit,
                        pt.reduction(dual_orbit, pi, letter))

@@ -20,7 +20,7 @@ from itertools import product
 from . import duality as du
 from . import partitions as pt
 from . import springer as sp
-from .duality import _orbit, pi_mu  # pi_mu stays public here too
+from .duality import _orbit, _pi_mu, pi_mu  # pi_mu stays public here too
 from .partitions import (DecoratedPartition, Partition, PartitionError,
                          dual_letter, format_partition, is_very_even)
 # perfbench/tracer.py's self-test reaches it through this binding
@@ -119,7 +119,7 @@ def _route(lam, letter: str, fiber) -> FaithfulPair:
     edge, _reason = is_edge_case(bare, letter)
     if edge:
         return _full_pair(lam, letter, d, "edge-case")
-    pi, mu = pi_mu(bare, letter)
+    pi, mu = _pi_mu(bare, letter)
     if pt.reduction(d, pi, letter) == () and len(fiber) == 1:
         # the full diagram hits the Achar dual only when the marking is empty
         return _full_pair(lam, letter, d, "unique-representation")
