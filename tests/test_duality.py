@@ -11,13 +11,18 @@ from nilorbits import partitions as P
 from nilorbits import springer as sp
 
 
-def all_pairs_over(lam, letter):
-    """Every valid pseudo-Levi orbit pair with union lam."""
+def splits(lam):
+    """Every (first, rest) pair of partitions with union lam."""
     values = sorted(set(lam), reverse=True)
     for combo in product(*[range(P.multiplicity(lam, v) + 1) for v in values]):
         mu = P.as_partition([v for v, m in zip(values, combo)
                              for _ in range(m)])
-        nu = P.subtract(lam, mu)
+        yield mu, P.subtract(lam, mu)
+
+
+def all_pairs_over(lam, letter):
+    """Every valid pseudo-Levi orbit pair with union lam."""
+    for mu, nu in splits(lam):
         try:
             du.pair_shape(mu, nu, letter)
         except P.PartitionError:
@@ -214,11 +219,7 @@ def check_d_s_against_induction(letter, upto):
             pairs += [(mu, nu) for mu in P.type_partitions(y, p)
                       for nu in P.type_partitions(x, q)]
         for lam in P.type_partitions(letter, rank):
-            values = sorted(set(lam), reverse=True)
-            for combo in product(*[range(P.multiplicity(lam, v) + 1)
-                                   for v in values]):
-                mu = tuple(v for v, m in zip(values, combo) for _ in range(m))
-                pairs.append((mu, P.subtract(lam, mu)))
+            pairs += splits(lam)
     refused = 0
     for mu, nu in pairs:
         got = _outcome(du.d_S, mu, nu, letter)
