@@ -34,8 +34,12 @@ class MarkedOrbit:
         if not is_type_partition(self.orbit, self.letter):
             raise PartitionError(f"{format_partition(self.orbit)} is not a "
                                  f"{self.letter}-partition")
-        reduced = pt.reduction(self.orbit, self.marking, self.letter)
-        if reduced != self.marking:
+        # a marking is its own reduction exactly when its parts are
+        # distinct markable parts of the orbit
+        parts = set(self.marking)
+        if len(parts) != len(self.marking) or not parts <= set(
+                pt.markable_parts(self.orbit, self.letter)):
+            reduced = pt.reduction(self.orbit, self.marking, self.letter)
             raise PartitionError(
                 f"marking {format_partition(self.marking)} is not reduced on "
                 f"{format_partition(self.orbit)} (its reduction is "
@@ -116,21 +120,24 @@ def d_S(mu: Partition, nu: Partition, letter: str) -> Partition:
 
 @lru_cache(maxsize=None)
 def _d_S_of_marked(letter: str, orbit: Partition,
-                   marking: Partition) -> Partition:
+                   marking: Partition) -> Partition | None:
     # (marking, orbit - marking) lifts the marked orbit whenever any pair
-    # does; when it sits on no shape, no pair does
+    # does; when it sits on no shape, no pair does, and the memo keeps None
     rest = pt.subtract(orbit, marking)
     try:
         pair_shape(marking, rest, letter)
     except PartitionError:
-        raise PartitionError(
-            f"no pseudo-Levi pair realizes {orbit} | {marking}") from None
+        return None
     return d_S(marking, rest, letter)
 
 
 def d_S_marked(marked: MarkedOrbit) -> Partition:
     """Sommers dual of a marked orbit, through any realizing pair."""
-    return _d_S_of_marked(marked.letter, marked.orbit, marked.marking)
+    image = _d_S_of_marked(marked.letter, marked.orbit, marked.marking)
+    if image is None:
+        raise PartitionError(f"no pseudo-Levi pair realizes {marked.orbit} "
+                             f"| {marked.marking}")
+    return image
 
 
 def _orbit(lam, letter: str) -> Partition:

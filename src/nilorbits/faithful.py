@@ -83,9 +83,15 @@ def _full_pair(lam, letter: str, d: Partition,
     kappa = _matching_dual_decoration(lam, d) \
         if letter == "D" and is_very_even(d) else 0
     fam1 = sp.family_of(sp.trivial_rep(y, 0))
-    fam2 = sp.family_of(sp.rep_of_orbit(DecoratedPartition(d, kappa),
-                                        letter, letter))
+    fam2 = _family_of_orbit(DecoratedPartition(d, kappa), letter)
     return FaithfulPair(letter, n, shape, (fam1, fam2), ((), d), provenance)
+
+
+@lru_cache(maxsize=None)
+def _family_of_orbit(orbit, letter: str) -> sp.FamilyId:
+    """Family of the character E(orbit, 1) of a factor of type ``letter``;
+    one derivation per factor orbit and process."""
+    return sp.family_of(sp.rep_of_orbit(orbit, letter, letter))
 
 
 def _matching_dual_decoration(lam, d: Partition) -> int:
@@ -110,19 +116,22 @@ def _checked(lam, letter: str):
     return lam if isinstance(lam, DecoratedPartition) else bare
 
 
-def _route(lam, letter: str, fiber) -> FaithfulPair:
-    """Shape and family for a checked orbit whose dual fibre is ``fiber``."""
+def _route(lam, letter: str, fiber, target: du.MarkedOrbit) -> FaithfulPair:
+    """Shape and family for a checked orbit whose dual fibre is ``fiber``
+    and whose Achar dual is ``target``: the dual orbit is ``target.orbit``,
+    and the marking of ``target`` is the reduced parity subpartition that
+    decides the single-character route."""
     bare = pt.bare(lam)
-    d = pt.dual(bare, dual_letter(letter))
+    d = target.orbit
     if letter == "D" and is_very_even(bare):
         return _full_pair(lam, letter, d, "unique-representation")
     edge, _reason = is_edge_case(bare, letter)
     if edge:
         return _full_pair(lam, letter, d, "edge-case")
-    pi, mu = _pi_mu(bare, letter)
-    if pt.reduction(d, pi, letter) == () and len(fiber) == 1:
+    if target.marking == () and len(fiber) == 1:
         # the full diagram hits the Achar dual only when the marking is empty
         return _full_pair(lam, letter, d, "unique-representation")
+    _, mu = _pi_mu(bare, letter)
     nu = pt.subtract(d, mu)
     if letter == "D" and is_very_even(nu):
         raise sp.AmbiguousDecorationError(
@@ -131,8 +140,8 @@ def _route(lam, letter: str, fiber) -> FaithfulPair:
             f"determined without decoration transport")
     shape = du.pair_shape(mu, nu, letter)
     y, x = shape.factor_letters
-    fam1 = sp.family_of(sp.rep_of_orbit(mu, y, y))
-    fam2 = sp.family_of(sp.rep_of_orbit(nu, x, x))
+    fam1 = _family_of_orbit(mu, y)
+    fam2 = _family_of_orbit(nu, x)
     return FaithfulPair(letter, shape.rank, shape, (fam1, fam2), (mu, nu),
                         "general-construction")
 
@@ -142,7 +151,8 @@ def faithful_pair(lam, letter: str) -> FaithfulPair:
     single-character orbits use the full diagram, edge shapes use the full
     diagram, everything else the parity-subpartition product shape."""
     lam = _checked(lam, letter)
-    return _route(lam, letter, sp.dual_fiber(lam, letter))
+    target = du.d_A_triv(lam, letter)
+    return _route(lam, letter, sp.dual_fiber(lam, letter), target)
 
 
 @dataclass(frozen=True)
@@ -162,11 +172,15 @@ class FaithfulnessReport:
         return [e for e, f in self.witnesses if f is None]
 
 
-def _sorted_members(fid: sp.FamilyId, apply_sgn_twist: bool):
+@lru_cache(maxsize=None)
+def _sorted_members(fid: sp.FamilyId,
+                    apply_sgn_twist: bool) -> tuple[sp.WeylIrrep, ...]:
+    """The witness pool of one family, built once per process; the members
+    are frozen, so every orbit over the family shares them."""
     members = sp.family_members(fid)
     if apply_sgn_twist:
         members = [sp.sgn_twist(m) for m in members]
-    return sorted(members, key=lambda m: (m.first, m.second, m.kappa))
+    return tuple(sorted(members, key=lambda m: (m.first, m.second, m.kappa)))
 
 
 def verify_faithful(lam, letter: str, apply_sgn_twist: bool = True) -> FaithfulnessReport:
@@ -180,9 +194,9 @@ def verify_faithful(lam, letter: str, apply_sgn_twist: bool = True) -> Faithfuln
     (first, second, kappa).  ``apply_sgn_twist=False`` drops the twist and serves as a
     negative control."""
     lam = _checked(lam, letter)
-    fiber = sp.dual_fiber(lam, letter)
-    pair = _route(lam, letter, fiber)
     target = du.d_A_triv(lam, letter)
+    fiber = sp.dual_fiber(lam, letter)
+    pair = _route(lam, letter, fiber, target)
     image = du.sbar(*pair.orbit_pair, letter)
     condition_i = image == target
 

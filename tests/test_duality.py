@@ -42,6 +42,37 @@ def test_marked_orbit_validation():
     assert du.MarkedOrbit("D", (2, 2), ()).decoration_undetermined
 
 
+def _marked_by_reduction(letter, orbit, marking):
+    """The marked orbit, refused unless the marking is its own reduction:
+    the validation ``MarkedOrbit`` replaces by one ``markable_parts`` pass."""
+    reduced = P.reduction(orbit, marking, letter)
+    if reduced != marking:
+        raise P.PartitionError(
+            f"marking {P.format_partition(marking)} is not reduced on "
+            f"{P.format_partition(orbit)} (its reduction is "
+            f"{P.format_partition(reduced)})")
+    return du.MarkedOrbit(letter, orbit, marking)
+
+
+def test_marking_validation_matches_reduction():
+    """Every sub-multiset marking of every orbit of B, C, D through rank 6
+    is accepted or refused, with the same message, as by the reduction."""
+    kinds = collections.Counter()
+    for letter in P.LETTERS:
+        for rank in range(7):
+            for lam in P.type_partitions(letter, rank):
+                for marking, _ in splits(lam):
+                    got = _outcome(du.MarkedOrbit, letter, lam, marking)
+                    want = _outcome(_marked_by_reduction, letter, lam,
+                                    marking)
+                    assert got == want, (letter, lam, marking)
+                    kinds[isinstance(got, Raised)] += 1
+    assert kinds[True] and kinds[False]
+    # a marking that is no subpartition at all is refused the same way
+    assert _outcome(du.MarkedOrbit, "B", (3, 1, 1), (5,)) == \
+        _outcome(_marked_by_reduction, "B", (3, 1, 1), (5,))
+
+
 def test_pair_shape_validation():
     with pytest.raises(P.PartitionError):
         du.pair_shape((1, 1), (3, 1, 1), "B")  # first factor of rank one
@@ -293,6 +324,26 @@ def test_le_a_matches_definition():
     b, c = du.MarkedOrbit("B", (3,), ()), du.MarkedOrbit("C", (2,), ())
     assert _outcome(du.le_A, b, c) == Raised(P.PartitionError,
                                              "cannot compare types B and C")
+
+
+def test_no_lift_outcome_is_memoised(monkeypatch):
+    """Two comparisons that reach a marking with no lift raise the same
+    error, and the lift is looked for once."""
+    du._d_S_of_marked.cache_clear()
+    calls = []
+    real = du.pair_shape
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(du, "pair_shape", counted)
+    marked = du.MarkedOrbit("B", (1, 1, 1), (1,))
+    first = _outcome(du.le_A, marked, marked)
+    second = _outcome(du.le_A, marked, marked)
+    assert first == second == Raised(
+        P.PartitionError, "no pseudo-Levi pair realizes (1, 1, 1) | (1,)")
+    assert len(calls) == 1
 
 
 def test_order_caches_leave_identity_alone():

@@ -400,6 +400,68 @@ def test_witnesses_match_sorted_pool(twist):
                 assert report.witnesses == tuple(expected), report.orbit
 
 
+def _families(letter, rank):
+    return sorted({sp.family_of(rep) for rep in sp.irreps(letter, rank)},
+                  key=str)
+
+
+@pytest.mark.parametrize("twist", (True, False))
+def test_family_pools_are_memoised_sorted_tuples(twist):
+    """Every family of B, C, D through rank 8: the memoised pool is the
+    freshly built, twisted and sorted family, as a tuple, built once."""
+    for letter in P.LETTERS:
+        for rank in range(9):
+            for fid in _families(letter, rank):
+                members = sp.family_members(fid)
+                if twist:
+                    members = [sp.sgn_twist(m) for m in members]
+                fresh = sorted(members,
+                               key=lambda m: (m.first, m.second, m.kappa))
+                pool = F._sorted_members(fid, twist)
+                assert isinstance(pool, tuple)
+                assert pool == tuple(fresh), fid
+                assert F._sorted_members(fid, twist) is pool
+
+
+def test_family_members_returns_a_fresh_list():
+    """Mutating a returned family touches neither the next call nor the
+    memoised pool."""
+    fid = sp.family_of(sp.rep_of_orbit((3, 2, 2, 1, 1), "B", "B"))
+    expected = sp.family_members(fid)
+    pool = F._sorted_members(fid, False)
+    members = sp.family_members(fid)
+    assert len(members) > 1 and members is not expected
+    members.reverse()
+    members.clear()
+    assert sp.family_members(fid) == expected
+    assert F._sorted_members(fid, False) is pool
+    assert set(pool) == set(expected)
+
+
+def _clear_memos():
+    for memo in (F._sorted_members, F._family_of_orbit, du._d_A_of_orbit,
+                 du._d_S_of_marked):
+        memo.cache_clear()
+
+
+def _all_pairs(upto):
+    return [F.faithful_pair(lam, letter) for letter in P.LETTERS
+            for rank in range(upto + 1)
+            for lam in P.enumerate_orbits(P.dual_letter(letter), rank)]
+
+
+def test_memos_do_not_depend_on_call_order():
+    """``faithful_pair`` on every orbit through rank 8 answers the same on
+    empty memos as after ``verify_all`` has filled them."""
+    _clear_memos()
+    first = _all_pairs(8)
+    _clear_memos()
+    for letter in P.LETTERS:
+        for rank in range(9):
+            F.verify_all(letter, rank)
+    assert _all_pairs(8) == first
+
+
 def test_negative_control_rank3():
     failures = 0
     for letter in P.LETTERS:
