@@ -161,8 +161,10 @@ def pi_mu(lam, letter: str) -> tuple[Partition, Partition]:
     return _pi_mu(_orbit(lam, letter), letter)
 
 
+@lru_cache(maxsize=None)
 def _pi_mu(bare: Partition, letter: str) -> tuple[Partition, Partition]:
-    # ``pi_mu`` of an orbit that ``_orbit`` has already checked
+    # ``pi_mu`` of an orbit that ``_orbit`` has already checked; memoised,
+    # since the general route of ``verify_faithful`` needs it twice
     keep = 0 if letter == "C" else 1
     t = pt.transpose(bare)
     pi, mu = [], []

@@ -38,7 +38,11 @@ def is_edge_case(lam, letter: str) -> tuple[bool, str]:
     """Shapes whose second subpartition is too small or too large to sit on
     a product shape: a single largest part over an odd run and then even
     runs (with the top gap even), and the two smallest type-D duals."""
-    bare = _orbit(lam, letter)
+    return _edge_case(_orbit(lam, letter), letter)
+
+
+def _edge_case(bare: Partition, letter: str) -> tuple[bool, str]:
+    # ``is_edge_case`` of an orbit that ``_orbit`` has already checked
     if letter == "C":
         return False, "type C has no edge shapes"
     if letter == "D" and bare in ((1, 1), (3, 1)):
@@ -125,7 +129,7 @@ def _route(lam, letter: str, fiber, target: du.MarkedOrbit) -> FaithfulPair:
     d = target.orbit
     if letter == "D" and is_very_even(bare):
         return _full_pair(lam, letter, d, "unique-representation")
-    edge, _reason = is_edge_case(bare, letter)
+    edge, _reason = _edge_case(bare, letter)
     if edge:
         return _full_pair(lam, letter, d, "edge-case")
     if target.marking == () and len(fiber) == 1:

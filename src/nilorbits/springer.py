@@ -68,6 +68,21 @@ class WeylIrrep:
         return self.letter == "D" and self.first == self.second and \
             bool(self.first)
 
+    # cached outside the dataclass fields, so repr, ==, hash and records
+    # do not see it
+    @cached_property
+    def _lifts(self) -> tuple[tuple[int, Partition, Partition], ...]:
+        """Signed-group lifts as (size of first half, first, second).  A
+        type-D character with distinct halves lifts to the two orderings; a
+        degenerate one induces irreducibly to its single ordered pair, for
+        either decoration, so the restriction formula is exact per
+        decoration."""
+        size = sum(self.first)
+        if self.letter == "D" and self.first != self.second:
+            return ((size, self.first, self.second),
+                    (self.rank - size, self.second, self.first))
+        return ((size, self.first, self.second),)
+
     def __str__(self) -> str:
         body = f"{format_partition(self.first)};{format_partition(self.second)}"
         if self.letter == "D":
@@ -77,7 +92,15 @@ class WeylIrrep:
 
 
 def irreps(letter: str, rank: int) -> list[WeylIrrep]:
-    """All irreducible character avatars of the rank-n group of the type."""
+    """All irreducible character avatars of the rank-n group of the type,
+    as a fresh list.  The characters themselves are built once per group
+    and process and shared by every call, so what they cache (their
+    restriction lifts) is computed once."""
+    return list(_irreps(letter, rank))
+
+
+@lru_cache(maxsize=None)
+def _irreps(letter: str, rank: int) -> tuple[WeylIrrep, ...]:
     out = []
     seen = set()
     for a in range(rank + 1):
@@ -95,7 +118,7 @@ def irreps(letter: str, rank: int) -> list[WeylIrrep]:
                 if rep not in seen:
                     seen.add(rep)
                     out.append(rep)
-    return out
+    return tuple(out)
 
 
 def trivial_rep(letter: str, rank: int) -> WeylIrrep:
@@ -491,38 +514,38 @@ def lr_coefficient(mu1: Partition, mu2: Partition, mu: Partition) -> int:
     return count_from(0)
 
 
-def _lifts(rep: WeylIrrep) -> list[tuple[Partition, Partition]]:
-    """Signed-group lifts of a factor character.  A type-D character with
-    distinct halves lifts to the two orderings; a degenerate one induces
-    irreducibly to its single ordered pair, for either decoration, so the
-    multiplicity formula below is exact per decoration."""
-    if rep.letter == "D" and rep.first != rep.second:
-        return [(rep.first, rep.second), (rep.second, rep.first)]
-    return [(rep.first, rep.second)]
-
-
 def restriction_multiplicity(rep: WeylIrrep, shape: PseudoLeviShape,
                              rep1: WeylIrrep, rep2: WeylIrrep) -> int:
     """Multiplicity of the factor pair in the restriction of ``rep`` to the
     shape, as a sum of products of Littlewood-Richardson coefficients over
-    the hyperoctahedral lifts of the type-D factors.
+    the hyperoctahedral lifts of the type-D factors.  The lifts and half
+    sizes come from each character's cached ``_lifts``; a split whose sizes
+    do not add up contributes nothing, and the second coefficient is only
+    looked up when the first is non-zero.
 
-    A degenerate ambient character (very even dual support) is refused: its
+    Refused, in this order: a character of another group than the shape's
+    ambient group, a degenerate shape, factors of other groups than the
+    shape's (all ``PartitionError``), and a degenerate ambient character
+    (very even dual support; ``AmbiguousDecorationError``), whose
     restriction is not determined by the underlying pair alone."""
-    if (rep.letter, rep.rank) != (shape.letter, shape.rank):
+    if rep.letter != shape.letter or rep.rank != shape.rank:
         raise PartitionError(f"{rep} is not a character of the ambient "
                              f"group of {shape}")
-    _factor_check(shape, rep1, rep2)
+    (y, x), (p, q) = shape.factor_letters, shape.factor_ranks
+    if rep1.letter != y or rep1.rank != p or rep2.letter != x or \
+            rep2.rank != q:
+        _factor_check(shape, rep1, rep2)
     if rep.letter == "D" and rep.degenerate:
         raise AmbiguousDecorationError(
             f"{rep} has very even dual support; restriction is not resolved "
             f"per decoration")
+    size, lam, mu = rep._lifts[0]
     total = 0
-    size = sum(rep.first)
-    for a1, b1 in _lifts(rep1):
-        for a2, b2 in _lifts(rep2):
-            if sum(a1) + sum(a2) != size:
-                continue  # size-mismatched splits contribute nothing
-            total += lr_coefficient(a1, a2, rep.first) * \
-                lr_coefficient(b1, b2, rep.second)
+    for s1, a1, b1 in rep1._lifts:
+        for s2, a2, b2 in rep2._lifts:
+            if s1 + s2 != size:
+                continue
+            c = lr_coefficient(a1, a2, lam)
+            if c:
+                total += c * lr_coefficient(b1, b2, mu)
     return total

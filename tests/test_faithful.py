@@ -440,7 +440,7 @@ def test_family_members_returns_a_fresh_list():
 
 def _clear_memos():
     for memo in (F._sorted_members, F._family_of_orbit, du._d_A_of_orbit,
-                 du._d_S_of_marked):
+                 du._d_S_of_marked, du._pi_mu):
         memo.cache_clear()
 
 
@@ -460,6 +460,30 @@ def test_memos_do_not_depend_on_call_order():
         for rank in range(9):
             F.verify_all(letter, rank)
     assert _all_pairs(8) == first
+
+
+def test_each_orbit_checked_at_most_twice(monkeypatch):
+    """``verify_faithful`` checks its orbit once itself and once in
+    ``d_A_triv``, on every route, edge shapes included."""
+    calls = []
+    real = du._orbit
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(du, "_orbit", counted)
+    monkeypatch.setattr(F, "_orbit", counted)
+    routes = set()
+    for letter in P.LETTERS:
+        for rank in range(1, 8):
+            for lam in P.enumerate_orbits(P.dual_letter(letter), rank):
+                calls.clear()
+                report = F.verify_faithful(lam, letter)
+                assert len(calls) <= 2, (letter, lam, len(calls))
+                routes.add(report.pair.provenance)
+    assert routes == {"edge-case", "general-construction",
+                      "unique-representation"}
 
 
 def test_negative_control_rank3():

@@ -363,6 +363,126 @@ def test_restriction_refuses_degenerate_ambient():
         sp.restriction_multiplicity(e_deg, shape_d, f1, f2)
 
 
+def _oracle_multiplicity(e, shape, f1, f2) -> int:
+    """The character-table multiplicity of f1 (x) f2 in e restricted to
+    the shape, from ``tests/oracles.py``."""
+    n, m = shape.rank, shape.k
+    if shape.letter == "B":
+        return O.mult_b_restriction(n, (e.first, e.second), m,
+                                    (f1.first, f1.second, f1.kappa),
+                                    (f2.first, f2.second))
+    if shape.letter == "C":
+        return O.mult_c_restriction(n, (e.first, e.second), m,
+                                    (f1.first, f1.second),
+                                    (f2.first, f2.second))
+    return O.mult_d_restriction(n, (e.first, e.second, e.kappa), m,
+                                (f1.first, f1.second, f1.kappa),
+                                (f2.first, f2.second, f2.kappa))
+
+
+def test_restriction_matches_character_oracle_through_rank_5():
+    """Every non-degenerate character, product shape and factor pair
+    (degenerate factors once per decoration) through rank 5 restricts as
+    the character tables say."""
+    cases, wrong = 0, []
+    for letter in P.LETTERS:
+        for n in range(6):
+            for shape in sp.product_shapes(letter, n):
+                (y, x), (p, q) = shape.factor_letters, shape.factor_ranks
+                pairs = [(f1, f2) for f1 in sp.irreps(y, p)
+                         for f2 in sp.irreps(x, q)]
+                for e in sp.irreps(letter, n):
+                    if e.degenerate:
+                        continue
+                    for f1, f2 in pairs:
+                        cases += 1
+                        got = sp.restriction_multiplicity(e, shape, f1, f2)
+                        if got != _oracle_multiplicity(e, shape, f1, f2):
+                            wrong.append((str(e), str(shape), str(f1),
+                                          str(f2)))
+    assert cases == 20226  # 15660 of them at rank 5
+    assert wrong == []
+
+
+W, Shape = sp.WeylIrrep, sp.PseudoLeviShape
+
+
+@pytest.mark.parametrize("args,error,message", [
+    # a character of another group
+    ((W("B", 3, (3,), ()), Shape("C", 1, 3), W("C", 1, (1,), ()),
+      W("C", 2, (2,), ())), P.PartitionError,
+     "(3;-) is not a character of the ambient group of C1 x C2"),
+    # ... checked before the shape: the shape is degenerate as well
+    ((W("C", 3, (3,), ()), Shape("B", 1, 3), W("C", 1, (1,), ()),
+      W("C", 2, (2,), ())), P.PartitionError,
+     "(3;-) is not a character of the ambient group of "
+     "B3 (node 1, degenerate)"),
+    # a degenerate shape
+    ((W("D", 4, (4,), ()), Shape("D", 3, 4), W("D", 3, (3,), ()),
+      W("D", 1, (1,), ())), P.PartitionError,
+     "shape D4 (node 3, degenerate) is the whole algebra, not a product"),
+    # ... checked before the factors and the ambient decoration
+    ((W("D", 4, (2,), (2,)), Shape("D", 1, 4), W("C", 1, (1,), ()),
+      W("C", 3, (3,), ())), P.PartitionError,
+     "shape D4 (node 1, degenerate) is the whole algebra, not a product"),
+    # factors of other groups
+    ((W("D", 4, (4,), ()), Shape("D", 2, 4), W("D", 1, (1,), ()),
+      W("D", 3, (3,), ())), P.PartitionError,
+     "factors (D1, D3) do not match the shape D2 x D2"),
+    # ... checked before the ambient decoration
+    ((W("D", 4, (2,), (2,), 1), Shape("D", 2, 4), W("B", 2, (2,), ()),
+      W("D", 2, (2,), ())), P.PartitionError,
+     "factors (B2, D2) do not match the shape D2 x D2"),
+    # a degenerate ambient character
+    ((W("D", 4, (2,), (2,), 1), Shape("D", 2, 4), W("D", 2, (2,), ()),
+      W("D", 2, (1,), (1,), 1)), sp.AmbiguousDecorationError,
+     "{2;2}:1 has very even dual support; restriction is not resolved "
+     "per decoration"),
+])
+def test_restriction_refusals_in_order(args, error, message):
+    """Each refusal keeps its type and message, and an input breaking two
+    rules gets the refusal of the earlier one."""
+    with pytest.raises(ValueError) as info:
+        sp.restriction_multiplicity(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_irreps_fresh_list_of_shared_characters():
+    """Each call returns its own list, so mutating it changes no later
+    call, but the characters in it are the same objects every time."""
+    first = sp.irreps("D", 4)
+    again = sp.irreps("D", 4)
+    assert first is not again
+    assert all(a is b for a, b in zip(first, again, strict=True))
+    first.clear()
+    assert sp.irreps("D", 4) == again
+    assert len(again) == 13
+
+
+def test_cached_lifts_leave_the_character_unchanged():
+    """Restriction caches lift data on the characters it touches; their
+    repr, hash, equality, record and dataclass fields stay as before."""
+    import dataclasses
+
+    from nilorbits import cli
+
+    fields = [f.name for f in dataclasses.fields(sp.WeylIrrep)]
+    assert fields == ["letter", "rank", "first", "second", "kappa"]
+    shape = sp.PseudoLeviShape("D", 2, 5)
+    e = W("D", 5, (2, 1), (1, 1))
+    f1 = W("D", 2, (1,), (1,), 1)
+    f2 = W("D", 3, (2,), (1,))
+    before = [(repr(r), hash(r), cli.record_of(r)) for r in (e, f1, f2)]
+    sp.restriction_multiplicity(e, shape, f1, f2)
+    assert all("_lifts" in vars(r) for r in (e, f1, f2))
+    after = [(repr(r), hash(r), cli.record_of(r)) for r in (e, f1, f2)]
+    assert after == before
+    assert (e, f1, f2) == (W("D", 5, (2, 1), (1, 1)),
+                           W("D", 2, (1,), (1,), 1), W("D", 3, (2,), (1,)))
+    assert [f.name for f in dataclasses.fields(sp.WeylIrrep)] == fields
+
+
 def test_frobenius_consistency():
     """A special pair always appears in the restriction of its truncated
     induction (n <= 4)."""
