@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 import oracles as O
+from nilorbits import cli
 from nilorbits import partitions as P
 from nilorbits import springer as sp
 from nilorbits import symbols as S
@@ -463,10 +466,6 @@ def test_irreps_fresh_list_of_shared_characters():
 def test_cached_lifts_leave_the_character_unchanged():
     """Restriction caches lift data on the characters it touches; their
     repr, hash, equality, record and dataclass fields stay as before."""
-    import dataclasses
-
-    from nilorbits import cli
-
     fields = [f.name for f in dataclasses.fields(sp.WeylIrrep)]
     assert fields == ["letter", "rank", "first", "second", "kappa"]
     shape = sp.PseudoLeviShape("D", 2, 5)
