@@ -171,7 +171,7 @@ def _pi_mu(bare: Partition, letter: str) -> tuple[Partition, Partition]:
     for x in set(t):
         if x % 2 != keep:
             continue
-        if pt.multiplicity(t, x) % 2:
+        if t.count(x) % 2:
             pi.append(x)
             mu.append(x)
         else:

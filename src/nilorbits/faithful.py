@@ -11,7 +11,6 @@ Exceptional groups are served from a shipped table.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -48,7 +47,7 @@ def _edge_case(bare: Partition, letter: str) -> tuple[bool, str]:
     if letter == "D" and bare in ((1, 1), (3, 1)):
         return True, "second subpartition fills all but a rank-one slot"
     values = sorted(set(bare), reverse=True)
-    mults = [pt.multiplicity(bare, v) for v in values]
+    mults = list(map(bare.count, values))
     # the run below the largest part may consist of zeros
     if len(values) == 1 and mults[0] == 1 and values[0] % 2 == 0:
         return True, "second subpartition is a pair of ones"
@@ -307,6 +306,8 @@ def _shipped_table() -> tuple[ExceptionalEntry, ...]:
 
 
 def _parse_table(text: str) -> list[ExceptionalEntry]:
+    # imported here, so that a CLI process that reads no table skips it
+    import hashlib
     claimed = None
     body = []
     for line in text.splitlines():

@@ -10,6 +10,23 @@ partition is ``()``.  A type letter B, C, D selects a parity rule:
 * D-partitions have total ``2n`` and every even part occurs with even
   multiplicity (orbits in so(2n)); very even partitions carry a decoration
   in {0, 1} distinguishing the two orbits with the same partition.
+
+The primitives are single passes over C-level builtins (``list.count``,
+``sorted``, ``map`` with ``operator``), not one Python-level scan per part.
+What they assume of their input:
+
+* ``as_partition`` canonicalises any iterable (sorted decreasing, zeros
+  dropped, negative parts refused), and so do ``union``,
+  ``canonical_pair``, ``parse_partition`` and the two dataclasses;
+* ``multiplicity``, ``height``, ``is_type_partition``, ``is_very_even``,
+  ``format_partition``, ``contains``, ``subtract``, ``markable_parts`` and
+  ``reduction`` take a tuple or list in any order, zeros and negative parts
+  included;
+* ``transpose`` takes a tuple or list in any order and reads ``lam[0]``
+  as the number of columns;
+* the rest (``dominance_le``, ``raise_first``, ``lower_last``,
+  ``collapse``, ``is_special``, ``dual``, ``self_dual``) expect a
+  canonical partition: a decreasing tuple without zeros.
 """
 
 from __future__ import annotations
@@ -18,8 +35,8 @@ import os
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from operator import le
+from itertools import accumulate, repeat
+from operator import ge, le, mod
 
 Partition = tuple[int, ...]
 
@@ -51,11 +68,11 @@ def enum_bound() -> int:
 
 def as_partition(parts) -> Partition:
     """Canonicalize an iterable of part sizes: sort decreasing, drop zeros."""
-    out = sorted((int(p) for p in parts), reverse=True)
-    while out and out[-1] == 0:
-        out.pop()
-    if out and out[-1] < 0:
-        raise PartitionError(f"negative part {out[-1]} is not allowed")
+    out = sorted(map(int, parts), reverse=True)
+    if out and out[-1] <= 0:
+        if out[-1] < 0:
+            raise PartitionError(f"negative part {out[-1]} is not allowed")
+        del out[out.index(0):]
     return tuple(out)
 
 
@@ -66,14 +83,24 @@ def multiplicity(lam: Partition, x: int) -> int:
 
 def height(lam: Partition, x: int) -> int:
     """Number of parts of lam that are >= x."""
-    return sum(1 for p in lam if p >= x)
+    return len([p for p in lam if p >= x])
 
 
 def transpose(lam: Partition) -> Partition:
-    """Conjugate partition (flip the Young diagram across the diagonal)."""
+    """Conjugate partition (flip the Young diagram across the diagonal):
+    column j has height(lam, j) boxes, for j = 1, ..., lam[0]."""
     if not lam:
         return ()
-    return tuple(height(lam, j) for j in range(1, lam[0] + 1))
+    cols = []
+    below = 0
+    # in increasing order, the first copy of a part has as many parts from
+    # it to the end as its height
+    parts = sorted(lam)
+    for rows, part in zip(range(len(parts), 0, -1), parts):
+        if part > below:
+            cols += [rows] * (part - below)
+            below = part
+    return tuple(cols[:max(lam[0], 0)])
 
 
 def union(lam: Partition, mu: Partition) -> Partition:
@@ -83,13 +110,14 @@ def union(lam: Partition, mu: Partition) -> Partition:
 
 def contains(lam: Partition, mu: Partition) -> bool:
     """True if mu is a subpartition of lam (multiplicity-wise)."""
-    return all(multiplicity(lam, x) >= multiplicity(mu, x) for x in set(mu))
+    parts = set(mu)
+    return all(map(ge, map(lam.count, parts), map(mu.count, parts)))
 
 
 def subtract(lam: Partition, mu: Partition) -> Partition:
     """The unique nu with lam = union(mu, nu); requires mu contained in lam."""
     for x in set(mu):
-        if multiplicity(lam, x) < multiplicity(mu, x):
+        if lam.count(x) < mu.count(x):
             raise PartitionError(f"part {x} of the subtrahend exceeds its "
                                  f"multiplicity in {format_partition(lam)}")
     out = list(lam)
@@ -163,14 +191,17 @@ def is_type_partition(lam: Partition, letter: str) -> bool:
     _check_letter(letter)
     _check_total(lam, letter)
     bad = 0 if letter in ("B", "D") else 1
-    return all(multiplicity(lam, x) % 2 == 0
-               for x in set(lam) if x % 2 == bad)
+    # each value occurs an even number of times exactly when the sorted
+    # parts pair off
+    fix = [p for p in lam if p % 2 == bad]
+    fix.sort()
+    return fix[::2] == fix[1::2]
 
 
 def is_very_even(lam: Partition) -> bool:
     """All parts even, each with even multiplicity."""
-    return all(p % 2 == 0 for p in lam) and \
-        all(multiplicity(lam, x) % 2 == 0 for x in set(lam))
+    parts = sorted(lam)
+    return not any(map(mod, parts, repeat(2))) and parts[::2] == parts[1::2]
 
 
 def collapse(lam: Partition, letter: str) -> Partition:
@@ -328,21 +359,26 @@ def markable_parts(lam: Partition, letter: str) -> Partition:
     if not is_type_partition(lam, letter):
         raise PartitionError(f"{format_partition(lam)} is not a {letter}-partition")
     want = {"B": (1, 1), "C": (0, 0), "D": (1, 0)}[letter]
-    return tuple(x for x in sorted(set(lam), reverse=True)
-                 if (x % 2, height(lam, x) % 2) == want)
+    out = []
+    ht = 0  # the height of x: the parts counted so far, all >= x
+    for x in sorted(set(lam), reverse=True):
+        ht += lam.count(x)
+        if (x % 2, ht % 2) == want:
+            out.append(x)
+    return tuple(out)
 
 
 def reduction(lam: Partition, mu: Partition, letter: str) -> Partition:
     """Canonical reduced marking r_lam(mu): the markable part x_i is kept
     exactly when ht_mu(x_i) - ht_mu(x_{i+1}) is odd, x_{i+1} being the next
     larger markable part (height 0 beyond the largest)."""
-    marks = markable_parts(lam, letter)  # decreasing
-    asc = tuple(reversed(marks))
     kept = []
-    for i, x in enumerate(asc):
-        upper = height(mu, asc[i + 1]) if i + 1 < len(asc) else 0
-        if (height(mu, x) - upper) % 2 == 1:
+    upper = 0
+    for x in markable_parts(lam, letter):  # decreasing
+        ht = height(mu, x)
+        if (ht - upper) % 2 == 1:
             kept.append(x)
+        upper = ht
     return as_partition(kept)
 
 
@@ -452,6 +488,6 @@ def format_partition(lam: Partition) -> str:
         return "-"
     chunks = []
     for x in sorted(set(lam), reverse=True):
-        m = multiplicity(lam, x)
+        m = lam.count(x)
         chunks.append(f"{x}^{m}" if m > 1 else f"{x}")
     return ",".join(chunks)

@@ -18,9 +18,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import lt, sub
 
 from .partitions import (Partition, as_partition, canonical_pair,
-                         format_partition)
+                         format_partition, transpose)
 
 log = logging.getLogger(__name__)
 
@@ -43,7 +44,7 @@ class Symbol:
         for row in (self.top, self.bottom):
             if row and row[0] < 0:
                 raise SymbolError(f"negative entry in {row}")
-            if any(row[i + 1] <= row[i] for i in range(len(row) - 1)):
+            if not all(map(lt, row, row[1:])):
                 raise SymbolError(f"row {row} is not strictly increasing")
 
     def gap_ok(self) -> bool:
@@ -404,9 +405,10 @@ def pair_of_symbol(sym: Symbol, letter: str) -> tuple[Partition, Partition]:
     """Inverse of ``symbol_of_pair`` on the same row order."""
     step = 2 if sym.kind == "s" else 1
     lead = 1 if (sym.kind == "s" and letter == "C") else 0
-    first = [v - step * i for i, v in enumerate(sym.top)]
-    second = [v - step * i - lead for i, v in enumerate(sym.bottom)]
-    if any(v < 0 for v in first + second):
+    first = list(map(sub, sym.top, range(0, step * len(sym.top), step)))
+    second = list(map(sub, sym.bottom,
+                      range(lead, lead + step * len(sym.bottom), step)))
+    if min(first + second, default=0) < 0:
         raise SymbolError(f"{sym} is not in the image of a bipartition")
     return as_partition(first), as_partition(second)
 
@@ -416,7 +418,6 @@ def sgn_twist_pair(first: Partition, second: Partition, letter: str,
     """Avatar of the sign twist: (lam, mu) -> (mu^t, lam^t) for the
     hyperoctahedral types; unordered transposed pair for type D, where the
     decoration of a degenerate pair is carried through unchanged."""
-    from .partitions import transpose
     if letter in ("B", "C"):
         return transpose(second), transpose(first), 0
     if first == second:

@@ -11,6 +11,8 @@ the reference for the witness scan of the faithfulness check, a filter
 over the subsets of the markable parts as the list of reduced markings,
 truncated induction as the reference for the closed form of Sommers
 duality, and the padded running-total loop as the reference for dominance.
+The per-part loops that the partition and symbol primitives replaced by
+single passes are kept here, named ``*_loop``, as their references.
 
 Only the tests use this module; the library computes multiplicities through
 Littlewood-Richardson products and symbol classes in closed form.
@@ -474,3 +476,141 @@ def dominance_le_loop(lam, mu) -> bool:
         if total_l > total_m:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# partition and symbol primitives as per-part loops
+
+def outcome(fn, *args):
+    """What a call gives: its value with the value's type, or the type and
+    message of what it raises.  Two implementations agree on an input when
+    their outcomes are equal."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # any refusal is part of the behaviour
+        return "raises", type(exc), str(exc)
+    return "returns", type(value), value
+
+
+def as_partition_loop(parts):
+    """The reference for ``partitions.as_partition``."""
+    out = sorted((int(p) for p in parts), reverse=True)
+    while out and out[-1] == 0:
+        out.pop()
+    if out and out[-1] < 0:
+        raise pt.PartitionError(f"negative part {out[-1]} is not allowed")
+    return tuple(out)
+
+
+def multiplicity_loop(lam, x) -> int:
+    """The reference for ``partitions.multiplicity``."""
+    return sum(1 for p in lam if p == x)
+
+
+def height_loop(lam, x) -> int:
+    """The reference for ``partitions.height``."""
+    return sum(1 for p in lam if p >= x)
+
+
+def transpose_loop(lam):
+    """One column count per column.  The reference for
+    ``partitions.transpose``, also on unsorted input."""
+    if not lam:
+        return ()
+    return tuple(height_loop(lam, j) for j in range(1, lam[0] + 1))
+
+
+def contains_loop(lam, mu) -> bool:
+    """The reference for ``partitions.contains``."""
+    return all(multiplicity_loop(lam, x) >= multiplicity_loop(mu, x)
+               for x in set(mu))
+
+
+def subtract_loop(lam, mu):
+    """The reference for ``partitions.subtract``."""
+    for x in set(mu):
+        if multiplicity_loop(lam, x) < multiplicity_loop(mu, x):
+            raise pt.PartitionError(
+                f"part {x} of the subtrahend exceeds its multiplicity in "
+                f"{format_partition_loop(lam)}")
+    out = list(lam)
+    for p in mu:
+        out.remove(p)
+    return tuple(out)
+
+
+def is_type_partition_loop(lam, letter: str) -> bool:
+    """The reference for ``partitions.is_type_partition``."""
+    pt._check_letter(letter)
+    pt._check_total(lam, letter)
+    bad = 0 if letter in ("B", "D") else 1
+    return all(multiplicity_loop(lam, x) % 2 == 0
+               for x in set(lam) if x % 2 == bad)
+
+
+def is_very_even_loop(lam) -> bool:
+    """The reference for ``partitions.is_very_even``."""
+    return all(p % 2 == 0 for p in lam) and \
+        all(multiplicity_loop(lam, x) % 2 == 0 for x in set(lam))
+
+
+def format_partition_loop(lam) -> str:
+    """The reference for ``partitions.format_partition``."""
+    if isinstance(lam, pt.DecoratedPartition):
+        return str(lam)
+    if not lam:
+        return "-"
+    chunks = []
+    for x in sorted(set(lam), reverse=True):
+        m = multiplicity_loop(lam, x)
+        chunks.append(f"{x}^{m}" if m > 1 else f"{x}")
+    return ",".join(chunks)
+
+
+def markable_parts_loop(lam, letter: str):
+    """One height per distinct part.  The reference for
+    ``partitions.markable_parts``."""
+    pt._check_letter(letter)
+    if not is_type_partition_loop(lam, letter):
+        raise pt.PartitionError(f"{format_partition_loop(lam)} is not a "
+                                f"{letter}-partition")
+    want = {"B": (1, 1), "C": (0, 0), "D": (1, 0)}[letter]
+    return tuple(x for x in sorted(set(lam), reverse=True)
+                 if (x % 2, height_loop(lam, x) % 2) == want)
+
+
+def reduction_loop(lam, mu, letter: str):
+    """Two heights per markable part.  The reference for
+    ``partitions.reduction``."""
+    asc = tuple(reversed(markable_parts_loop(lam, letter)))
+    kept = []
+    for i, x in enumerate(asc):
+        upper = height_loop(mu, asc[i + 1]) if i + 1 < len(asc) else 0
+        if (height_loop(mu, x) - upper) % 2 == 1:
+            kept.append(x)
+    return as_partition_loop(kept)
+
+
+def symbol_loop(top, bottom, kind: str):
+    """The row checks of ``symbols.Symbol``, one comparison per step;
+    returns the rows and kind, or raises what the constructor raises."""
+    if kind not in ("s", "a"):
+        raise sy.SymbolError(f"kind must be 's' or 'a', got {kind!r}")
+    for row in (top, bottom):
+        if row and row[0] < 0:
+            raise sy.SymbolError(f"negative entry in {row}")
+        if any(row[i + 1] <= row[i] for i in range(len(row) - 1)):
+            raise sy.SymbolError(f"row {row} is not strictly increasing")
+    return top, bottom, kind
+
+
+def pair_of_symbol_loop(sym, letter: str):
+    """Subtract the staircase and sort.  The reference for
+    ``symbols.pair_of_symbol``."""
+    step = 2 if sym.kind == "s" else 1
+    lead = 1 if (sym.kind == "s" and letter == "C") else 0
+    first = [v - step * i for i, v in enumerate(sym.top)]
+    second = [v - step * i - lead for i, v in enumerate(sym.bottom)]
+    if any(v < 0 for v in first + second):
+        raise sy.SymbolError(f"{sym} is not in the image of a bipartition")
+    return as_partition_loop(first), as_partition_loop(second)

@@ -127,6 +127,18 @@ def test_module_entry_point():
     assert proc.stdout.splitlines() == ["3", "1^3"]
 
 
+def test_cli_import_leaves_hashlib_out():
+    """Importing the CLI does not import hashlib: only reading an
+    exceptional table needs it."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import nilorbits.cli; "
+            f"print('hashlib' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_package_entry_point():
     """``python -m nilorbits`` runs the same command line."""
     argv = ("enumerate", "-t", "B", "-n", "1")

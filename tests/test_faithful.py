@@ -559,15 +559,15 @@ def test_exceptional_malformed_row(tmp_path):
 def test_shipped_table_hashed_once(monkeypatch):
     """The shipped table is parsed and checksummed once per process."""
     calls = []
+    real_sha256 = hashlib.sha256
 
-    class CountingHashlib:
-        @staticmethod
-        def sha256(data):
-            calls.append(data)
-            return hashlib.sha256(data)
+    def counting_sha256(data):
+        calls.append(data)
+        return real_sha256(data)
 
     F.exceptional_lookup("F4", "A_2")
-    monkeypatch.setattr(F, "hashlib", CountingHashlib)
+    # ``faithful`` imports hashlib where it hashes, so patch the module
+    monkeypatch.setattr(hashlib, "sha256", counting_sha256)
     for _ in range(5):
         assert F.exceptional_lookup("F4", "A_2").factor_type == "B4"
     assert calls == []

@@ -272,3 +272,112 @@ def test_unordered_bipartition_canonical():
     eq0 = P.UnorderedBipartition((1,), (1,), 0)
     eq1 = P.UnorderedBipartition((1,), (1,), 1)
     assert eq0 != eq1 and eq0.degenerate
+
+
+# ---------------------------------------------------------------------------
+# the single-pass primitives against their per-part loops
+
+def compositions_upto(total):
+    """Every composition of each m <= total: the distinct permutations of
+    the partitions of m."""
+    def of(m):
+        if m == 0:
+            yield ()
+            return
+        for first in range(1, m + 1):
+            for rest in of(m - first):
+                yield (first,) + rest
+    for m in range(total + 1):
+        yield from of(m)
+
+
+def with_zeros_and_negatives(parts):
+    """Partitions with zero and negative parts mixed in, and the empty
+    input."""
+    out = [(), (0,), (-1,), (0, 0), (-1, 0), (0, -2, 3), (2, -1, -1)]
+    for lam in parts:
+        out += [lam + (0,), (0,) + lam, lam + (0, 0), lam + (-1,),
+                (-2,) + lam, lam[:1] + (-1,) + lam[1:]]
+    return out
+
+
+CANONICAL = list(all_partitions_upto(16))
+PERMUTED = list(compositions_upto(8))
+IRREGULAR = with_zeros_and_negatives(list(all_partitions_upto(6)))
+
+
+def as_inputs(parts_list):
+    """Each input as a tuple and as a list."""
+    for parts in parts_list:
+        yield parts
+        yield list(parts)
+
+
+ONE_ARGUMENT = [(P.as_partition, O.as_partition_loop),
+                (P.transpose, O.transpose_loop),
+                (P.is_very_even, O.is_very_even_loop),
+                (P.format_partition, O.format_partition_loop)]
+
+
+def assert_primitives_agree(inputs):
+    """Every rewritten primitive gives what its loop gives, value and type
+    or error type and message."""
+    for lam in inputs:
+        for new, old in ONE_ARGUMENT:
+            assert O.outcome(new, lam) == O.outcome(old, lam), (new, lam)
+        for x in range(-2, max(lam, default=0) + 2):
+            assert O.outcome(P.multiplicity, lam, x) == \
+                O.outcome(O.multiplicity_loop, lam, x), (lam, x)
+            assert O.outcome(P.height, lam, x) == \
+                O.outcome(O.height_loop, lam, x), (lam, x)
+        for letter in P.LETTERS + ("A",):
+            assert O.outcome(P.is_type_partition, lam, letter) == \
+                O.outcome(O.is_type_partition_loop, lam, letter), \
+                (lam, letter)
+            assert O.outcome(P.markable_parts, lam, letter) == \
+                O.outcome(O.markable_parts_loop, lam, letter), (lam, letter)
+
+
+def test_primitives_match_loops_on_partitions():
+    assert_primitives_agree(as_inputs(CANONICAL))
+
+
+def test_primitives_match_loops_on_permutations():
+    """Unsorted input gives what it gave before; ``transpose`` reads
+    lam[0] as the number of columns."""
+    assert_primitives_agree(as_inputs(PERMUTED))
+    assert P.transpose((1, 3)) == (2,)
+    assert P.transpose([2, 3, 1]) == (3, 2)
+
+
+def test_primitives_match_loops_with_zeros_and_negatives():
+    assert_primitives_agree(as_inputs(IRREGULAR))
+    assert P.transpose((2, -1)) == (1, 1)
+
+
+def test_contains_and_subtract_match_loops():
+    small = list(all_partitions_upto(5))
+    cases = [(lam, mu) for lam in CANONICAL for mu in small]
+    cases += [(lam, mu) for lam in PERMUTED for mu in compositions_upto(4)]
+    cases += [((0, 2, -1), (0,)), ((0, 2, -1), (-1, -1)), ((), ())]
+    for lam, mu in cases:
+        for a, b in ((lam, mu), (list(lam), list(mu))):
+            assert O.outcome(P.contains, a, b) == \
+                O.outcome(O.contains_loop, a, b), (a, b)
+            assert O.outcome(P.subtract, a, b) == \
+                O.outcome(O.subtract_loop, a, b), (a, b)
+
+
+def test_reduction_matches_loop():
+    markings = list(all_partitions_upto(6))
+    markings += [tuple(reversed(mu)) for mu in markings] + [(0, 1), (3, -1)]
+    for lam in CANONICAL:
+        for letter in admissible_letters(sum(lam)):
+            for mu in markings:
+                assert O.outcome(P.reduction, lam, mu, letter) == \
+                    O.outcome(O.reduction_loop, lam, mu, letter), \
+                    (lam, mu, letter)
+    for lam in IRREGULAR + [(3, 1, 1, 0, 0), (2, 2, 0, 0)]:
+        for letter in P.LETTERS:
+            assert O.outcome(P.reduction, lam, (1,), letter) == \
+                O.outcome(O.reduction_loop, lam, (1,), letter), (lam, letter)

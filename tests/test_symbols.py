@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -329,3 +331,62 @@ def test_bar_length(a, b):
     mu = P.as_partition([b] if b else [])
     sym = S.symbol_of_pair(lam, mu, "B", "s")
     assert len(S.bar(sym)) == len(sym.top) + len(sym.bottom)
+
+
+# ---------------------------------------------------------------------------
+# the single-pass row check and pair_of_symbol against their loops
+
+def rows_upto(length, values):
+    """Every row of at most ``length`` entries drawn from ``values``, in
+    any order."""
+    return [row for n in range(length + 1)
+            for row in product(values, repeat=n)]
+
+
+def increasing_rows(length, bound):
+    return [row for n in range(length + 1)
+            for row in combinations(range(bound), n)]
+
+
+def symbol_outcome(top, bottom, kind):
+    got = O.outcome(S.Symbol, top, bottom, kind)
+    if got[0] == "returns":
+        sym = got[2]
+        return "returns", (sym.top, sym.bottom, sym.kind)
+    return got
+
+
+def test_symbol_rows_match_loop():
+    """Every row with entries -1..9 and at most three entries, in either
+    position and against valid and invalid partners, kinds s and a and a
+    bad kind: the constructor accepts or refuses exactly as the loop."""
+    partners = [(), (0,), (1, 4), (3, 3), (-1, 2), (5, 2)]
+    for row in rows_upto(3, range(-1, 10)):
+        for other in partners:
+            for kind in ("s", "a", "x"):
+                for top, bottom in ((row, other), (other, row)):
+                    want = O.outcome(O.symbol_loop, top, bottom, kind)
+                    if want[0] == "returns":
+                        want = "returns", want[2]
+                    assert symbol_outcome(top, bottom, kind) == want, \
+                        (top, bottom, kind)
+    assert symbol_outcome([0, 2], [1], "s") == \
+        ("returns", ([0, 2], [1], "s"))
+
+
+def test_pair_of_symbol_matches_loop():
+    """Every pair of strictly increasing rows with entries < 10 and at most
+    three entries, both kinds, letters B, C and D.  s-symbols whose gaps
+    are below 2 are malformed; they keep the answer or refusal they had."""
+    rows = increasing_rows(3, 10)
+    for kind in ("s", "a"):
+        symbols = [S.Symbol(top, bottom, kind)
+                   for top in rows for bottom in rows]
+        for letter in ("B", "C", "D"):
+            for sym in symbols:
+                assert O.outcome(S.pair_of_symbol, sym, letter) == \
+                    O.outcome(O.pair_of_symbol_loop, sym, letter), \
+                    (sym, letter)
+    assert S.pair_of_symbol(S.Symbol((1, 2), (), "s"), "B") == ((1,), ())
+    with pytest.raises(S.SymbolError):
+        S.pair_of_symbol(S.Symbol((0, 1), (), "s"), "B")
