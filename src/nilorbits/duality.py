@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 
 from . import partitions as pt
 from . import springer as sp
@@ -45,15 +45,15 @@ class MarkedOrbit:
                 f"{format_partition(self.orbit)} (its reduction is "
                 f"{format_partition(reduced)})")
 
-    # cached outside the dataclass fields, so repr, ==, hash and records
-    # do not see them
+    # the dominance keys of ``le_A``, cached outside the dataclass fields,
+    # so repr, ==, hash and records do not see them
     @cached_property
-    def _orbit_sums(self) -> tuple[int, ...]:
-        return tuple(accumulate(self.orbit))
+    def _orbit_key(self) -> pt.DominanceKey:
+        return pt.dominance_key(self.orbit)
 
     @cached_property
-    def _sommers_sums(self) -> tuple[int, ...]:
-        return tuple(accumulate(d_S_marked(self)))
+    def _sommers_key(self) -> pt.DominanceKey:
+        return pt.dominance_key(d_S_marked(self))
 
     @property
     def decoration_undetermined(self) -> bool:
@@ -211,13 +211,20 @@ def closure_le(lam1, lam2, letter: str) -> bool:
 
 def le_A(m1: MarkedOrbit, m2: MarkedOrbit) -> bool:
     """Achar's order: the orbits compare in the closure order and the
-    Sommers duals compare the other way."""
+    Sommers duals compare the other way.
+
+    Each dominance test is one subtraction of packed prefix sums
+    (``partitions.key_le``): a field is one bit wider than the total needs,
+    so with its top bit set it stays non-negative after any subtraction of
+    a prefix sum, and no field borrows from the next.  The Sommers duals
+    are only read when the orbits compare, the second one first, so a
+    marking with no lift raises only then."""
     if m1.letter != m2.letter:
         raise PartitionError(f"cannot compare types {m1.letter} and "
                              f"{m2.letter}")
-    if not pt.sums_dominated(m1._orbit_sums, m2._orbit_sums):
+    if not pt.key_le(m1._orbit_key, m2._orbit_key):
         return False
-    return pt.sums_dominated(m2._sommers_sums, m1._sommers_sums)
+    return pt.key_le(m2._sommers_key, m1._sommers_key)
 
 
 def maximal_marked(items) -> list[MarkedOrbit]:

@@ -24,9 +24,9 @@ What they assume of their input:
   included;
 * ``transpose`` takes a tuple or list in any order and reads ``lam[0]``
   as the number of columns;
-* the rest (``dominance_le``, ``raise_first``, ``lower_last``,
-  ``collapse``, ``is_special``, ``dual``, ``self_dual``) expect a
-  canonical partition: a decreasing tuple without zeros.
+* the rest (``dominance_le``, ``dominance_key``, ``raise_first``,
+  ``lower_last``, ``collapse``, ``is_special``, ``dual``, ``self_dual``)
+  expect a canonical partition: a decreasing tuple without zeros.
 """
 
 from __future__ import annotations
@@ -142,21 +142,51 @@ def lower_last(lam: Partition) -> Partition:
 
 
 def dominance_le(lam: Partition, mu: Partition) -> bool:
-    """True iff lam <= mu in the dominance order (equal totals required)."""
-    return sums_dominated(tuple(accumulate(lam)), tuple(accumulate(mu)))
+    """True iff lam <= mu in the dominance order (equal totals required).
+    With equal totals, comparing prefix sums up to the end of the shorter
+    partition decides: the shorter one has reached the total there, and no
+    prefix sum exceeds the total."""
+    lam_sums, mu_sums = tuple(accumulate(lam)), tuple(accumulate(mu))
+    _check_equal_totals(lam_sums[-1] if lam_sums else 0,
+                        mu_sums[-1] if mu_sums else 0)
+    return all(map(le, lam_sums, mu_sums))
 
 
-def sums_dominated(lam_sums, mu_sums) -> bool:
-    """``dominance_le`` on the prefix sums of the two partitions.  With
-    equal totals, comparing up to the end of the shorter sequence decides:
-    the shorter one has reached the total there, and no prefix sum exceeds
-    the total."""
-    total_l = lam_sums[-1] if lam_sums else 0
-    total_m = mu_sums[-1] if mu_sums else 0
+def _check_equal_totals(total_l: int, total_m: int) -> None:
     if total_l != total_m:
         raise PartitionError(
             f"dominance compares equal totals, got {total_l} != {total_m}")
-    return all(map(le, lam_sums, mu_sums))
+
+
+DominanceKey = tuple[int, int, int]
+
+
+def dominance_key(lam: Partition) -> DominanceKey:
+    """The packed form of lam's prefix sums, for ``key_le``: (total, guard,
+    packed).  ``packed`` holds the prefix sums, padded with the total up to
+    ``total`` fields (no partition of the total has more parts), each field
+    ``total.bit_length() + 1`` bits wide; ``guard`` has the top bit of every
+    field set.  A field holds at most the total, so its top bit is clear."""
+    total = sum(lam)
+    width = total.bit_length() + 1
+    sums = list(accumulate(lam))
+    sums += [total] * (total - len(sums))
+    packed = 0
+    for value in reversed(sums):
+        packed = packed << width | value
+    ones = ((1 << width * total) - 1) // ((1 << width) - 1)
+    return total, ones << (width - 1), packed
+
+
+def key_le(low: DominanceKey, high: DominanceKey) -> bool:
+    """``dominance_le`` on two ``dominance_key`` values, in one subtraction.
+    Setting the guard bits of ``high`` and subtracting ``low`` leaves the
+    guard bit of a field set exactly when that field of ``high`` is at least
+    the one of ``low``; no field borrows from the next, since each field of
+    ``low`` is below its guard bit."""
+    total, guard, packed = low
+    _check_equal_totals(total, high[0])
+    return ((high[2] | guard) - packed) & guard == guard
 
 
 def dual_letter(letter: str) -> str:

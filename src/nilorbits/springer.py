@@ -246,12 +246,21 @@ def springer_support(rep: WeylIrrep, side: str = "group"):
     a partition for B/C conventions, a decorated partition for D.
 
     ``side="group"`` uses the convention of the ambient type, ``side="dual"``
-    the convention of the dual type."""
+    the convention of the dual type.  The orbit is read off the a-symbol of
+    the monotonic s-symbol's bipartition at the s-symbol's own size: column
+    j loses j from the top row and j plus the C lead from the bottom row.
+    That size need not be the minimal one, but a padding column only adds
+    zero parts, so ``orbit_of_symbol`` gives the same orbit at any size."""
     conv = rep.letter if side == "group" else dual_letter(rep.letter)
-    ssym = rep_ssymbol(rep, conv)
-    mono = sy.monotonic_representative(ssym, conv)
-    first, second = sy.pair_of_symbol(mono, conv)
-    alpha = sy.symbol_of_pair(first, second, conv, "a")
+    mono = sy.monotonic_representative(rep_ssymbol(rep, conv), conv)
+    lead = 1 if conv == "C" else 0
+    top = tuple(v - j for j, v in enumerate(mono.top))
+    bottom = tuple(v - j - lead for j, v in enumerate(mono.bottom))
+    # rows of a monotonic s-symbol step by at least 2, so a part of the
+    # bipartition, an a-row entry less its column, is least in column 0
+    if min(top[:1] + bottom[:1], default=0) < 0:
+        raise SymbolError(f"{mono} is not in the image of a bipartition")
+    alpha = Symbol(top, bottom, "a")
     if conv == "D":
         kappa = rep.kappa if rep.degenerate else 0
         return orbit_of_symbol(DecoratedSymbol(alpha, kappa), "D")

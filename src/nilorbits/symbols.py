@@ -315,18 +315,42 @@ def enumerate_class(sym: Symbol, letter: str, k: int | None = None) -> list[Symb
     """All s-symbols of the letter similar to sym at size k: the blocks of
     the monotonic representative's refinement dealt between the rows, each
     block but a pair in either orientation, keeping the deals with the shape
-    of the type.  a-symbol classes are enumerated by ``similar_symbols``."""
+    of the type, sorted by rows.  a-symbol classes are enumerated by
+    ``similar_symbols``.
+
+    Rows of an s-symbol step by at least 2, so an interval block alternates
+    between the rows: it adds one to the defect (its longer row on top,
+    "up"), takes one away, or, with rows of equal length, leaves it alone.
+    Only deals with the type's defect are made: each choice of the odd
+    blocks that point up, times either orientation of the even ones."""
     if k is not None:
         sym = at_size(sym, letter, k)
     mono = monotonic_representative(sym, letter)
-    orientations = [((blk.top, blk.bottom),) if blk.tag == "pair" else
-                    ((blk.top, blk.bottom), (blk.bottom, blk.top))
-                    for blk in refinement(mono, letter)]
-    deals = (Symbol(tuple(v for top, _ in deal for v in top),
-                    tuple(v for _, bottom in deal for v in bottom), sym.kind)
-             for deal in product(*orientations))
-    return sorted((s for s in deals if has_type_shape(s, letter)),
-                  key=lambda s: (s.top, s.bottom))
+    choices, odd = [], []
+    for i, blk in enumerate(refinement(mono, letter)):
+        up, down = (blk.top, blk.bottom), (blk.bottom, blk.top)
+        if blk.tag == "pair":
+            choices.append((up,))
+            continue
+        if len(blk.top) != len(blk.bottom):
+            odd.append(i)
+            if len(blk.top) < len(blk.bottom):
+                up, down = down, up
+        choices.append((up, down))
+    # the defect is twice the number of up blocks less the odd ones
+    twice_up = len(odd) + (1 if letter in ("B", "C") else 0)
+    out = []
+    for ups in combinations(odd, twice_up // 2) if twice_up % 2 == 0 else ():
+        picked = list(choices)
+        for i in odd:
+            picked[i] = (choices[i][0 if i in ups else 1],)
+        for deal in product(*picked):
+            s = Symbol(tuple(v for top, _ in deal for v in top),
+                       tuple(v for _, bottom in deal for v in bottom),
+                       sym.kind)
+            if has_type_shape(s, letter):
+                out.append(s)
+    return sorted(out, key=lambda s: (s.top, s.bottom))
 
 
 def similar_symbols(sym: Symbol, letter: str, k: int | None = None) -> list[Symbol]:

@@ -419,6 +419,23 @@ def similar_symbols_bruteforce(sym, letter: str, k: int | None = None):
     return sorted(set(out), key=lambda s: (s.top, s.bottom))
 
 
+def enumerate_class_by_filter(sym, letter: str, k: int | None = None):
+    """Every deal of the refinement blocks of the monotonic representative,
+    each block but a pair in either orientation, filtered by the type's
+    shape.  The reference for ``symbols.enumerate_class``."""
+    if k is not None:
+        sym = sy.at_size(sym, letter, k)
+    mono = sy.monotonic_representative(sym, letter)
+    orientations = [((blk.top, blk.bottom),) if blk.tag == "pair" else
+                    ((blk.top, blk.bottom), (blk.bottom, blk.top))
+                    for blk in sy.refinement(mono, letter)]
+    deals = (sy.Symbol(tuple(v for top, _ in deal for v in top),
+                       tuple(v for _, bottom in deal for v in bottom),
+                       sym.kind)
+             for deal in product(*orientations))
+    return sorted((s for s in deals if sy.has_type_shape(s, letter)),
+                  key=lambda s: (s.top, s.bottom))
+
 # ---------------------------------------------------------------------------
 # the witness pool of the faithfulness check, fully built and sorted
 
@@ -614,3 +631,20 @@ def pair_of_symbol_loop(sym, letter: str):
     if any(v < 0 for v in first + second):
         raise sy.SymbolError(f"{sym} is not in the image of a bipartition")
     return as_partition_loop(first), as_partition_loop(second)
+
+
+# ---------------------------------------------------------------------------
+# Springer support through the bipartition of the monotonic s-symbol
+
+def springer_support_by_round_trip(rep, side: str = "group"):
+    """The monotonic s-symbol's bipartition, its minimal a-symbol, then the
+    orbit.  The reference for ``springer.springer_support``."""
+    conv = rep.letter if side == "group" else pt.dual_letter(rep.letter)
+    ssym = sp.rep_ssymbol(rep, conv)
+    mono = sy.monotonic_representative(ssym, conv)
+    first, second = sy.pair_of_symbol(mono, conv)
+    alpha = sy.symbol_of_pair(first, second, conv, "a")
+    if conv == "D":
+        kappa = rep.kappa if rep.degenerate else 0
+        return sp.orbit_of_symbol(sy.DecoratedSymbol(alpha, kappa), "D")
+    return sp.orbit_of_symbol(alpha, conv)

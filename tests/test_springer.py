@@ -101,6 +101,47 @@ def test_support_examples():
     assert sp.springer_support(sub, "dual") == (2, 2)
 
 
+def check_support_against_round_trip(upto):
+    """``springer_support`` against the bipartition round trip on every
+    character of B, C and D through rank ``upto``, both sides: the same
+    value and type, or the same error type and message.  Returns the number
+    of cases."""
+    cases = 0
+    for letter in P.LETTERS:
+        for rank in range(upto + 1):
+            for rep in sp.irreps(letter, rank):
+                for side in ("group", "dual"):
+                    assert O.outcome(sp.springer_support, rep, side) == \
+                        O.outcome(O.springer_support_by_round_trip, rep,
+                                  side), (rep, side)
+                    cases += 1
+    return cases
+
+
+def test_support_matches_round_trip():
+    assert check_support_against_round_trip(8) == 2 * sum(
+        len(sp.irreps(letter, rank))
+        for letter in P.LETTERS for rank in range(9))
+
+
+@pytest.mark.slow
+def test_support_matches_round_trip_through_rank_12():
+    assert check_support_against_round_trip(12) == 15748
+
+
+def test_support_keeps_the_negative_part_refusal(monkeypatch):
+    """A monotonic s-symbol whose bipartition would have a negative part is
+    refused as ``pair_of_symbol`` refuses it."""
+    bad = S.Symbol((0, 2), (0,), "s")
+    monkeypatch.setattr(S, "monotonic_representative", lambda sym, conv: bad)
+    rep = sp.WeylIrrep("B", 1, (1,), ())
+    message = "(0,2;0) is not in the image of a bipartition"
+    for fn in (sp.springer_support, O.springer_support_by_round_trip):
+        with pytest.raises(S.SymbolError) as info:
+            fn(rep, "dual")
+        assert str(info.value) == message
+
+
 def test_collapse_symbol():
     """The direct parity-split of a transpose-compatible C-partition agrees
     with the Springer symbol of its D-collapse, for all qualifying inputs of

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as O
 from nilorbits import partitions as P
+from nilorbits import springer as sp
 from nilorbits import symbols as S
 
 PAPER_EXAMPLE = S.Symbol((0, 2, 3, 7, 10, 13), (1, 3, 6, 8, 11), "s")
@@ -134,6 +135,43 @@ def test_enumerate_class_matches_splittings():
                     assert S.enumerate_class(sym, letter) == \
                         O.similar_symbols_bruteforce(sym, letter), \
                         (letter, lam, mu, k)
+
+
+def test_enumerate_class_matches_filtered_deals():
+    """Dealing only the type-shaped orientations gives the list, in its
+    order, that filtering every deal gave, for every bipartition of rank
+    <= 7 at the minimal and two padded sizes, also with the letter of
+    another type."""
+    for letter in ("B", "C", "D"):
+        for total in range(8):
+            for lam, mu in bipartitions(total):
+                k0 = S.min_size_pair(lam, mu, letter)
+                for k in (k0, k0 + 1, k0 + 2):
+                    sym = S.symbol_of_pair(lam, mu, letter, "s", k)
+                    for other in ("B", "C", "D"):
+                        assert O.outcome(S.enumerate_class, sym, other) == \
+                            O.outcome(O.enumerate_class_by_filter, sym,
+                                      other), (letter, lam, mu, k, other)
+
+
+def dual_fibre_classes(rank):
+    """The s-symbol that ``springer.dual_fiber`` enumerates, for every
+    orbit of every type at the rank, with the type."""
+    for conv in P.LETTERS:
+        for lam in P.enumerate_orbits(conv, rank):
+            first, second, _ = sp.springer_bipartition(lam, conv)
+            k = max(S.min_size_pair(first, second, conv),
+                    len(P.bare(lam)) // 2 + 1)
+            yield S.symbol_of_pair(first, second, conv, "s", k), conv
+
+
+@pytest.mark.slow
+def test_enumerate_class_matches_filtered_deals_at_rank_12():
+    classes = list(dual_fibre_classes(12))
+    assert len(classes) == 1285
+    for sym, conv in classes:
+        assert S.enumerate_class(sym, conv) == \
+            O.enumerate_class_by_filter(sym, conv), (sym, conv)
 
 
 def test_class_size_subregular():
