@@ -198,15 +198,32 @@ class _Out:
         if self.mode == "structured":
             print(json.dumps(record_of(obj), sort_keys=True), file=self.stream)
         else:
-            print(text if text is not None else str(obj), file=self.stream)
+            print(_text_of(obj) if text is None else text, file=self.stream)
+
+
+def _text_of(obj) -> str:
+    """``true``/``false``, a partition's exponent notation, else ``str``."""
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, tuple):
+        return format_partition(obj)
+    return str(obj)
+
+
+def _opt(*names, **kwargs):
+    """An argument of a verb, as ``add_argument`` takes it."""
+    return names, kwargs
 
 
 def build_parser() -> _Parser:
+    """One ``add`` per verb: help, result function, arguments; an
+    ``own_output`` function prints for itself and returns the exit code."""
     parser = _Parser(prog="nilorbits", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, *, typed=True, rank=False, node=False, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(verb, help, compute, *arguments, typed=True, rank=False,
+            node=False, own_output=False):
+        p = sub.add_parser(verb, help=help)
         if typed:
             p.add_argument("-t", "--type", required=True, dest="letter",
                            choices=("B", "C", "D"))
@@ -214,170 +231,121 @@ def build_parser() -> _Parser:
             p.add_argument("-n", "--rank", type=int, required=True)
         if node:
             p.add_argument("-k", "--node", type=int, required=True)
-        p.add_argument("--mode", choices=("text", "structured"),
-                       default="text")
-        return p
+        p.add_argument("--mode", choices=("text", "structured"), default="text")
+        for spec in arguments:
+            names, kwargs = ((spec,), {}) if isinstance(spec, str) else spec
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(compute=compute, own_output=own_output)
 
-    add("collapse", help="largest type partition below the input") \
-        .add_argument("partition")
-    add("dual", help="duality map on orbit partitions") \
-        .add_argument("partition")
-    add("special", help="is the orbit special") \
-        .add_argument("partition")
-    add("markable", help="markable parts of an orbit") \
-        .add_argument("partition")
-    p = add("reduce", help="canonical reduced marking of a subpartition")
-    p.add_argument("orbit")
-    p.add_argument("mu")
-    p = add("springer", help="Springer symbol and character of an orbit")
-    p.add_argument("partition")
-    p.add_argument("--side", choices=("group", "dual"), default="group")
-    p = add("family", help="family of an irreducible character")
-    p.add_argument("bipartition")
-    p.add_argument("--members", action="store_true")
-    p = add("jinduce", rank=True, node=True,
-            help="truncated induction of a special factor pair")
-    p.add_argument("factor1")
-    p.add_argument("factor2")
-    p = add("restrict-mult", rank=True, node=True,
-            help="multiplicity of a factor pair in a restriction")
-    p.add_argument("character")
-    p.add_argument("factor1")
-    p.add_argument("factor2")
-    p = add("sbar", help="marked orbit of a pseudo-Levi orbit pair")
-    p.add_argument("mu")
-    p.add_argument("nu")
-    p = add("ds", help="Sommers dual of a pseudo-Levi orbit pair")
-    p.add_argument("mu")
-    p.add_argument("nu")
-    add("da", help="Achar dual of a trivially marked dual orbit") \
-        .add_argument("partition")
-    p = add("lea", help="compare two marked orbits in the Achar order")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = add("wf", help="wavefront set from an involution-dual orbit")
-    p.add_argument("--az-dual-orbit", required=True, dest="orbit")
-    p = add("wf-wrep", help="wavefront set of an irreducible character")
-    p.add_argument("bipartition")
-    add("faithful", help="shape and family attached to a dual orbit") \
-        .add_argument("partition")
-    p = add("verify-faithful", help="check both faithfulness conditions")
-    p.add_argument("partition", nargs="?")
-    p.add_argument("-n", "--rank", type=int)
-    p.add_argument("--no-twist", action="store_true",
-                   help="negative control: drop the sign twist")
-    p.add_argument("--witness-file")
-    p = add("exceptional", typed=False,
-            help="faithful pair data for an exceptional group")
-    p.add_argument("group", choices=("G2", "F4", "E6", "E7", "E8"))
-    p.add_argument("label")
-    p.add_argument("--table", dest="table_path")
-    add("enumerate", rank=True, help="all orbits of the type and rank")
+    add("collapse", "largest type partition below the input",
+        lambda a: pt.collapse(_bare_partition(a.partition), a.letter),
+        "partition")
+    add("dual", "duality map on orbit partitions",
+        lambda a: pt.dual(_parse_partition(a.partition), a.letter),
+        "partition")
+    add("special", "is the orbit special",
+        lambda a: pt.is_special(_parse_partition(a.partition), a.letter),
+        "partition")
+    add("markable", "markable parts of an orbit",
+        lambda a: pt.markable_parts(_bare_partition(a.partition), a.letter),
+        "partition")
+    add("reduce", "canonical reduced marking of a subpartition",
+        lambda a: pt.reduction(_bare_partition(a.orbit),
+                               _bare_partition(a.mu), a.letter),
+        "orbit", "mu")
+    add("springer", "Springer symbol and character of an orbit", _springer,
+        "partition", _opt("--side", choices=("group", "dual"),
+                          default="group"), own_output=True)
+    add("family", "family of an irreducible character", _family,
+        "bipartition", _opt("--members", action="store_true"),
+        own_output=True)
+    add("jinduce", "truncated induction of a special factor pair",
+        lambda a: sp.j_induce(*_shaped(a)),
+        "factor1", "factor2", rank=True, node=True)
+    add("restrict-mult", "multiplicity of a factor pair in a restriction",
+        lambda a: sp.restriction_multiplicity(*_shaped(a, character=True)),
+        "character", "factor1", "factor2", rank=True, node=True)
+    add("sbar", "marked orbit of a pseudo-Levi orbit pair",
+        lambda a: du.sbar(_bare_partition(a.mu), _bare_partition(a.nu),
+                          a.letter),
+        "mu", "nu")
+    add("ds", "Sommers dual of a pseudo-Levi orbit pair",
+        lambda a: du.d_S(_bare_partition(a.mu), _bare_partition(a.nu),
+                         a.letter),
+        "mu", "nu")
+    add("da", "Achar dual of a trivially marked dual orbit",
+        lambda a: du.d_A_triv(_parse_partition(a.partition), a.letter),
+        "partition")
+    add("lea", "compare two marked orbits in the Achar order",
+        lambda a: du.le_A(_parse_marked(a.left, a.letter),
+                          _parse_marked(a.right, a.letter)),
+        "left", "right")
+    add("wf", "wavefront set from an involution-dual orbit",
+        lambda a: wf.wf_iwahori_real(_parse_partition(a.orbit), a.letter),
+        _opt("--az-dual-orbit", required=True, dest="orbit"))
+    add("wf-wrep", "wavefront set of an irreducible character",
+        lambda a: wf.wf_of_wrep(_parse_irrep(a.bipartition, a.letter)),
+        "bipartition")
+    add("faithful", "shape and family attached to a dual orbit",
+        lambda a: fa.faithful_pair(_parse_partition(a.partition), a.letter),
+        "partition")
+    add("verify-faithful", "check both faithfulness conditions", _verify,
+        _opt("partition", nargs="?"), _opt("-n", "--rank", type=int),
+        _opt("--no-twist", action="store_true",
+             help="negative control: drop the sign twist"),
+        _opt("--witness-file"), own_output=True)
+    add("exceptional", "faithful pair data for an exceptional group",
+        lambda a: fa.exceptional_lookup(a.group, a.label, a.table_path),
+        _opt("group", choices=("G2", "F4", "E6", "E7", "E8")), "label",
+        _opt("--table", dest="table_path"), typed=False)
+    add("enumerate", "all orbits of the type and rank", _enumerate,
+        rank=True, own_output=True)
     return parser
 
 
-def _shape(args) -> sp.PseudoLeviShape:
-    return sp.PseudoLeviShape(args.letter, args.node, args.rank)
-
-
-def _factor_irreps(args, shape):
+def _shaped(args, character=False):
+    """The arguments of ``j_induce``, led by the character for
+    ``restriction_multiplicity``; parsed shape first, factor pairs last."""
+    shape = sp.PseudoLeviShape(args.letter, args.node, args.rank)
+    lead = (_parse_irrep(args.character, args.letter),) if character else ()
     (y, x), (p, q) = shape.factor_letters, shape.factor_ranks
     f1, s1, k1 = _parse_pair(args.factor1)
     f2, s2, k2 = _parse_pair(args.factor2)
-    return (sp.WeylIrrep(y, p, f1, s1, k1), sp.WeylIrrep(x, q, f2, s2, k2))
+    return (*lead, shape, sp.WeylIrrep(y, p, f1, s1, k1),
+            sp.WeylIrrep(x, q, f2, s2, k2))
 
 
-def _run(args, out: _Out) -> int:
-    verb = args.verb
-    if verb == "collapse":
-        got = pt.collapse(_bare_partition(args.partition), args.letter)
-        out.emit(got, format_partition(got))
-    elif verb == "dual":
-        got = pt.dual(_parse_partition(args.partition), args.letter)
-        out.emit(got, format_partition(got))
-    elif verb == "special":
-        got = pt.is_special(_parse_partition(args.partition), args.letter)
-        out.emit(got, "true" if got else "false")
-    elif verb == "markable":
-        got = pt.markable_parts(_bare_partition(args.partition), args.letter)
-        out.emit(got, format_partition(got))
-    elif verb == "reduce":
-        got = pt.reduction(_bare_partition(args.orbit),
-                           _bare_partition(args.mu), args.letter)
-        out.emit(got, format_partition(got))
-    elif verb == "springer":
-        lam = _parse_partition(args.partition)
-        conv = args.letter if args.side == "group" else \
-            pt.dual_letter(args.letter)
-        symbol = sp.springer_symbol(lam, conv)
-        rendered = sy.render(symbol.sym if isinstance(
-            symbol, sy.DecoratedSymbol) else symbol)
-        rep = sp.rep_of_orbit(lam, conv, args.letter)
-        out.emit(symbol, rendered + f"\ncharacter {rep}")
-    elif verb == "family":
-        rep = _parse_irrep(args.bipartition, args.letter)
-        fid = sp.family_of(rep)
-        if args.mode == "structured":
-            out.emit(fid)
-            if args.members:
-                for member in sp.family_members(fid):
-                    out.emit(member)
-        else:
-            line = f"family {fid}"
-            if args.members:
-                line += "  members: " + " ".join(
-                    str(m) for m in sp.family_members(fid))
-            out.emit(fid, line)
-    elif verb == "jinduce":
-        shape = _shape(args)
-        rep1, rep2 = _factor_irreps(args, shape)
-        got = sp.j_induce(shape, rep1, rep2)
-        out.emit(got, str(got))
-    elif verb == "restrict-mult":
-        shape = _shape(args)
-        rep = _parse_irrep(args.character, args.letter)
-        rep1, rep2 = _factor_irreps(args, shape)
-        got = sp.restriction_multiplicity(rep, shape, rep1, rep2)
-        out.emit(got, str(got))
-    elif verb == "sbar":
-        got = du.sbar(_bare_partition(args.mu), _bare_partition(args.nu),
-                      args.letter)
-        out.emit(got, str(got))
-    elif verb == "ds":
-        got = du.d_S(_bare_partition(args.mu), _bare_partition(args.nu),
-                     args.letter)
-        out.emit(got, format_partition(got))
-    elif verb == "da":
-        got = du.d_A_triv(_parse_partition(args.partition), args.letter)
-        out.emit(got, str(got))
-    elif verb == "lea":
-        got = du.le_A(_parse_marked(args.left, args.letter),
-                      _parse_marked(args.right, args.letter))
-        out.emit(got, "true" if got else "false")
-    elif verb == "wf":
-        got = wf.wf_iwahori_real(_parse_partition(args.orbit), args.letter)
-        out.emit(got, str(got))
-    elif verb == "wf-wrep":
-        rep = _parse_irrep(args.bipartition, args.letter)
-        got = wf.wf_of_wrep(rep)
-        out.emit(got, str(got))
-    elif verb == "faithful":
-        got = fa.faithful_pair(_parse_partition(args.partition), args.letter)
-        out.emit(got, str(got))
-    elif verb == "verify-faithful":
-        return _run_verify(args, out)
-    elif verb == "exceptional":
-        got = fa.exceptional_lookup(args.group, args.label, args.table_path)
-        out.emit(got, str(got))
-    elif verb == "enumerate":
-        for lam in pt.enumerate_orbits(args.letter, args.rank):
-            out.emit(lam, format_partition(lam))
-    else:  # pragma: no cover
-        raise UsageError(f"unknown verb {verb!r}")
+def _springer(args, out: _Out) -> int:
+    lam = _parse_partition(args.partition)
+    conv = args.letter if args.side == "group" else pt.dual_letter(args.letter)
+    symbol = sp.springer_symbol(lam, conv)
+    bare = symbol.sym if isinstance(symbol, sy.DecoratedSymbol) else symbol
+    rep = sp.rep_of_orbit(lam, conv, args.letter)
+    out.emit(symbol, f"{sy.render(bare)}\ncharacter {rep}")
     return EXIT_OK
 
 
-def _run_verify(args, out: _Out) -> int:
+def _family(args, out: _Out) -> int:
+    fid = sp.family_of(_parse_irrep(args.bipartition, args.letter))
+    members = sp.family_members(fid) if args.members else []
+    if out.mode == "structured":
+        for obj in [fid, *members]:
+            out.emit(obj)
+    else:
+        line = f"family {fid}"
+        if members:
+            line += "  members: " + " ".join(map(str, members))
+        out.emit(fid, line)
+    return EXIT_OK
+
+
+def _enumerate(args, out: _Out) -> int:
+    for lam in pt.enumerate_orbits(args.letter, args.rank):
+        out.emit(lam)
+    return EXIT_OK
+
+
+def _verify(args, out: _Out) -> int:
     if (args.partition is None) == (args.rank is None):
         raise UsageError("verify-faithful needs a partition or --rank")
     twist = not args.no_twist
@@ -387,17 +355,13 @@ def _run_verify(args, out: _Out) -> int:
     else:
         reports = fa.verify_all(args.letter, args.rank, twist)
     lines = []
-    ok = True
     for rep in reports:
-        status = "ok" if rep.ok else "FAIL"
         lines.append(f"{rep.letter} {rep.orbit}: condition-i="
-                     f"{str(rep.condition_i).lower()} condition-ii="
-                     f"{str(rep.condition_ii).lower()} [{status}] "
-                     f"{rep.pair}")
+                     f"{_text_of(rep.condition_i)} condition-ii="
+                     f"{_text_of(rep.condition_ii)} "
+                     f"[{'ok' if rep.ok else 'FAIL'}] {rep.pair}")
         for e_label, f_label in rep.witnesses:
             lines.append(f"    {e_label} <- {f_label if f_label else 'NO WITNESS'}")
-        if not rep.ok:
-            ok = False
     body = "\n".join(lines)
     if args.witness_file:
         with open(args.witness_file, "w", encoding="utf-8") as fh:
@@ -407,20 +371,17 @@ def _run_verify(args, out: _Out) -> int:
             out.emit(rep)
     else:
         print(body, file=out.stream)
-    return EXIT_OK if ok else EXIT_VERIFY
+    return EXIT_OK if all(rep.ok for rep in reports) else EXIT_VERIFY
 
 
 def run(argv, stream=None) -> int:
-    stream = stream or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    out = _Out(args.mode, stream)
-    try:
-        return _run(args, out)
+        args = build_parser().parse_args(argv)
+        out = _Out(args.mode, stream or sys.stdout)
+        if args.own_output:
+            return args.compute(args, out)
+        out.emit(args.compute(args))
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -95,8 +95,7 @@ def pair_shape(mu: Partition, nu: Partition, letter: str) -> sp.PseudoLeviShape:
 def sbar(mu: Partition, nu: Partition, letter: str) -> MarkedOrbit:
     """Image of the pseudo-Levi orbit pair: the union of the factors, marked
     by the reduction of the first factor."""
-    shape = pair_shape(mu, nu, letter)
-    del shape
+    pair_shape(mu, nu, letter)
     lam = pt.union(mu, nu)
     return MarkedOrbit(letter, lam, pt.reduction(lam, mu, letter))
 

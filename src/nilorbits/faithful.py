@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from itertools import product
 
 from . import duality as du
@@ -301,6 +300,8 @@ def load_exceptional_table(path: str | None = None) -> list[ExceptionalEntry]:
 
 @lru_cache(maxsize=None)
 def _shipped_table() -> tuple[ExceptionalEntry, ...]:
+    # imported here, like hashlib below, so that the CLI import skips it
+    from importlib import resources
     return tuple(_parse_table(resources.files("nilorbits").joinpath(
         "exceptional_tables.txt").read_text()))
 

@@ -17,11 +17,10 @@ What they assume of their input:
 
 * ``as_partition`` canonicalises any iterable (sorted decreasing, zeros
   dropped, negative parts refused), and so do ``union``,
-  ``canonical_pair``, ``parse_partition`` and the two dataclasses;
-* ``multiplicity``, ``height``, ``is_type_partition``, ``is_very_even``,
-  ``format_partition``, ``contains``, ``subtract``, ``markable_parts`` and
-  ``reduction`` take a tuple or list in any order, zeros and negative parts
-  included;
+  ``canonical_pair``, ``parse_partition`` and ``DecoratedPartition``;
+* ``height``, ``is_type_partition``, ``is_very_even``, ``format_partition``,
+  ``contains``, ``subtract``, ``markable_parts`` and ``reduction`` take a
+  tuple or list in any order, zeros and negative parts included;
 * ``transpose`` takes a tuple or list in any order and reads ``lam[0]``
   as the number of columns;
 * the rest (``dominance_le``, ``dominance_key``, ``raise_first``,
@@ -74,11 +73,6 @@ def as_partition(parts) -> Partition:
             raise PartitionError(f"negative part {out[-1]} is not allowed")
         del out[out.index(0):]
     return tuple(out)
-
-
-def multiplicity(lam: Partition, x: int) -> int:
-    """Number of parts of lam equal to x."""
-    return sum(1 for p in lam if p == x)
 
 
 def height(lam: Partition, x: int) -> int:
@@ -449,38 +443,6 @@ def canonical_pair(first, second) -> tuple[Partition, Partition]:
     if (sum(a), a) < (sum(b), b):
         a, b = b, a
     return a, b
-
-
-@dataclass(frozen=True)
-class UnorderedBipartition:
-    """Unordered decorated pair of partitions; the avatar of an irreducible
-    character of an even-signed permutation group.  The decoration is only
-    meaningful when the halves are equal and is normalized to 0 otherwise."""
-
-    first: Partition
-    second: Partition
-    kappa: int = 0
-
-    def __post_init__(self):
-        a, b = canonical_pair(self.first, self.second)
-        object.__setattr__(self, "first", a)
-        object.__setattr__(self, "second", b)
-        if self.kappa not in (0, 1):
-            raise PartitionError(f"decoration must be 0 or 1, got {self.kappa}")
-        if self.first != self.second:
-            object.__setattr__(self, "kappa", 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self.first) + sum(self.second)
-
-    @property
-    def degenerate(self) -> bool:
-        return self.first == self.second
-
-    def __str__(self) -> str:
-        body = f"{{{format_partition(self.first)},{format_partition(self.second)}}}"
-        return f"{body}:{self.kappa}" if self.degenerate else body
 
 
 _PART_TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")

@@ -150,7 +150,15 @@ def rep_ssymbol(rep: WeylIrrep, convention: str | None = None,
     return sy.symbol_of_pair(rep.first, rep.second, convention, "s", k)
 
 
-def _parity_split(entries) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _staircase(lam: Partition,
+               odd_length: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The Springer recipe's rows: pad the parts with a 0 to the wanted
+    length parity, add 0, 1, 2, ... in increasing order and split the
+    entries by parity, halved (odd entries first)."""
+    padded = sorted(lam)
+    if len(padded) % 2 != odd_length:
+        padded = [0] + padded
+    entries = [v + i for i, v in enumerate(padded)]
     odd = tuple(sorted((e - 1) // 2 for e in entries if e % 2))
     even = tuple(sorted(e // 2 for e in entries if e % 2 == 0))
     return odd, even
@@ -168,12 +176,7 @@ def springer_symbol(lam, letter: str):
     if not is_type_partition(lam, letter):
         raise PartitionError(f"{format_partition(lam)} is not a "
                              f"{letter}-partition")
-    want_odd_length = letter in ("B", "C")
-    padded = sorted(lam)
-    if len(padded) % 2 != (1 if want_odd_length else 0):
-        padded = [0] + padded
-    entries = [v + i for i, v in enumerate(padded)]
-    xi, eta = _parity_split(entries)
+    xi, eta = _staircase(lam, letter in ("B", "C"))
     if letter == "B":
         assert len(xi) == len(eta) + 1
         return Symbol(xi, eta, "a")
@@ -276,25 +279,20 @@ def collapse_symbol(lam: Partition, kappa: int = 0) -> DecoratedSymbol:
     if not is_type_partition(pt.transpose(lam), "D"):
         raise PartitionError(f"transpose of {format_partition(lam)} is not "
                              f"a D-partition")
-    padded = sorted(lam)
-    if len(padded) % 2:
-        padded = [0] + padded
-    entries = [v + i for i, v in enumerate(padded)]
-    xi, eta = _parity_split(entries)
+    xi, eta = _staircase(lam, False)
     assert len(xi) == len(eta)
     return DecoratedSymbol(Symbol(xi, eta, "a"), kappa)
 
 
-def dual_fiber(lam, letter: str, k: int | None = None) -> list[WeylIrrep]:
+def dual_fiber(lam, letter: str) -> list[WeylIrrep]:
     """All characters of the rank-n type-``letter`` group whose dual-side
     Springer support is ``lam``: the similarity class of its dual-side
     s-symbol, enumerated by ``enumerate_class``."""
     conv = dual_letter(letter)
     first, second, kappa = springer_bipartition(lam, conv)
     rank = sum(first) + sum(second)
-    if k is None:
-        k = max(sy.min_size_pair(first, second, conv),
-                len(pt.bare(lam)) // 2 + 1)
+    k = max(sy.min_size_pair(first, second, conv),
+            len(pt.bare(lam)) // 2 + 1)
     ssym = sy.symbol_of_pair(first, second, conv, "s", k)
     return _irreps_of_symbols(sy.enumerate_class(ssym, conv), conv,
                               letter, rank, kappa)

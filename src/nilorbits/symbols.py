@@ -50,9 +50,11 @@ class Symbol:
     def gap_ok(self) -> bool:
         """Rows increase in steps of at least 2 (automatic for a-symbols)."""
         gap = 2 if self.kind == "s" else 1
-        return all(row[i + 1] - row[i] >= gap
-                   for row in (self.top, self.bottom)
-                   for i in range(len(row) - 1))
+        for row in (self.top, self.bottom):
+            for x, y in zip(row, row[1:]):
+                if y - x < gap:
+                    return False
+        return True
 
     @property
     def defect(self) -> int:

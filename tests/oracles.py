@@ -92,7 +92,7 @@ def hyperoct_char(lam, mu, pos, neg) -> int:
 def _centralizer_order(rho) -> int:
     out = 1
     for k in set(rho):
-        m = pt.multiplicity(rho, k)
+        m = rho.count(k)
         out *= (2 * k) ** m * factorial(m)
     return out
 
@@ -520,7 +520,8 @@ def as_partition_loop(parts):
 
 
 def multiplicity_loop(lam, x) -> int:
-    """The reference for ``partitions.multiplicity``."""
+    """Number of parts of lam equal to x, one part at a time; the loop
+    oracles below count with it."""
     return sum(1 for p in lam if p == x)
 
 
@@ -619,6 +620,15 @@ def symbol_loop(top, bottom, kind: str):
         if any(row[i + 1] <= row[i] for i in range(len(row) - 1)):
             raise sy.SymbolError(f"row {row} is not strictly increasing")
     return top, bottom, kind
+
+
+def gap_ok_loop(sym) -> bool:
+    """One generator step per index over both rows.  The reference for
+    ``symbols.Symbol.gap_ok``."""
+    gap = 2 if sym.kind == "s" else 1
+    return all(row[i + 1] - row[i] >= gap
+               for row in (sym.top, sym.bottom)
+               for i in range(len(row) - 1))
 
 
 def pair_of_symbol_loop(sym, letter: str):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -128,15 +129,16 @@ def test_module_entry_point():
 
 
 def test_cli_import_leaves_hashlib_out():
-    """Importing the CLI does not import hashlib: only reading an
-    exceptional table needs it."""
+    """Importing the CLI imports neither hashlib nor importlib.resources:
+    only reading an exceptional table needs them."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = (f"import sys; sys.path.insert(0, {src!r}); import nilorbits.cli; "
-            f"print('hashlib' in sys.modules)")
+            f"print('hashlib' in sys.modules, "
+            f"'importlib.resources' in sys.modules)")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_package_entry_point():
@@ -229,3 +231,25 @@ def test_verify_structured():
     assert code == 0
     assert recs[0]["kind"] == "faithfulness_report"
     assert recs[0]["condition_i"] and recs[0]["condition_ii"]
+
+
+def test_cli_population_matches_recorded_digests(monkeypatch):
+    """Every query of the benchmark's CLI population, run in process, gives
+    the exit code and standard output recorded in perfbench/digests.json
+    (sha256 of ``f"{code}\\n{stdout}"``, keyed by the shell-quoted argv)."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    monkeypatch.syspath_prepend(bench)
+    monkeypatch.delenv("NILORBITS_MAX_RANK", raising=False)
+    from cli_queries import population
+    with open(os.path.join(bench, "digests.json"), encoding="utf-8") as fh:
+        recorded = json.load(fh)["cli_queries"]
+    queries = population()
+    assert len(queries) == len(recorded) == 488
+    wrong = []
+    for query in queries:
+        code, out = run(*query.argv)
+        got = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+        if got != recorded[query.key]:
+            wrong.append((query.key, code, out))
+    assert not wrong, wrong[:3]

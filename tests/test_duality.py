@@ -14,7 +14,7 @@ from nilorbits import springer as sp
 def splits(lam):
     """Every (first, rest) pair of partitions with union lam."""
     values = sorted(set(lam), reverse=True)
-    for combo in product(*[range(P.multiplicity(lam, v) + 1) for v in values]):
+    for combo in product(*[range(lam.count(v) + 1) for v in values]):
         mu = P.as_partition([v for v, m in zip(values, combo)
                              for _ in range(m)])
         yield mu, P.subtract(lam, mu)

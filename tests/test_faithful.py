@@ -32,7 +32,7 @@ def test_pi_mu_structure(letter):
             pi, mu = F.pi_mu(lam, letter)
             assert P.contains(mu, pi)
             diff = P.subtract(mu, pi)
-            assert all(P.multiplicity(diff, x) % 2 == 0 for x in set(diff))
+            assert all(diff.count(x) % 2 == 0 for x in set(diff))
 
 
 @pytest.mark.parametrize("letter", P.LETTERS)
@@ -97,7 +97,7 @@ OMEGA = {"B": 1, "C": 0, "D": 1}
 
 def _distinct_with_mults(lam) -> tuple[list[int], list[int]]:
     values = sorted(set(lam))
-    return values, [P.multiplicity(lam, v) for v in values]
+    return values, [lam.count(v) for v in values]
 
 
 def dual_factor_symbol(lam, letter: str) -> S.Symbol:

@@ -35,9 +35,6 @@ small_partitions = st.lists(st.integers(min_value=1, max_value=9),
 
 
 def test_multiplicity_and_height():
-    assert P.multiplicity((3, 1, 1), 1) == 2
-    assert P.multiplicity((3, 1, 1), 2) == 0
-    assert P.multiplicity((4, 4, 2), 4) == 2
     assert P.height((3, 1, 1), 1) == 3
     assert P.height((3, 1, 1), 3) == 1
     assert P.height((5, 3, 3, 1), 3) == 3
@@ -304,16 +301,6 @@ def test_decorated_identification():
     assert P.DecoratedPartition((2, 2), 0) != P.DecoratedPartition((2, 2), 1)
 
 
-def test_unordered_bipartition_canonical():
-    a = P.UnorderedBipartition((1,), (2, 1))
-    b = P.UnorderedBipartition((2, 1), (1,))
-    assert a == b
-    assert a.first == (2, 1)
-    eq0 = P.UnorderedBipartition((1,), (1,), 0)
-    eq1 = P.UnorderedBipartition((1,), (1,), 1)
-    assert eq0 != eq1 and eq0.degenerate
-
-
 # ---------------------------------------------------------------------------
 # the single-pass primitives against their per-part loops
 
@@ -366,8 +353,6 @@ def assert_primitives_agree(inputs):
         for new, old in ONE_ARGUMENT:
             assert O.outcome(new, lam) == O.outcome(old, lam), (new, lam)
         for x in range(-2, max(lam, default=0) + 2):
-            assert O.outcome(P.multiplicity, lam, x) == \
-                O.outcome(O.multiplicity_loop, lam, x), (lam, x)
             assert O.outcome(P.height, lam, x) == \
                 O.outcome(O.height_loop, lam, x), (lam, x)
         for letter in P.LETTERS + ("A",):

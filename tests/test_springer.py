@@ -360,7 +360,7 @@ def _z(rho):
     from math import factorial
     out = 1
     for k in set(rho):
-        m = P.multiplicity(rho, k)
+        m = rho.count(k)
         out *= k ** m * factorial(m)
     return out
 

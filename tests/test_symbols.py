@@ -412,6 +412,28 @@ def test_symbol_rows_match_loop():
         ("returns", ([0, 2], [1], "s"))
 
 
+def test_gap_ok_matches_loop():
+    """Every symbol of every bipartition through rank 8, both kinds, each
+    convention, at the minimal size and one more; with its rows swapped and
+    with the other kind's gap, so off-type and malformed symbols (gaps
+    below 2 in an s-symbol) are checked too."""
+    outcomes = set()
+    for n in range(9):
+        for lam, mu in bipartitions(n):
+            for letter in ("B", "C", "D"):
+                for kind in ("s", "a"):
+                    other = "a" if kind == "s" else "s"
+                    k0 = S.min_size_pair(lam, mu, letter)
+                    for k in (k0, k0 + 1):
+                        sym = S.symbol_of_pair(lam, mu, letter, kind, k)
+                        for case in (sym, sym.swapped(),
+                                     S.Symbol(sym.top, sym.bottom, other)):
+                            got = case.gap_ok()
+                            assert got == O.gap_ok_loop(case), case
+                            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
 def test_pair_of_symbol_matches_loop():
     """Every pair of strictly increasing rows with entries < 10 and at most
     three entries, both kinds, letters B, C and D.  s-symbols whose gaps
