@@ -5,6 +5,10 @@ subpartition supported on the markable parts with multiplicities at most one.
 Marked orbits are the combinatorial avatars of pairs (orbit, conjugacy class
 in Lusztig's canonical quotient); the reduction is a complete invariant in
 the classical types, so no group-theoretic model is kept.
+
+Public entry points check their arguments; internal producers use the
+trusted path: the Achar duals and ``sbar`` images built here from checked
+orbits skip ``MarkedOrbit``'s check that the marking is reduced.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ from itertools import zip_longest
 from . import partitions as pt
 from . import springer as sp
 from .partitions import (DecoratedPartition, Partition, PartitionError,
-                         dual_letter, format_partition, is_type_partition,
-                         is_very_even)
+                         dual_letter, format_partition, is_very_even)
 
 
 @dataclass(frozen=True)
@@ -31,9 +34,7 @@ class MarkedOrbit:
     def __post_init__(self):
         object.__setattr__(self, "orbit", pt.as_partition(self.orbit))
         object.__setattr__(self, "marking", pt.as_partition(self.marking))
-        if not is_type_partition(self.orbit, self.letter):
-            raise PartitionError(f"{format_partition(self.orbit)} is not a "
-                                 f"{self.letter}-partition")
+        pt.assert_type_partition(self.orbit, self.letter)
         # a marking is its own reduction exactly when its parts are
         # distinct markable parts of the orbit
         parts = set(self.marking)
@@ -85,10 +86,8 @@ def pair_shape(mu: Partition, nu: Partition, letter: str) -> sp.PseudoLeviShape:
                              f"{format_partition(nu)}) sits on the "
                              f"degenerate shape {shape}")
     y, x = shape.factor_letters
-    if not is_type_partition(mu, y):
-        raise PartitionError(f"{format_partition(mu)} is not a {y}-partition")
-    if not is_type_partition(nu, x):
-        raise PartitionError(f"{format_partition(nu)} is not a {x}-partition")
+    pt.assert_type_partition(mu, y)
+    pt.assert_type_partition(nu, x)
     return shape
 
 
@@ -96,8 +95,15 @@ def sbar(mu: Partition, nu: Partition, letter: str) -> MarkedOrbit:
     """Image of the pseudo-Levi orbit pair: the union of the factors, marked
     by the reduction of the first factor."""
     pair_shape(mu, nu, letter)
+    return _image(mu, nu, letter)
+
+
+def _image(mu: Partition, nu: Partition, letter: str) -> MarkedOrbit:
+    # ``sbar`` of a pair that ``pair_shape`` has already checked: the union
+    # of a y- and an x-partition of the shape is a ``letter``-partition
     lam = pt.union(mu, nu)
-    return MarkedOrbit(letter, lam, pt.reduction(lam, mu, letter))
+    return pt._trusted(MarkedOrbit, letter, lam,
+                       pt._reduction(lam, mu, letter))
 
 
 def d_S(mu: Partition, nu: Partition, letter: str) -> Partition:
@@ -143,10 +149,7 @@ def _orbit(lam, letter: str) -> Partition:
     """The sorted bare partition of a dual-side orbit, checked against the
     dual type of ``letter``."""
     bare = pt.as_partition(pt.bare(lam))
-    co = dual_letter(letter)
-    if not is_type_partition(bare, co):
-        raise PartitionError(f"{format_partition(bare)} is not a "
-                             f"{co}-partition")
+    pt.assert_type_partition(bare, dual_letter(letter))
     return bare
 
 
@@ -192,8 +195,8 @@ def _d_A_of_orbit(letter: str, bare: Partition) -> MarkedOrbit:
     # one MarkedOrbit per orbit, so its cached prefix sums are shared too
     pi, _ = _pi_mu(bare, letter)
     dual_orbit = pt.dual(bare, dual_letter(letter))
-    return MarkedOrbit(letter, dual_orbit,
-                       pt.reduction(dual_orbit, pi, letter))
+    return pt._trusted(MarkedOrbit, letter, dual_orbit,
+                       pt._reduction(dual_orbit, pi, letter))
 
 
 def closure_le(lam1, lam2, letter: str) -> bool:
@@ -230,11 +233,6 @@ def maximal_marked(items) -> list[MarkedOrbit]:
     """The maximal elements of a set of marked orbits under the Achar
     order."""
     items = list(dict.fromkeys(items))
-    out = []
-    for m in items:
-        if any(other != m and le_A(m, other) and not le_A(other, m)
-               for other in items):
-            continue
-        if m not in out:
-            out.append(m)
-    return out
+    return [m for m in items
+            if not any(other != m and le_A(m, other) and not le_A(other, m)
+                       for other in items)]

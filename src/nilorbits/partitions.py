@@ -179,7 +179,8 @@ def key_le(low: DominanceKey, high: DominanceKey) -> bool:
     the one of ``low``; no field borrows from the next, since each field of
     ``low`` is below its guard bit."""
     total, guard, packed = low
-    _check_equal_totals(total, high[0])
+    if total != high[0]:
+        _check_equal_totals(total, high[0])
     return ((high[2] | guard) - packed) & guard == guard
 
 
@@ -220,6 +221,12 @@ def is_type_partition(lam: Partition, letter: str) -> bool:
     fix = [p for p in lam if p % 2 == bad]
     fix.sort()
     return fix[::2] == fix[1::2]
+
+
+def assert_type_partition(lam: Partition, letter: str) -> None:
+    if not is_type_partition(lam, letter):
+        raise PartitionError(f"{format_partition(lam)} is not a "
+                             f"{letter}-partition")
 
 
 def is_very_even(lam: Partition) -> bool:
@@ -274,9 +281,7 @@ def is_special(lam, letter: str) -> bool:
     are special.
     """
     lam = bare(lam)
-    _check_letter(letter)
-    if not is_type_partition(lam, letter):
-        raise PartitionError(f"{format_partition(lam)} is not a {letter}-partition")
+    assert_type_partition(lam, letter)
     delim = 1 if letter == "C" else 0  # parity of the delimiting parts
     runs = []
     current = 0
@@ -310,9 +315,7 @@ def dual(lam, letter: str):
     even type-D image is not computed: the result is a bare partition.
     """
     lam = bare(lam)
-    _check_letter(letter)
-    if not is_type_partition(lam, letter):
-        raise PartitionError(f"{format_partition(lam)} is not a {letter}-partition")
+    assert_type_partition(lam, letter)
     if letter == "B":
         return collapse(lower_last(transpose(lam)), "C")
     if letter == "C":
@@ -323,9 +326,7 @@ def dual(lam, letter: str):
 def self_dual(lam: Partition, letter: str) -> Partition:
     """Duality within the same type: transpose followed by the same-type
     collapse.  Used for orbits of pseudo-Levi factors."""
-    _check_letter(letter)
-    if not is_type_partition(lam, letter):
-        raise PartitionError(f"{format_partition(lam)} is not a {letter}-partition")
+    assert_type_partition(lam, letter)
     return collapse(transpose(lam), letter)
 
 
@@ -379,9 +380,12 @@ def markable_parts(lam: Partition, letter: str) -> Partition:
     * C: x even with even height,
     * D: x odd with even height.
     """
-    _check_letter(letter)
-    if not is_type_partition(lam, letter):
-        raise PartitionError(f"{format_partition(lam)} is not a {letter}-partition")
+    assert_type_partition(lam, letter)
+    return _markable_parts(lam, letter)
+
+
+def _markable_parts(lam: Partition, letter: str) -> Partition:
+    # ``markable_parts`` of a checked ``letter``-partition
     want = {"B": (1, 1), "C": (0, 0), "D": (1, 0)}[letter]
     out = []
     ht = 0  # the height of x: the parts counted so far, all >= x
@@ -396,9 +400,15 @@ def reduction(lam: Partition, mu: Partition, letter: str) -> Partition:
     """Canonical reduced marking r_lam(mu): the markable part x_i is kept
     exactly when ht_mu(x_i) - ht_mu(x_{i+1}) is odd, x_{i+1} being the next
     larger markable part (height 0 beyond the largest)."""
+    assert_type_partition(lam, letter)
+    return _reduction(lam, mu, letter)
+
+
+def _reduction(lam: Partition, mu: Partition, letter: str) -> Partition:
+    # ``reduction`` on a checked ``letter``-partition
     kept = []
     upper = 0
-    for x in markable_parts(lam, letter):  # decreasing
+    for x in _markable_parts(lam, letter):  # decreasing
         ht = height(mu, x)
         if (ht - upper) % 2 == 1:
             kept.append(x)
@@ -429,6 +439,17 @@ class DecoratedPartition:
     def __str__(self) -> str:
         body = format_partition(self.parts)
         return f"{body}:{self.kappa}" if self.very_even else body
+
+
+def _trusted(cls, *values):
+    """The frozen dataclass ``cls`` with ``values`` as its fields, made
+    without ``__post_init__``, for internal producers whose values are
+    already checked and canonical.  Fields are set one by one in field
+    order, as ``__init__`` does, so instances still share dict keys."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def bare(lam) -> Partition:

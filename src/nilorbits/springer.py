@@ -6,6 +6,10 @@ ordered bipartitions of n; those of the even-signed permutation group by
 unordered bipartitions, decorated when the halves agree.  The recipes below
 translate a nilpotent-orbit partition into the a-symbol class of its Springer
 character with trivial local system, and back.
+
+Public entry points check their arguments; internal producers use the
+trusted path: class and family members and sign twists, built from pairs
+already canonical with the right total, skip ``WeylIrrep``'s checks.
 """
 
 from __future__ import annotations
@@ -47,14 +51,9 @@ class WeylIrrep:
         if self.kappa not in (0, 1):
             raise PartitionError(f"decoration must be 0 or 1, got "
                                  f"{self.kappa}")
-        first, second, kappa = self.first, self.second, self.kappa
-        if self.letter == "D":
-            first, second = pt.canonical_pair(first, second)
-            if first != second or not first:
-                kappa = 0
-        else:
-            first, second = as_partition(first), as_partition(second)
-            kappa = 0
+        first, second, kappa = _canonical_halves(
+            self.letter, as_partition(self.first), as_partition(self.second),
+            self.kappa)
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
         object.__setattr__(self, "kappa", kappa)
@@ -91,6 +90,24 @@ class WeylIrrep:
         return f"({body})"
 
 
+def _canonical_halves(letter: str, first: Partition, second: Partition,
+                      kappa: int) -> tuple[Partition, Partition, int]:
+    # ``WeylIrrep``'s fields from canonical halves: in type D the larger
+    # half first (``canonical_pair``), a decoration only when degenerate
+    if letter != "D":
+        return first, second, 0
+    if (sum(first), first) < (sum(second), second):
+        first, second = second, first
+    return first, second, kappa if first == second and first else 0
+
+
+def _irrep(letter: str, rank: int, first: Partition, second: Partition,
+           kappa: int) -> WeylIrrep:
+    # the trusted ``WeylIrrep`` of canonical partitions with total ``rank``
+    return pt._trusted(WeylIrrep, letter, rank,
+                       *_canonical_halves(letter, first, second, kappa))
+
+
 def irreps(letter: str, rank: int) -> list[WeylIrrep]:
     """All irreducible character avatars of the rank-n group of the type,
     as a fresh list.  The characters themselves are built once per group
@@ -101,23 +118,13 @@ def irreps(letter: str, rank: int) -> list[WeylIrrep]:
 
 @lru_cache(maxsize=None)
 def _irreps(letter: str, rank: int) -> tuple[WeylIrrep, ...]:
-    out = []
-    seen = set()
+    out: dict[WeylIrrep, None] = {}
     for a in range(rank + 1):
         for lam in pt.integer_partitions(a):
             for mu in pt.integer_partitions(rank - a):
-                if letter == "D":
-                    if lam == mu and lam:
-                        for kappa in (0, 1):
-                            rep = WeylIrrep(letter, rank, lam, mu, kappa)
-                            if rep not in seen:
-                                seen.add(rep)
-                                out.append(rep)
-                        continue
-                rep = WeylIrrep(letter, rank, lam, mu)
-                if rep not in seen:
-                    seen.add(rep)
-                    out.append(rep)
+                degenerate = letter == "D" and lam == mu and lam
+                for kappa in (0, 1) if degenerate else (0,):
+                    out.setdefault(WeylIrrep(letter, rank, lam, mu, kappa))
     return tuple(out)
 
 
@@ -133,7 +140,8 @@ def sgn_twist(rep: WeylIrrep) -> WeylIrrep:
     """Tensor with the sign character on the avatar level."""
     a, b, kappa = sy.sgn_twist_pair(rep.first, rep.second, rep.letter,
                                     rep.kappa)
-    return WeylIrrep(rep.letter, rep.rank, a, b, kappa)
+    # transposes of canonical partitions, with the total of ``rep``
+    return _irrep(rep.letter, rep.rank, a, b, kappa)
 
 
 def rep_asymbol(rep: WeylIrrep, convention: str | None = None,
@@ -173,9 +181,7 @@ def springer_symbol(lam, letter: str):
     if isinstance(lam, DecoratedPartition):
         kappa = lam.kappa
         lam = lam.parts
-    if not is_type_partition(lam, letter):
-        raise PartitionError(f"{format_partition(lam)} is not a "
-                             f"{letter}-partition")
+    pt.assert_type_partition(lam, letter)
     xi, eta = _staircase(lam, letter in ("B", "C"))
     if letter == "B":
         assert len(xi) == len(eta) + 1
@@ -208,16 +214,13 @@ def rep_of_orbit(lam, conv_letter: str, ambient_letter: str) -> WeylIrrep:
 def _orbit_from_rows(xi, eta, letter: str):
     merged = sorted([2 * x + 1 for x in xi] + [2 * y for y in eta])
     parts = [v - i for i, v in enumerate(merged)]
-    if any(p < 0 for p in parts) or \
-            any(parts[i] > parts[i + 1] for i in range(len(parts) - 1)):
+    if min(parts, default=0) < 0 or parts != sorted(parts):
         return None
     lam = as_partition(parts)
     try:
-        if not is_type_partition(lam, letter):
-            return None
+        return lam if is_type_partition(lam, letter) else None
     except PartitionError:
         return None
-    return lam
 
 
 def orbit_of_symbol(alpha, letter: str):
@@ -259,11 +262,11 @@ def springer_support(rep: WeylIrrep, side: str = "group"):
     lead = 1 if conv == "C" else 0
     top = tuple(v - j for j, v in enumerate(mono.top))
     bottom = tuple(v - j - lead for j, v in enumerate(mono.bottom))
-    # rows of a monotonic s-symbol step by at least 2, so a part of the
-    # bipartition, an a-row entry less its column, is least in column 0
+    # rows of a monotonic s-symbol step by at least 2, so the a-rows
+    # increase and a part, an a-row entry less its column, is least first
     if min(top[:1] + bottom[:1], default=0) < 0:
         raise SymbolError(f"{mono} is not in the image of a bipartition")
-    alpha = Symbol(top, bottom, "a")
+    alpha = pt._trusted(Symbol, top, bottom, "a")
     if conv == "D":
         kappa = rep.kappa if rep.degenerate else 0
         return orbit_of_symbol(DecoratedSymbol(alpha, kappa), "D")
@@ -274,8 +277,7 @@ def collapse_symbol(lam: Partition, kappa: int = 0) -> DecoratedSymbol:
     """a-symbol class of the Springer character of the D-collapse of the
     transpose-compatible C-partition ``lam``, read off without computing the
     collapse: pad to even length, add 0, 1, 2, ... and split by parity."""
-    if not is_type_partition(lam, "C"):
-        raise PartitionError(f"{format_partition(lam)} is not a C-partition")
+    pt.assert_type_partition(lam, "C")
     if not is_type_partition(pt.transpose(lam), "D"):
         raise PartitionError(f"transpose of {format_partition(lam)} is not "
                              f"a D-partition")
@@ -302,10 +304,15 @@ def _irreps_of_symbols(symbols, conv: str, letter: str, rank: int,
                        kappa: int) -> list[WeylIrrep]:
     """The distinct characters whose symbols in the ``conv`` convention are
     listed, in order of first appearance; ``WeylIrrep`` keeps the decoration
-    only on a degenerate type-D pair."""
-    return list(dict.fromkeys(
-        WeylIrrep(letter, rank, *sy.pair_of_symbol(sym, conv), kappa)
-        for sym in symbols))
+    only on a degenerate type-D pair.  Only the first character goes
+    through the checks, of a caller's ``FamilyId`` too: similar symbols
+    share their rows' lengths and entries, so all pairs share its total."""
+    out: dict[WeylIrrep, None] = {}
+    for sym in symbols:
+        make = _irrep if out else WeylIrrep
+        out.setdefault(make(letter, rank, *sy.pair_of_symbol(sym, conv),
+                            kappa))
+    return list(out)
 
 
 def is_special_rep(rep: WeylIrrep) -> bool:

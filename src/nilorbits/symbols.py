@@ -11,6 +11,10 @@ identity on the underlying bipartition; ``similar`` symbols share the
 multiset of entries at a common size.  Similarity classes of s-symbols
 collect the characters with a fixed Springer support, similarity classes of
 a-symbols are the families.
+
+Public entry points check their arguments; internal producers use the
+trusted path: the class and family members and monotonic representatives
+dealt here from checked symbols skip ``Symbol``'s row check.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from operator import lt, sub
 
+from . import partitions as pt
 from .partitions import (Partition, as_partition, canonical_pair,
                          format_partition, transpose)
 
@@ -212,10 +217,8 @@ def bar(sym: Symbol) -> tuple[int, ...]:
         first, second = sym.bottom, sym.top
     else:
         raise SymbolError(f"no interleaving for defect {sym.defect}")
-    out = []
-    for i in range(len(sym.top) + len(sym.bottom)):
-        row = first if i % 2 == 0 else second
-        out.append(row[i // 2])
+    out = list(first + second)
+    out[::2], out[1::2] = first, second
     return tuple(out)
 
 
@@ -236,7 +239,8 @@ def monotonic_representative(sym: Symbol, letter: str) -> Symbol:
         top = values[1::2]
     else:
         raise SymbolError(f"no monotonic form for defect {sym.defect}")
-    out = Symbol(tuple(top), tuple(bottom), sym.kind)
+    # an entry occurs at most once per row, so the dealt rows increase
+    out = pt._trusted(Symbol, tuple(top), tuple(bottom), sym.kind)
     assert_type_symbol(out, letter)
     return out
 
@@ -258,33 +262,17 @@ def refinement(sym: Symbol, letter: str) -> tuple[Block, ...]:
     if not is_monotonic(sym):
         raise SymbolError(f"{sym} is not monotonic")
     order = underline(sym) if sym.defect == 0 else sym
-    labelled = [(v, "t") for v in order.top] + \
-               [(v, "b") for v in order.bottom]
-    labelled.sort(key=lambda p: p[0])
-    blocks: list[Block] = []
-    rest: list[tuple[int, str]] = []
-    i = 0
-    while i < len(labelled):
-        if i + 1 < len(labelled) and labelled[i][0] == labelled[i + 1][0]:
-            pair = labelled[i:i + 2]
-            blocks.append(Block((labelled[i][0],) * 2,
-                                tuple(v for v, r in pair if r == "t"),
-                                tuple(v for v, r in pair if r == "b"),
-                                "pair"))
-            i += 2
-        else:
-            rest.append(labelled[i])
-            i += 1
-    run: list[tuple[int, str]] = []
-    for item in rest + [(None, "")]:
-        if run and (item[0] is None or item[0] != run[-1][0] + 1):
-            blocks.append(Block(tuple(v for v, _ in run),
-                                tuple(v for v, r in run if r == "t"),
-                                tuple(v for v, r in run if r == "b"),
+    top, bottom = set(order.top), set(order.bottom)
+    both = top & bottom  # the repeated entries, one copy in each row
+    blocks = [Block((v, v), (v,), (v,), "pair") for v in both]
+    run: list[int] = []
+    for v in sorted((top | bottom) - both) + [None]:
+        if run and v != run[-1] + 1:
+            blocks.append(Block(tuple(run), tuple(x for x in run if x in top),
+                                tuple(x for x in run if x in bottom),
                                 "interval"))
             run = []
-        if item[0] is not None:
-            run.append(item)
+        run.append(v)
     blocks.sort(key=lambda blk: blk.values[0])
     return tuple(blocks)
 
@@ -346,10 +334,12 @@ def enumerate_class(sym: Symbol, letter: str, k: int | None = None) -> list[Symb
         picked = list(choices)
         for i in odd:
             picked[i] = (choices[i][0 if i in ups else 1],)
+        # the blocks are disjoint and sorted, so each row increases
         for deal in product(*picked):
-            s = Symbol(tuple(v for top, _ in deal for v in top),
-                       tuple(v for _, bottom in deal for v in bottom),
-                       sym.kind)
+            s = pt._trusted(Symbol,
+                            tuple(v for top, _ in deal for v in top),
+                            tuple(v for _, bottom in deal for v in bottom),
+                            sym.kind)
             if has_type_shape(s, letter):
                 out.append(s)
     return sorted(out, key=lambda s: (s.top, s.bottom))
@@ -372,8 +362,8 @@ def similar_symbols(sym: Symbol, letter: str, k: int | None = None) -> list[Symb
     both = set(sym.top) & set(sym.bottom)
     # combinations() yields the dealt top entries in lexicographic order, and
     # merging the same repeated entries into each keeps that order
-    return [Symbol(tuple(sorted(both.union(dealt))),
-                   tuple(sorted(entries.difference(dealt))), "a")
+    return [pt._trusted(Symbol, tuple(sorted(both.union(dealt))),
+                        tuple(sorted(entries.difference(dealt))), "a")
             for dealt in combinations(sorted(entries - both),
                                       len(sym.top) - len(both))]
 

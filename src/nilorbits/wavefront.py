@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import duality as du
+from . import partitions as pt
 from . import springer as sp
 from .duality import MarkedOrbit
 from .partitions import Partition, PartitionError
@@ -39,7 +40,9 @@ def wf_of_wrep(rep: sp.WeylIrrep) -> MarkedOrbit:
     """Wavefront set of an irreducible character: Achar dual of the
     dual-side Springer support, trivially marked."""
     support = sp.springer_support(rep, "dual")
-    return du.d_A_triv(support, rep.letter)
+    # ``springer_support`` has checked the orbit's type, so the orbit goes
+    # to the Achar dual without ``d_A_triv``'s second check
+    return du._d_A_of_orbit(rep.letter, pt.bare(support))
 
 
 def wf_iwahori_real(az_dual_orbit, letter: str) -> WavefrontResult:
