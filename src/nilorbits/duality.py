@@ -233,6 +233,11 @@ def maximal_marked(items) -> list[MarkedOrbit]:
     """The maximal elements of a set of marked orbits under the Achar
     order."""
     items = list(dict.fromkeys(items))
-    return [m for m in items
-            if not any(other != m and le_A(m, other) and not le_A(other, m)
-                       for other in items)]
+    out = []
+    for m in items:
+        if any(other != m and le_A(m, other) and not le_A(other, m)
+               for other in items):
+            continue
+        if m not in out:
+            out.append(m)
+    return out

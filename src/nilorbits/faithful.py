@@ -199,11 +199,9 @@ def verify_faithful(lam, letter: str, apply_sgn_twist: bool = True) -> Faithfuln
     target = du.d_A_triv(lam, letter)
     fiber = sp.dual_fiber(lam, letter)
     pair = _route(lam, letter, fiber, target)
-    if pair.provenance == "general-construction":
-        # ``_route`` has checked this pair with ``pair_shape``
-        image = du._image(*pair.orbit_pair, letter)
-    else:
-        image = du.sbar(*pair.orbit_pair, letter)
+    # every pair from ``_route`` fits its shape: ``pair_shape`` has checked
+    # the general one, and a full-diagram pair is ((), Achar dual orbit)
+    image = du._image(*pair.orbit_pair, letter)
     condition_i = image == target
 
     members1 = _sorted_members(pair.families[0], apply_sgn_twist)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import ge, le, mod
@@ -444,12 +444,18 @@ class DecoratedPartition:
 def _trusted(cls, *values):
     """The frozen dataclass ``cls`` with ``values`` as its fields, made
     without ``__post_init__``, for internal producers whose values are
-    already checked and canonical.  Fields are set one by one in field
-    order, as ``__init__`` does, so instances still share dict keys."""
+    already checked and canonical.  Every field needs a value, defaulted
+    ones too.  Fields are set one by one in field order, as ``__init__``
+    does, so instances still share dict keys."""
     obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
+    for name, value in zip(_field_names(cls), values, strict=True):
         object.__setattr__(obj, name, value)
     return obj
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
 def bare(lam) -> Partition:
@@ -460,10 +466,12 @@ def bare(lam) -> Partition:
 def canonical_pair(first, second) -> tuple[Partition, Partition]:
     """Canonical order for an unordered pair: larger total first, ties broken
     lexicographically (largest first)."""
-    a, b = as_partition(first), as_partition(second)
-    if (sum(a), a) < (sum(b), b):
-        a, b = b, a
-    return a, b
+    return _ordered_pair(as_partition(first), as_partition(second))
+
+
+def _ordered_pair(a: Partition, b: Partition) -> tuple[Partition, Partition]:
+    # ``canonical_pair`` of two canonical partitions
+    return (b, a) if (sum(a), a) < (sum(b), b) else (a, b)
 
 
 _PART_TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")

@@ -92,12 +92,11 @@ class WeylIrrep:
 
 def _canonical_halves(letter: str, first: Partition, second: Partition,
                       kappa: int) -> tuple[Partition, Partition, int]:
-    # ``WeylIrrep``'s fields from canonical halves: in type D the larger
-    # half first (``canonical_pair``), a decoration only when degenerate
+    # ``WeylIrrep``'s fields from canonical halves: in type D the halves in
+    # ``canonical_pair`` order, a decoration only when degenerate
     if letter != "D":
         return first, second, 0
-    if (sum(first), first) < (sum(second), second):
-        first, second = second, first
+    first, second = pt._ordered_pair(first, second)
     return first, second, kappa if first == second and first else 0
 
 
@@ -118,13 +117,23 @@ def irreps(letter: str, rank: int) -> list[WeylIrrep]:
 
 @lru_cache(maxsize=None)
 def _irreps(letter: str, rank: int) -> tuple[WeylIrrep, ...]:
-    out: dict[WeylIrrep, None] = {}
+    out = []
+    seen = set()
     for a in range(rank + 1):
         for lam in pt.integer_partitions(a):
             for mu in pt.integer_partitions(rank - a):
-                degenerate = letter == "D" and lam == mu and lam
-                for kappa in (0, 1) if degenerate else (0,):
-                    out.setdefault(WeylIrrep(letter, rank, lam, mu, kappa))
+                if letter == "D":
+                    if lam == mu and lam:
+                        for kappa in (0, 1):
+                            rep = WeylIrrep(letter, rank, lam, mu, kappa)
+                            if rep not in seen:
+                                seen.add(rep)
+                                out.append(rep)
+                        continue
+                rep = WeylIrrep(letter, rank, lam, mu)
+                if rep not in seen:
+                    seen.add(rep)
+                    out.append(rep)
     return tuple(out)
 
 
@@ -214,13 +223,16 @@ def rep_of_orbit(lam, conv_letter: str, ambient_letter: str) -> WeylIrrep:
 def _orbit_from_rows(xi, eta, letter: str):
     merged = sorted([2 * x + 1 for x in xi] + [2 * y for y in eta])
     parts = [v - i for i, v in enumerate(merged)]
-    if min(parts, default=0) < 0 or parts != sorted(parts):
+    if any(p < 0 for p in parts) or \
+            any(parts[i] > parts[i + 1] for i in range(len(parts) - 1)):
         return None
     lam = as_partition(parts)
     try:
-        return lam if is_type_partition(lam, letter) else None
+        if not is_type_partition(lam, letter):
+            return None
     except PartitionError:
         return None
+    return lam
 
 
 def orbit_of_symbol(alpha, letter: str):

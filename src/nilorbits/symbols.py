@@ -217,8 +217,10 @@ def bar(sym: Symbol) -> tuple[int, ...]:
         first, second = sym.bottom, sym.top
     else:
         raise SymbolError(f"no interleaving for defect {sym.defect}")
-    out = list(first + second)
-    out[::2], out[1::2] = first, second
+    out = []
+    for i in range(len(sym.top) + len(sym.bottom)):
+        row = first if i % 2 == 0 else second
+        out.append(row[i // 2])
     return tuple(out)
 
 
@@ -262,17 +264,33 @@ def refinement(sym: Symbol, letter: str) -> tuple[Block, ...]:
     if not is_monotonic(sym):
         raise SymbolError(f"{sym} is not monotonic")
     order = underline(sym) if sym.defect == 0 else sym
-    top, bottom = set(order.top), set(order.bottom)
-    both = top & bottom  # the repeated entries, one copy in each row
-    blocks = [Block((v, v), (v,), (v,), "pair") for v in both]
-    run: list[int] = []
-    for v in sorted((top | bottom) - both) + [None]:
-        if run and v != run[-1] + 1:
-            blocks.append(Block(tuple(run), tuple(x for x in run if x in top),
-                                tuple(x for x in run if x in bottom),
+    labelled = [(v, "t") for v in order.top] + \
+               [(v, "b") for v in order.bottom]
+    labelled.sort(key=lambda p: p[0])
+    blocks: list[Block] = []
+    rest: list[tuple[int, str]] = []
+    i = 0
+    while i < len(labelled):
+        if i + 1 < len(labelled) and labelled[i][0] == labelled[i + 1][0]:
+            pair = labelled[i:i + 2]
+            blocks.append(Block((labelled[i][0],) * 2,
+                                tuple(v for v, r in pair if r == "t"),
+                                tuple(v for v, r in pair if r == "b"),
+                                "pair"))
+            i += 2
+        else:
+            rest.append(labelled[i])
+            i += 1
+    run: list[tuple[int, str]] = []
+    for item in rest + [(None, "")]:
+        if run and (item[0] is None or item[0] != run[-1][0] + 1):
+            blocks.append(Block(tuple(v for v, _ in run),
+                                tuple(v for v, r in run if r == "t"),
+                                tuple(v for v, r in run if r == "b"),
                                 "interval"))
             run = []
-        run.append(v)
+        if item[0] is not None:
+            run.append(item)
     blocks.sort(key=lambda blk: blk.values[0])
     return tuple(blocks)
 

@@ -631,42 +631,6 @@ def gap_ok_loop(sym) -> bool:
                for i in range(len(row) - 1))
 
 
-def refinement_loop(sym):
-    """Label the entries by row, sort them, take the repeated pairs off in
-    one scan and cut the rest into runs in another.  The reference for
-    ``symbols.refinement`` on a monotonic symbol."""
-    order = sy.underline(sym) if sym.defect == 0 else sym
-    labelled = [(v, "t") for v in order.top] + \
-               [(v, "b") for v in order.bottom]
-    labelled.sort(key=lambda p: p[0])
-    blocks = []
-    rest = []
-    i = 0
-    while i < len(labelled):
-        if i + 1 < len(labelled) and labelled[i][0] == labelled[i + 1][0]:
-            pair = labelled[i:i + 2]
-            blocks.append(sy.Block((labelled[i][0],) * 2,
-                                   tuple(v for v, r in pair if r == "t"),
-                                   tuple(v for v, r in pair if r == "b"),
-                                   "pair"))
-            i += 2
-        else:
-            rest.append(labelled[i])
-            i += 1
-    run = []
-    for item in rest + [(None, "")]:
-        if run and (item[0] is None or item[0] != run[-1][0] + 1):
-            blocks.append(sy.Block(tuple(v for v, _ in run),
-                                   tuple(v for v, r in run if r == "t"),
-                                   tuple(v for v, r in run if r == "b"),
-                                   "interval"))
-            run = []
-        if item[0] is not None:
-            run.append(item)
-    blocks.sort(key=lambda blk: blk.values[0])
-    return tuple(blocks)
-
-
 def pair_of_symbol_loop(sym, letter: str):
     """Subtract the staircase and sort.  The reference for
     ``symbols.pair_of_symbol``."""

@@ -434,25 +434,6 @@ def test_gap_ok_matches_loop():
     assert outcomes == {True, False}
 
 
-def test_refinement_matches_loop():
-    """The monotonic representative of every symbol of every bipartition
-    through rank 8, both kinds, each convention, at the minimal size and
-    one more: the same blocks, in the same order, as the two-scan loop."""
-    tags = set()
-    for n in range(9):
-        for lam, mu in bipartitions(n):
-            for letter in ("B", "C", "D"):
-                for kind in ("s", "a"):
-                    k0 = S.min_size_pair(lam, mu, letter)
-                    for k in (k0, k0 + 1):
-                        mono = S.monotonic_representative(
-                            S.symbol_of_pair(lam, mu, letter, kind, k), letter)
-                        blocks = S.refinement(mono, letter)
-                        assert blocks == O.refinement_loop(mono), mono
-                        tags.update(blk.tag for blk in blocks)
-    assert tags == {"pair", "interval"}
-
-
 def test_pair_of_symbol_matches_loop():
     """Every pair of strictly increasing rows with entries < 10 and at most
     three entries, both kinds, letters B, C and D.  s-symbols whose gaps

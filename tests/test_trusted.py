@@ -98,6 +98,15 @@ def test_answer_digest_on_checked_paths(group, checked_paths):
     assert answer_digests.digest(lines) == PINNED[group]
 
 
+def test_trusted_needs_every_field():
+    """A left-out value, even of a defaulted field, fails where it is
+    made."""
+    with pytest.raises(ValueError):
+        pt._trusted(sp.WeylIrrep, "B", 3, (2,), (1,))
+    with pytest.raises(ValueError):
+        pt._trusted(sy.Symbol, (0,), (1,), "a", 0)
+
+
 def _same(trusted, public):
     assert trusted == public
     assert hash(trusted) == hash(public)
