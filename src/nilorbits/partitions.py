@@ -343,13 +343,25 @@ def integer_partitions(total: int, bound: int | None = None):
 
 @lru_cache(maxsize=None)
 def type_partitions(letter: str, rank: int) -> tuple[Partition, ...]:
-    """All bare X-partitions of the given rank, decreasing-lex ordered."""
+    """All bare X-partitions of the given rank, decreasing-lex ordered,
+    generated directly: a constrained-parity part (even for B and D, odd
+    for C) is always placed together with its twin."""
     _check_letter(letter)
     total = 2 * rank + 1 if letter == "B" else 2 * rank
-    out = [lam for lam in integer_partitions(total)
-           if is_type_partition(lam, letter)]
-    out.sort(reverse=True)
-    return tuple(out)
+    return tuple(_paired_partitions(total, total, 1 if letter == "C" else 0))
+
+
+def _paired_partitions(total: int, bound: int, bad: int):
+    # the partitions of ``total`` into parts at most ``bound``, those of
+    # parity ``bad`` in pairs, decreasing-lex ordered
+    if total == 0:
+        yield ()
+    for first in range(min(bound, total), 0, -1):
+        twin = (first, first) if first % 2 == bad else (first,)
+        if len(twin) * first <= total:
+            for rest in _paired_partitions(total - len(twin) * first, first,
+                                           bad):
+                yield twin + rest
 
 
 def enumerate_orbits(letter: str, rank: int, bound: int | None = None):

@@ -8,8 +8,10 @@ translate a nilpotent-orbit partition into the a-symbol class of its Springer
 character with trivial local system, and back.
 
 Public entry points check their arguments; internal producers use the
-trusted path: class and family members and sign twists, built from pairs
-already canonical with the right total, skip ``WeylIrrep``'s checks.
+trusted path: the character table behind ``irreps``, class and family
+members and sign twists, built from pairs already canonical with the right
+total, skip ``WeylIrrep``'s checks.  ``springer_support`` reads the orbit
+in one pass on rows, with no intermediate symbol.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import le, sub
 
 from . import partitions as pt
 from . import symbols as sy
@@ -117,23 +120,16 @@ def irreps(letter: str, rank: int) -> list[WeylIrrep]:
 
 @lru_cache(maxsize=None)
 def _irreps(letter: str, rank: int) -> tuple[WeylIrrep, ...]:
-    out = []
-    seen = set()
+    # the first character goes through ``WeylIrrep``'s checks (a bad letter
+    # above all); the rest have canonical halves of total ``rank``
+    out: dict[WeylIrrep, None] = {}
     for a in range(rank + 1):
         for lam in pt.integer_partitions(a):
             for mu in pt.integer_partitions(rank - a):
-                if letter == "D":
-                    if lam == mu and lam:
-                        for kappa in (0, 1):
-                            rep = WeylIrrep(letter, rank, lam, mu, kappa)
-                            if rep not in seen:
-                                seen.add(rep)
-                                out.append(rep)
-                        continue
-                rep = WeylIrrep(letter, rank, lam, mu)
-                if rep not in seen:
-                    seen.add(rep)
-                    out.append(rep)
+                degenerate = letter == "D" and lam == mu and lam
+                for kappa in (0, 1) if degenerate else (0,):
+                    make = _irrep if out else WeylIrrep
+                    out.setdefault(make(letter, rank, lam, mu, kappa))
     return tuple(out)
 
 
@@ -222,9 +218,8 @@ def rep_of_orbit(lam, conv_letter: str, ambient_letter: str) -> WeylIrrep:
 
 def _orbit_from_rows(xi, eta, letter: str):
     merged = sorted([2 * x + 1 for x in xi] + [2 * y for y in eta])
-    parts = [v - i for i, v in enumerate(merged)]
-    if any(p < 0 for p in parts) or \
-            any(parts[i] > parts[i + 1] for i in range(len(parts) - 1)):
+    parts = list(map(sub, merged, range(len(merged))))
+    if not all(map(le, [0] + parts, parts)):  # 0 <= parts[0] <= parts[1]...
         return None
     lam = as_partition(parts)
     try:
@@ -235,28 +230,35 @@ def _orbit_from_rows(xi, eta, letter: str):
     return lam
 
 
-def orbit_of_symbol(alpha, letter: str):
-    """Invert the Springer recipe on an a-symbol class representative."""
+def _orbit_of_rows(top, bottom, letter: str) -> Partition:
+    # ``orbit_of_symbol`` on the rows of an undecorated a-symbol: the bare
+    # orbit, refused with the symbol (top;bottom) in the message
     if letter == "D":
-        if isinstance(alpha, DecoratedSymbol):
-            kappa, alpha = alpha.kappa, alpha.sym
-        else:
-            kappa = 0
-        options = {_orbit_from_rows(alpha.top, alpha.bottom, "D"),
-                   _orbit_from_rows(alpha.bottom, alpha.top, "D")}
+        options = {_orbit_from_rows(top, bottom, "D"),
+                   _orbit_from_rows(bottom, top, "D")}
         options.discard(None)
         if len(options) != 1:
-            raise SymbolError(f"{alpha} does not invert to a unique "
-                              f"D-partition (got {options})")
-        return DecoratedPartition(options.pop(), kappa)
-    if letter == "B":
-        lam = _orbit_from_rows(alpha.top, alpha.bottom, "B")
-    else:
-        lam = _orbit_from_rows(alpha.bottom, alpha.top, "C")
+            raise SymbolError(f"{pt._trusted(Symbol, top, bottom, 'a')} "
+                              f"does not invert to a unique D-partition "
+                              f"(got {options})")
+        return options.pop()
+    lam = _orbit_from_rows(top, bottom, "B") if letter == "B" else \
+        _orbit_from_rows(bottom, top, "C")
     if lam is None:
-        raise SymbolError(f"{alpha} is not a Springer-recipe symbol "
-                          f"of type {letter}")
+        raise SymbolError(f"{pt._trusted(Symbol, top, bottom, 'a')} is not "
+                          f"a Springer-recipe symbol of type {letter}")
     return lam
+
+
+def orbit_of_symbol(alpha, letter: str):
+    """Invert the Springer recipe on an a-symbol class representative."""
+    if letter != "D":
+        return _orbit_of_rows(alpha.top, alpha.bottom, letter)
+    kappa = 0
+    if isinstance(alpha, DecoratedSymbol):
+        kappa, alpha = alpha.kappa, alpha.sym
+    return DecoratedPartition(_orbit_of_rows(alpha.top, alpha.bottom, "D"),
+                              kappa)
 
 
 def springer_support(rep: WeylIrrep, side: str = "group"):
@@ -264,25 +266,34 @@ def springer_support(rep: WeylIrrep, side: str = "group"):
     a partition for B/C conventions, a decorated partition for D.
 
     ``side="group"`` uses the convention of the ambient type, ``side="dual"``
-    the convention of the dual type.  The orbit is read off the a-symbol of
-    the monotonic s-symbol's bipartition at the s-symbol's own size: column
-    j loses j from the top row and j plus the C lead from the bottom row.
-    That size need not be the minimal one, but a padding column only adds
-    zero parts, so ``orbit_of_symbol`` gives the same orbit at any size."""
+    the convention of the dual type.  One pass on rows, building no symbol:
+    the avatar's minimal s-symbol rows, dealt into the monotonic rows, give
+    the a-rows (column j loses j, and the C lead on the bottom row), and
+    those the orbit.  That size need not be minimal for the monotonic
+    bipartition, but a padding column only adds zero parts."""
+    if side not in ("group", "dual"):
+        raise PartitionError(f"side must be 'group' or 'dual', got {side!r}")
     conv = rep.letter if side == "group" else dual_letter(rep.letter)
-    mono = sy.monotonic_representative(rep_ssymbol(rep, conv), conv)
+    top, bottom = sy._rows_of_pair(rep.first, rep.second, conv, "s")
+    top, bottom = sy._monotonic_rows(sorted(top + bottom),
+                                     len(top) - len(bottom), "s", conv)
     lead = 1 if conv == "C" else 0
-    top = tuple(v - j for j, v in enumerate(mono.top))
-    bottom = tuple(v - j - lead for j, v in enumerate(mono.bottom))
+    a_top = list(map(sub, top, range(len(top))))
+    a_bottom = list(map(sub, bottom, range(lead, lead + len(bottom))))
     # rows of a monotonic s-symbol step by at least 2, so the a-rows
     # increase and a part, an a-row entry less its column, is least first
-    if min(top[:1] + bottom[:1], default=0) < 0:
-        raise SymbolError(f"{mono} is not in the image of a bipartition")
-    alpha = pt._trusted(Symbol, top, bottom, "a")
-    if conv == "D":
-        kappa = rep.kappa if rep.degenerate else 0
-        return orbit_of_symbol(DecoratedSymbol(alpha, kappa), "D")
-    return orbit_of_symbol(alpha, conv)
+    if min(a_top[:1] + a_bottom[:1], default=0) < 0:
+        raise SymbolError(f"{pt._trusted(Symbol, top, bottom, 's')} is not "
+                          f"in the image of a bipartition")
+    if conv != "D":
+        return _orbit_of_rows(a_top, a_bottom, conv)
+    # the underlined row order, as ``DecoratedSymbol`` stores it; the
+    # decoration stays only on a degenerate character's very even orbit
+    if sum(a_top) < sum(a_bottom):
+        a_top, a_bottom = a_bottom, a_top
+    lam = _orbit_of_rows(a_top, a_bottom, "D")
+    kappa = rep.kappa if rep.degenerate and pt.is_very_even(lam) else 0
+    return pt._trusted(DecoratedPartition, lam, kappa)
 
 
 def collapse_symbol(lam: Partition, kappa: int = 0) -> DecoratedSymbol:

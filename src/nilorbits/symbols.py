@@ -20,9 +20,10 @@ dealt here from checked symbols skip ``Symbol``'s row check.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 from itertools import combinations, product
-from operator import lt, sub
+from operator import le, lt, sub
 
 from . import partitions as pt
 from .partitions import (Partition, as_partition, canonical_pair,
@@ -126,14 +127,15 @@ def symbol_size(sym: Symbol, letter: str) -> int:
 def has_type_shape(sym: Symbol, letter: str) -> bool:
     """Defect 1 for B and C (s-symbols of type C also need a positive first
     bottom entry), defect 0 for D; row gaps are not checked."""
+    return _has_type_shape(sym.top, sym.bottom, sym.kind, letter)
+
+
+def _has_type_shape(top, bottom, kind: str, letter: str) -> bool:
+    # ``has_type_shape`` on rows
     if letter in ("B", "C"):
-        if sym.defect != 1:
-            return False
-        if letter == "C" and sym.kind == "s" and sym.bottom \
-                and sym.bottom[0] == 0:
-            return False
-        return True
-    return sym.defect == 0
+        return len(top) == len(bottom) + 1 and not (
+            letter == "C" and kind == "s" and bottom and bottom[0] == 0)
+    return len(top) == len(bottom)
 
 
 def is_type_symbol(sym: Symbol, letter: str) -> bool:
@@ -232,19 +234,27 @@ def is_monotonic(sym: Symbol) -> bool:
 def monotonic_representative(sym: Symbol, letter: str) -> Symbol:
     """The monotonic member of the similarity class at the same size:
     sort all entries and deal them alternately into the two rows."""
-    values = sym.entries()
-    if sym.defect == 1:
-        top = values[0::2]
-        bottom = values[1::2]
-    elif sym.defect == 0:
-        bottom = values[0::2]
-        top = values[1::2]
+    return pt._trusted(Symbol, *_monotonic_rows(sym.entries(), sym.defect,
+                                                sym.kind, letter), sym.kind)
+
+
+def _monotonic_rows(entries, defect: int, kind: str, letter: str):
+    # ``monotonic_representative`` on the sorted entries of a symbol of the
+    # defect: the dealt (top, bottom), checked as a type-``letter`` symbol
+    if defect == 1:
+        top, bottom = entries[0::2], entries[1::2]
+    elif defect == 0:
+        bottom, top = entries[0::2], entries[1::2]
     else:
-        raise SymbolError(f"no monotonic form for defect {sym.defect}")
-    # an entry occurs at most once per row, so the dealt rows increase
-    out = pt._trusted(Symbol, tuple(top), tuple(bottom), sym.kind)
-    assert_type_symbol(out, letter)
-    return out
+        raise SymbolError(f"no monotonic form for defect {defect}")
+    # an entry occurs at most once per row, so the dealt rows increase; the
+    # neighbours in a row are two apart in ``entries``
+    gap = 2 if kind == "s" else 1
+    if not (all(map(le, [v + gap for v in entries], entries[2:])) and
+            _has_type_shape(top, bottom, kind, letter)):
+        raise SymbolError(f"{pt._trusted(Symbol, top, bottom, kind)} is not "
+                          f"a valid type-{letter} {kind}-symbol")
+    return top, bottom
 
 
 @dataclass(frozen=True)
@@ -421,6 +431,12 @@ def symbol_of_pair(first: Partition, second: Partition, letter: str,
     """The symbol of an ordered bipartition: rows are the ascending
     zero-padded parts plus 0, step, 2*step, ...; type-C s-symbols add one to
     the bottom row.  ``k`` is the bottom length (minimal when omitted)."""
+    return Symbol(*_rows_of_pair(first, second, letter, kind, k), kind)
+
+
+def _rows_of_pair(first: Partition, second: Partition, letter: str,
+                  kind: str, k: int | None = None):
+    # ``symbol_of_pair``'s (top, bottom)
     kmin = min_size_pair(first, second, letter)
     if k is None:
         k = kmin
@@ -431,8 +447,8 @@ def symbol_of_pair(first: Partition, second: Partition, letter: str,
     top_len = k if letter == "D" else k + 1
     lam = _padded_ascending(first, top_len)
     mu = _padded_ascending(second, k)
-    return Symbol(tuple(v + step * i for i, v in enumerate(lam)),
-                  tuple(v + step * i + lead for i, v in enumerate(mu)), kind)
+    return (tuple(map(operator.add, lam, range(0, step * top_len, step))),
+            tuple(map(operator.add, mu, range(lead, lead + step * k, step))))
 
 
 def pair_of_symbol(sym: Symbol, letter: str) -> tuple[Partition, Partition]:

@@ -644,6 +644,21 @@ def pair_of_symbol_loop(sym, letter: str):
 
 
 # ---------------------------------------------------------------------------
+# type partitions by filtering every integer partition
+
+def type_partitions_by_filter(letter: str, rank: int):
+    """Every integer partition of the type's total that passes the parity
+    test, decreasing-lex ordered.  The reference for
+    ``partitions.type_partitions``."""
+    pt._check_letter(letter)
+    total = 2 * rank + 1 if letter == "B" else 2 * rank
+    out = [lam for lam in pt.integer_partitions(total)
+           if pt.is_type_partition(lam, letter)]
+    out.sort(reverse=True)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # Springer support through the bipartition of the monotonic s-symbol
 
 def springer_support_by_round_trip(rep, side: str = "group"):

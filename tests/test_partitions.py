@@ -235,6 +235,23 @@ def test_enumerate():
         P.enumerate_orbits("B", 99)
 
 
+@pytest.mark.parametrize("letter", P.LETTERS)
+def test_type_partitions_match_filter(letter):
+    """The generated type partitions are the filtered integer partitions,
+    in the same order (ranks 0-12)."""
+    for rank in range(13):
+        assert P.type_partitions(letter, rank) == \
+            O.type_partitions_by_filter(letter, rank), (letter, rank)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("letter", P.LETTERS)
+def test_type_partitions_match_filter_through_rank_16(letter):
+    for rank in range(13, 17):
+        assert P.type_partitions(letter, rank) == \
+            O.type_partitions_by_filter(letter, rank), (letter, rank)
+
+
 def test_markable_parts():
     assert P.markable_parts((3, 1, 1), "B") == (3, 1)
     assert P.markable_parts((2, 2), "C") == (2,)

@@ -129,17 +129,44 @@ def test_support_matches_round_trip_through_rank_12():
     assert check_support_against_round_trip(12) == 15748
 
 
+def _refused_alike(monkeypatch, rows, rep, side, message):
+    """With the monotonic deal patched to give ``rows``, ``springer_support``
+    and the round trip refuse ``rep`` with the same ``SymbolError``."""
+    monkeypatch.setattr(S, "_monotonic_rows", lambda *args: rows)
+    for fn in (sp.springer_support, O.springer_support_by_round_trip):
+        with pytest.raises(S.SymbolError) as info:
+            fn(rep, side)
+        assert str(info.value) == message
+
+
 def test_support_keeps_the_negative_part_refusal(monkeypatch):
     """A monotonic s-symbol whose bipartition would have a negative part is
     refused as ``pair_of_symbol`` refuses it."""
-    bad = S.Symbol((0, 2), (0,), "s")
-    monkeypatch.setattr(S, "monotonic_representative", lambda sym, conv: bad)
-    rep = sp.WeylIrrep("B", 1, (1,), ())
-    message = "(0,2;0) is not in the image of a bipartition"
-    for fn in (sp.springer_support, O.springer_support_by_round_trip):
-        with pytest.raises(S.SymbolError) as info:
-            fn(rep, "dual")
-        assert str(info.value) == message
+    _refused_alike(monkeypatch, ((0, 2), (0,)), sp.WeylIrrep("B", 1, (1,), ()),
+                   "dual", "(0,2;0) is not in the image of a bipartition")
+
+
+def test_support_keeps_the_recipe_refusals(monkeypatch):
+    """a-rows that invert to no orbit of the type are refused with the
+    a-symbol (underlined in type D) that ``orbit_of_symbol`` is given."""
+    _refused_alike(monkeypatch, ((0, 2), (3,)), sp.WeylIrrep("B", 1, (1,), ()),
+                   "group", "(0,1;3) is not a Springer-recipe symbol of "
+                            "type B")
+    _refused_alike(monkeypatch, ((0, 2), (3,)), sp.WeylIrrep("C", 1, (1,), ()),
+                   "group", "(0,1;2) is not a Springer-recipe symbol of "
+                            "type C")
+    _refused_alike(monkeypatch, ((0, 2), (3, 5)),
+                   sp.WeylIrrep("D", 2, (1,), (1,), 1), "group",
+                   "(3,4;0,1) does not invert to a unique D-partition "
+                   "(got set())")
+
+
+def test_support_refuses_an_unknown_side():
+    rep = sp.WeylIrrep("B", 2, (1,), (1,))
+    with pytest.raises(P.PartitionError,
+                       match=r"^side must be 'group' or 'dual', "
+                             r"got 'bogus'$"):
+        sp.springer_support(rep, "bogus")
 
 
 def test_collapse_symbol():

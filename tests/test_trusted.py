@@ -10,6 +10,8 @@ values are indistinguishable, and that the public constructors still refuse
 bad input with the same messages.
 """
 
+from collections import Counter
+
 import pytest
 
 import answer_digests
@@ -22,7 +24,8 @@ from nilorbits import wavefront as wf
 from test_answer_digests import PINNED
 
 # the memos whose entries are built on the trusted path
-MEMOS = (du._d_A_of_orbit, fa._sorted_members, fa._family_of_orbit)
+MEMOS = (du._d_A_of_orbit, fa._sorted_members, fa._family_of_orbit,
+         sp._irreps)
 
 
 def _checking(module, name, public, calls):
@@ -47,10 +50,14 @@ def _checking(module, name, public, calls):
 @pytest.fixture
 def checked_paths(monkeypatch):
     """Install the checking versions on empty memos; yields the number of
-    checked calls per private step."""
-    calls = {"_trusted": 0, "_reduction": 0, "_image": 0}
-    for name, public in (("_trusted", lambda cls, *values: cls(*values)),
-                         ("_reduction", pt.reduction)):
+    checked calls per private step and per class built by ``_trusted``."""
+    calls = Counter(_trusted=0, _reduction=0, _image=0)
+
+    def build(cls, *values):
+        calls[cls.__name__] += 1
+        return cls(*values)
+
+    for name, public in (("_trusted", build), ("_reduction", pt.reduction)):
         monkeypatch.setattr(pt, name, _checking(pt, name, public, calls))
     monkeypatch.setattr(du, "_image", _checking(du, "_image", du.sbar, calls))
     for memo in MEMOS:
@@ -83,6 +90,8 @@ def test_wf_of_wrep_on_checked_paths(checked_paths):
             for rep in sp.irreps(letter, rank):
                 wf.wf_of_wrep(rep)
     assert checked_paths["_trusted"] and checked_paths["_reduction"]
+    # the character table and the type-D supports are built trusted too
+    assert checked_paths["WeylIrrep"] and checked_paths["DecoratedPartition"]
 
 
 def test_d_A_triv_on_checked_paths(checked_paths):
