@@ -659,7 +659,62 @@ def type_partitions_by_filter(letter: str, rank: int):
 
 
 # ---------------------------------------------------------------------------
-# Springer support through the bipartition of the monotonic s-symbol
+# the monotonic deal, the inversion and the Springer support on whole
+# symbols
+
+def monotonic_representative_by_symbol(sym, letter: str):
+    """Deal the sorted entries into a checked ``Symbol``, then check its
+    type.  The reference for ``symbols.monotonic_representative``."""
+    values = sym.entries()
+    if sym.defect == 1:
+        top, bottom = values[0::2], values[1::2]
+    elif sym.defect == 0:
+        bottom, top = values[0::2], values[1::2]
+    else:
+        raise sy.SymbolError(f"no monotonic form for defect {sym.defect}")
+    out = sy.Symbol(top, bottom, sym.kind)
+    if not (gap_ok_loop(out) and sy.has_type_shape(out, letter)):
+        raise sy.SymbolError(f"{out} is not a valid type-{letter} "
+                             f"{sym.kind}-symbol")
+    return out
+
+
+def _orbit_from_rows_loop(xi, eta, letter: str):
+    merged = sorted([2 * x + 1 for x in xi] + [2 * y for y in eta])
+    parts = [v - i for i, v in enumerate(merged)]
+    if any(p < 0 for p in parts) or \
+            any(parts[i] > parts[i + 1] for i in range(len(parts) - 1)):
+        return None
+    lam = as_partition_loop(parts)
+    try:
+        return lam if pt.is_type_partition(lam, letter) else None
+    except pt.PartitionError:
+        return None
+
+
+def orbit_of_symbol_by_symbol(alpha, letter: str):
+    """Per-index checks on a whole symbol, decorated in type D.  The
+    reference for ``springer.orbit_of_symbol``."""
+    if letter == "D":
+        kappa = 0
+        if isinstance(alpha, sy.DecoratedSymbol):
+            kappa, alpha = alpha.kappa, alpha.sym
+        options = {_orbit_from_rows_loop(alpha.top, alpha.bottom, "D"),
+                   _orbit_from_rows_loop(alpha.bottom, alpha.top, "D")}
+        options.discard(None)
+        if len(options) != 1:
+            raise sy.SymbolError(f"{alpha} does not invert to a unique "
+                                 f"D-partition (got {options})")
+        return pt.DecoratedPartition(options.pop(), kappa)
+    if letter == "B":
+        lam = _orbit_from_rows_loop(alpha.top, alpha.bottom, "B")
+    else:
+        lam = _orbit_from_rows_loop(alpha.bottom, alpha.top, "C")
+    if lam is None:
+        raise sy.SymbolError(f"{alpha} is not a Springer-recipe symbol "
+                             f"of type {letter}")
+    return lam
+
 
 def springer_support_by_round_trip(rep, side: str = "group"):
     """The monotonic s-symbol's bipartition, its minimal a-symbol, then the

@@ -7,6 +7,7 @@ from nilorbits import cli
 from nilorbits import partitions as P
 from nilorbits import springer as sp
 from nilorbits import symbols as S
+from test_symbols import small_symbols
 
 
 def bare(lam):
@@ -129,6 +130,25 @@ def test_support_matches_round_trip_through_rank_12():
     assert check_support_against_round_trip(12) == 15748
 
 
+def test_orbit_of_symbol_matches_whole_symbol():
+    """The row inverter against the per-index inversion of a whole symbol,
+    on every a-symbol with rows of at most three entries below 6, plain and
+    decorated in type D: the same value, or the same error and message."""
+    refusals = set()
+    for sym in small_symbols("a"):
+        alphas = [(sym, x) for x in P.LETTERS]
+        if sym.defect == 0:
+            alphas += [(S.DecoratedSymbol(sym, kappa), "D")
+                       for kappa in (0, 1)]
+        for alpha, letter in alphas:
+            got = O.outcome(sp.orbit_of_symbol, alpha, letter)
+            assert got == O.outcome(O.orbit_of_symbol_by_symbol, alpha,
+                                    letter), (alpha, letter)
+            if got[0] == "raises":
+                refusals.add("unique D-partition" in got[2])
+    assert refusals == {True, False}  # both kinds of refusal occur
+
+
 def _refused_alike(monkeypatch, rows, rep, side, message):
     """With the monotonic deal patched to give ``rows``, ``springer_support``
     and the round trip refuse ``rep`` with the same ``SymbolError``."""
@@ -142,19 +162,19 @@ def _refused_alike(monkeypatch, rows, rep, side, message):
 def test_support_keeps_the_negative_part_refusal(monkeypatch):
     """A monotonic s-symbol whose bipartition would have a negative part is
     refused as ``pair_of_symbol`` refuses it."""
-    _refused_alike(monkeypatch, ((0, 2), (0,)), sp.WeylIrrep("B", 1, (1,), ()),
-                   "dual", "(0,2;0) is not in the image of a bipartition")
+    _refused_alike(monkeypatch, ((0, 2), (0,)),
+                   sp.WeylIrrep("B", 1, (1,), ()), "dual",
+                   "(0,2;0) is not in the image of a bipartition")
 
 
 def test_support_keeps_the_recipe_refusals(monkeypatch):
     """a-rows that invert to no orbit of the type are refused with the
     a-symbol (underlined in type D) that ``orbit_of_symbol`` is given."""
-    _refused_alike(monkeypatch, ((0, 2), (3,)), sp.WeylIrrep("B", 1, (1,), ()),
-                   "group", "(0,1;3) is not a Springer-recipe symbol of "
-                            "type B")
-    _refused_alike(monkeypatch, ((0, 2), (3,)), sp.WeylIrrep("C", 1, (1,), ()),
-                   "group", "(0,1;2) is not a Springer-recipe symbol of "
-                            "type C")
+    for letter, shown in (("B", "(0,1;3)"), ("C", "(0,1;2)")):
+        _refused_alike(monkeypatch, ((0, 2), (3,)),
+                       sp.WeylIrrep(letter, 1, (1,), ()), "group",
+                       f"{shown} is not a Springer-recipe symbol of type "
+                       f"{letter}")
     _refused_alike(monkeypatch, ((0, 2), (3, 5)),
                    sp.WeylIrrep("D", 2, (1,), (1,), 1), "group",
                    "(3,4;0,1) does not invert to a unique D-partition "

@@ -122,6 +122,31 @@ def test_monotonic_representative():
     assert S.is_monotonic(S.symbol_of_pair((), (), "B", "s"))
 
 
+def small_symbols(kind):
+    """Every ``kind``-symbol with rows of at most three entries below 6."""
+    rows = [row for n in range(4) for row in combinations(range(6), n)]
+    return [S.Symbol(top, bottom, kind) for top in rows for bottom in rows]
+
+
+def test_monotonic_representative_matches_symbol_deal():
+    """The row-level deal against dealing into a checked ``Symbol``: the
+    same value, or the same error and message (wrong defect, a row gap
+    below 2 in an s-symbol, the type-C first-bottom-entry rule)."""
+    refused = set()
+    for kind in ("s", "a"):
+        for sym in small_symbols(kind):
+            for letter in P.LETTERS:
+                got = O.outcome(S.monotonic_representative, sym, letter)
+                assert got == O.outcome(O.monotonic_representative_by_symbol,
+                                        sym, letter), (sym, letter)
+                if got[0] == "raises":
+                    refused.add(got[2])
+    assert {"no monotonic form for defect 2",
+            "(0,1;0) is not a valid type-B s-symbol",
+            "(0,2;0) is not a valid type-C s-symbol",
+            "(0;0) is not a valid type-B a-symbol"} <= refused
+
+
 def test_enumerate_class_matches_splittings():
     """Dealing the refinement blocks reaches exactly the similar s-symbols
     of the same size, for every bipartition of rank <= 6 at the minimal and

@@ -187,6 +187,10 @@ def test_public_constructors_still_refuse():
     with pytest.raises(sy.SymbolError,
                        match=r"^row \(2, 1\) is not strictly increasing$"):
         sy.Symbol((2, 1), (0,), "s")
+    # the first character of a group's table goes through the public
+    # constructor
+    with pytest.raises(pt.PartitionError, match=r"^bad type letter 'X'$"):
+        sp.irreps("X", 2)
     # a caller's FamilyId goes through the public constructor
     with pytest.raises(pt.PartitionError,
                        match=r"^bipartition \(-;2\) has total 2, "
