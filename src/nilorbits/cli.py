@@ -389,6 +389,10 @@ def run(argv, stream=None) -> int:
             fa.TableError, OSError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except RecursionError:
+        print("precondition violated: the input is too large for this "
+              "computation (it exceeds the recursion limit)", file=sys.stderr)
+        return EXIT_PRECONDITION
 
 
 def main() -> None:

@@ -123,26 +123,16 @@ def d_S(mu: Partition, nu: Partition, letter: str) -> Partition:
     return pt.collapse(tuple(summed), dual_letter(letter))
 
 
-@lru_cache(maxsize=None)
-def _d_S_of_marked(letter: str, orbit: Partition,
-                   marking: Partition) -> Partition | None:
-    # (marking, orbit - marking) lifts the marked orbit whenever any pair
-    # does; when it sits on no shape, no pair does, and the memo keeps None
-    rest = pt.subtract(orbit, marking)
-    try:
-        pair_shape(marking, rest, letter)
-    except PartitionError:
-        return None
-    return d_S(marking, rest, letter)
-
-
 def d_S_marked(marked: MarkedOrbit) -> Partition:
-    """Sommers dual of a marked orbit, through any realizing pair."""
-    image = _d_S_of_marked(marked.letter, marked.orbit, marked.marking)
-    if image is None:
+    """Sommers dual of a marked orbit, through any realizing pair.  The pair
+    (marking, orbit - marking) lifts the marked orbit whenever any pair
+    does, so when it sits on no shape, no pair does."""
+    rest = pt.subtract(marked.orbit, marked.marking)
+    try:
+        return d_S(marked.marking, rest, marked.letter)
+    except PartitionError:
         raise PartitionError(f"no pseudo-Levi pair realizes {marked.orbit} "
-                             f"| {marked.marking}")
-    return image
+                             f"| {marked.marking}") from None
 
 
 def _orbit(lam, letter: str) -> Partition:
@@ -233,11 +223,6 @@ def maximal_marked(items) -> list[MarkedOrbit]:
     """The maximal elements of a set of marked orbits under the Achar
     order."""
     items = list(dict.fromkeys(items))
-    out = []
-    for m in items:
-        if any(other != m and le_A(m, other) and not le_A(other, m)
-               for other in items):
-            continue
-        if m not in out:
-            out.append(m)
-    return out
+    return [m for m in items
+            if not any(other != m and le_A(m, other) and not le_A(other, m)
+                       for other in items)]

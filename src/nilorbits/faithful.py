@@ -18,7 +18,8 @@ from itertools import product
 from . import duality as du
 from . import partitions as pt
 from . import springer as sp
-from .duality import _orbit, _pi_mu, pi_mu  # pi_mu stays public here too
+from .duality import _orbit, _pi_mu
+from .duality import pi_mu  # noqa: F401 - public here too
 from .partitions import (DecoratedPartition, Partition, PartitionError,
                          dual_letter, format_partition, is_very_even)
 # perfbench/tracer.py's self-test reaches it through this binding
@@ -28,8 +29,8 @@ USE_DEFAULT = "use-default"
 
 
 class TableError(ValueError):
-    """Raised when an exceptional table fails its checksum or has a
-    malformed row."""
+    """Raised when an exceptional table is not UTF-8 text, fails its
+    checksum or has a malformed row."""
 
 
 def is_edge_case(lam, letter: str) -> tuple[bool, str]:
@@ -296,8 +297,12 @@ def load_exceptional_table(path: str | None = None) -> list[ExceptionalEntry]:
     override file (on every call)."""
     if path is None:
         return list(_shipped_table())
-    with open(path, encoding="utf-8") as fh:
-        return _parse_table(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise TableError(f"table {path} is not UTF-8 text") from None
+    return _parse_table(text)
 
 
 @lru_cache(maxsize=None)

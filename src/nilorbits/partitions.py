@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import ge, le, mod
+from operator import ge, mod
 
 Partition = tuple[int, ...]
 
@@ -136,20 +136,9 @@ def lower_last(lam: Partition) -> Partition:
 
 
 def dominance_le(lam: Partition, mu: Partition) -> bool:
-    """True iff lam <= mu in the dominance order (equal totals required).
-    With equal totals, comparing prefix sums up to the end of the shorter
-    partition decides: the shorter one has reached the total there, and no
-    prefix sum exceeds the total."""
-    lam_sums, mu_sums = tuple(accumulate(lam)), tuple(accumulate(mu))
-    _check_equal_totals(lam_sums[-1] if lam_sums else 0,
-                        mu_sums[-1] if mu_sums else 0)
-    return all(map(le, lam_sums, mu_sums))
-
-
-def _check_equal_totals(total_l: int, total_m: int) -> None:
-    if total_l != total_m:
-        raise PartitionError(
-            f"dominance compares equal totals, got {total_l} != {total_m}")
+    """True iff lam <= mu in the dominance order (equal totals required):
+    ``key_le`` on the two ``dominance_key`` values."""
+    return key_le(dominance_key(lam), dominance_key(mu))
 
 
 DominanceKey = tuple[int, int, int]
@@ -180,7 +169,8 @@ def key_le(low: DominanceKey, high: DominanceKey) -> bool:
     ``low`` is below its guard bit."""
     total, guard, packed = low
     if total != high[0]:
-        _check_equal_totals(total, high[0])
+        raise PartitionError(
+            f"dominance compares equal totals, got {total} != {high[0]}")
     return ((high[2] | guard) - packed) & guard == guard
 
 
@@ -264,47 +254,23 @@ def collapse(lam: Partition, letter: str) -> Partition:
 
 
 def is_special(lam, letter: str) -> bool:
-    """Parity criterion for special orbits.
-
-    Counting runs of unconstrained-parity parts delimited by the
-    constrained-parity parts (written in decreasing order):
-
-    * B: every run of odd parts between consecutive even parts has even
-      length, and the run of odd parts above the largest even part has odd
-      length (no even part counts as an even part equal to 0),
-    * C: every run of even parts between consecutive odd parts has even
-      length, and the run of even parts above the largest odd part has even
-      length (vacuous when there is no odd part),
-    * D: as B but the top run must have even length.
-
-    Decorated input is accepted; both decorations of a very even partition
-    are special.
-    """
+    """Parity criterion for special orbits, in one pass over the parts in
+    decreasing order: each constrained-parity part (even for B and D, odd
+    for C) needs a number of unconstrained-parity parts above it that is
+    odd for B and even for C and D.  A missing even part of B or D needs no
+    case of its own: the parity of the total settles it.  Decorated input
+    is accepted; both decorations of a very even partition are special."""
     lam = bare(lam)
     assert_type_partition(lam, letter)
-    delim = 1 if letter == "C" else 0  # parity of the delimiting parts
-    runs = []
-    current = 0
-    seen_delim = False
+    bad = 1 if letter == "C" else 0
+    want = 1 if letter == "B" else 0
+    above = 0  # the unconstrained-parity parts read so far
     for p in lam:
-        if p % 2 == delim:
-            runs.append(current)
-            current = 0
-            seen_delim = True
-        else:
-            current += 1
-    if letter == "C":
-        if not seen_delim:
-            return True
-        return all(r % 2 == 0 for r in runs)
-    # B and D: parts below the smallest even part are unconstrained, and a
-    # missing even part acts as an even part equal to 0.
-    if not seen_delim:
-        runs.append(current)
-    top = runs[0]
-    between = runs[1:]
-    want_top = 1 if letter == "B" else 0
-    return top % 2 == want_top and all(r % 2 == 0 for r in between)
+        if p % 2 != bad:
+            above += 1
+        elif above % 2 != want:
+            return False
+    return True
 
 
 def dual(lam, letter: str):
@@ -341,7 +307,6 @@ def integer_partitions(total: int, bound: int | None = None):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
 def type_partitions(letter: str, rank: int) -> tuple[Partition, ...]:
     """All bare X-partitions of the given rank, decreasing-lex ordered,
     generated directly: a constrained-parity part (even for B and D, odd

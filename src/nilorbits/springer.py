@@ -123,9 +123,10 @@ def _irreps(letter: str, rank: int) -> tuple[WeylIrrep, ...]:
     # the first character goes through ``WeylIrrep``'s checks (a bad letter
     # above all); the rest have canonical halves of total ``rank``
     out: dict[WeylIrrep, None] = {}
+    parts = [tuple(pt.integer_partitions(a)) for a in range(rank + 1)]
     for a in range(rank + 1):
-        for lam in pt.integer_partitions(a):
-            for mu in pt.integer_partitions(rank - a):
+        for lam in parts[a]:
+            for mu in parts[rank - a]:
                 degenerate = letter == "D" and lam == mu and lam
                 for kappa in (0, 1) if degenerate else (0,):
                     make = _irrep if out else WeylIrrep
@@ -277,7 +278,7 @@ def springer_support(rep: WeylIrrep, side: str = "group"):
     top, bottom = sy._rows_of_pair(rep.first, rep.second, conv, "s")
     top, bottom = sy._monotonic_rows(sorted(top + bottom),
                                      len(top) - len(bottom), "s", conv)
-    lead = 1 if conv == "C" else 0
+    _, lead = sy._stair("s", conv)
     a_top = list(map(sub, top, range(len(top))))
     a_bottom = list(map(sub, bottom, range(lead, lead + len(bottom))))
     # rows of a monotonic s-symbol step by at least 2, so the a-rows

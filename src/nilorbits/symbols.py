@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import operator
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, count, groupby, product
 from operator import le, lt, sub
 
 from . import partitions as pt
@@ -113,15 +113,23 @@ class DecoratedSymbol:
         return f"{body}:{self.kappa}" if self.degenerate else body
 
 
-def _rho(row, step: int, shift: int) -> int:
-    return sum(v - step * i - shift for i, v in enumerate(row))
+def _stair(kind: str, letter: str) -> tuple[int, int]:
+    # the staircase under a symbol's rows: the step between its columns and
+    # the first entry of its bottom row (the top row starts at 0)
+    return (2, int(letter == "C")) if kind == "s" else (1, 0)
+
+
+def _unstaired(sym: Symbol, letter: str) -> tuple[list[int], list[int]]:
+    # the rows less their staircase: the bipartition's parts, least first
+    step, lead = _stair(sym.kind, letter)
+    return (list(map(sub, sym.top, range(0, step * len(sym.top), step))),
+            list(map(sub, sym.bottom,
+                     range(lead, lead + step * len(sym.bottom), step))))
 
 
 def symbol_size(sym: Symbol, letter: str) -> int:
     """The integer n with sym attached to a rank-n group of the given type."""
-    step = 2 if sym.kind == "s" else 1
-    shift = 1 if (sym.kind == "s" and letter == "C") else 0
-    return _rho(sym.top, step, 0) + _rho(sym.bottom, step, shift)
+    return sum(map(sum, _unstaired(sym, letter)))
 
 
 def has_type_shape(sym: Symbol, letter: str) -> bool:
@@ -151,16 +159,14 @@ def assert_type_symbol(sym: Symbol, letter: str) -> None:
 
 def pad_once(sym: Symbol, letter: str) -> Symbol:
     """One shift-equivalence step up (adds one column)."""
-    step = 2 if sym.kind == "s" else 1
-    lead = 1 if (sym.kind == "s" and letter == "C") else 0
+    step, lead = _stair(sym.kind, letter)
     return Symbol((0,) + tuple(v + step for v in sym.top),
                   (lead,) + tuple(v + step for v in sym.bottom), sym.kind)
 
 
 def strip_once(sym: Symbol, letter: str):
     """One shift-equivalence step down, or None when already minimal."""
-    step = 2 if sym.kind == "s" else 1
-    lead = 1 if (sym.kind == "s" and letter == "C") else 0
+    step, lead = _stair(sym.kind, letter)
     if not sym.top or not sym.bottom:
         return None
     if sym.top[0] != 0 or sym.bottom[0] != lead:
@@ -274,33 +280,17 @@ def refinement(sym: Symbol, letter: str) -> tuple[Block, ...]:
     if not is_monotonic(sym):
         raise SymbolError(f"{sym} is not monotonic")
     order = underline(sym) if sym.defect == 0 else sym
-    labelled = [(v, "t") for v in order.top] + \
-               [(v, "b") for v in order.bottom]
-    labelled.sort(key=lambda p: p[0])
-    blocks: list[Block] = []
-    rest: list[tuple[int, str]] = []
-    i = 0
-    while i < len(labelled):
-        if i + 1 < len(labelled) and labelled[i][0] == labelled[i + 1][0]:
-            pair = labelled[i:i + 2]
-            blocks.append(Block((labelled[i][0],) * 2,
-                                tuple(v for v, r in pair if r == "t"),
-                                tuple(v for v, r in pair if r == "b"),
-                                "pair"))
-            i += 2
-        else:
-            rest.append(labelled[i])
-            i += 1
-    run: list[tuple[int, str]] = []
-    for item in rest + [(None, "")]:
-        if run and (item[0] is None or item[0] != run[-1][0] + 1):
-            blocks.append(Block(tuple(v for v, _ in run),
-                                tuple(v for v, r in run if r == "t"),
-                                tuple(v for v, r in run if r == "b"),
-                                "interval"))
-            run = []
-        if item[0] is not None:
-            run.append(item)
+    # rows increase strictly, so an entry in both rows is a repeated pair
+    top = set(order.top)
+    blocks = [Block((v, v), (v,), (v,), "pair")
+              for v in top.intersection(order.bottom)]
+    singles = sorted(top.symmetric_difference(order.bottom))
+    # along a run of consecutive singles, value less index is constant
+    for _, run in groupby(singles, key=lambda v, i=count(): v - next(i)):
+        run = tuple(run)
+        blocks.append(Block(run, tuple(v for v in run if v in top),
+                            tuple(v for v in run if v not in top),
+                            "interval"))
     blocks.sort(key=lambda blk: blk.values[0])
     return tuple(blocks)
 
@@ -442,8 +432,7 @@ def _rows_of_pair(first: Partition, second: Partition, letter: str,
         k = kmin
     if k < kmin:
         raise SymbolError(f"bottom length {k} below the minimum {kmin}")
-    step = 2 if kind == "s" else 1
-    lead = 1 if (kind == "s" and letter == "C") else 0
+    step, lead = _stair(kind, letter)
     top_len = k if letter == "D" else k + 1
     lam = _padded_ascending(first, top_len)
     mu = _padded_ascending(second, k)
@@ -453,11 +442,7 @@ def _rows_of_pair(first: Partition, second: Partition, letter: str,
 
 def pair_of_symbol(sym: Symbol, letter: str) -> tuple[Partition, Partition]:
     """Inverse of ``symbol_of_pair`` on the same row order."""
-    step = 2 if sym.kind == "s" else 1
-    lead = 1 if (sym.kind == "s" and letter == "C") else 0
-    first = list(map(sub, sym.top, range(0, step * len(sym.top), step)))
-    second = list(map(sub, sym.bottom,
-                      range(lead, lead + step * len(sym.bottom), step)))
+    first, second = _unstaired(sym, letter)
     if min(first + second, default=0) < 0:
         raise SymbolError(f"{sym} is not in the image of a bipartition")
     return as_partition(first), as_partition(second)

@@ -480,6 +480,20 @@ def d_S_by_induction(mu, nu, letter: str):
     return pt.bare(sp.springer_support(induced, "dual"))
 
 
+def d_S_marked_by_shape(marked, image=du.d_S):
+    """Sommers dual of a marked orbit through (marking, orbit - marking),
+    checked on its pseudo-Levi shape first and refused when that pair sits
+    on no shape; ``image`` (``duality.d_S`` or ``d_S_by_induction``) then
+    evaluates the pair.  The reference for ``duality.d_S_marked``."""
+    rest = pt.subtract(marked.orbit, marked.marking)
+    try:
+        du.pair_shape(marked.marking, rest, marked.letter)
+    except pt.PartitionError:
+        raise pt.PartitionError(f"no pseudo-Levi pair realizes "
+                                f"{marked.orbit} | {marked.marking}") from None
+    return image(marked.marking, rest, marked.letter)
+
+
 def dominance_le_loop(lam, mu) -> bool:
     """Dominance by running totals over the longer partition, the shorter
     one padded with zeros.  The reference for ``partitions.dominance_le``."""

@@ -97,19 +97,38 @@ def _bad_table(tmp_path):
     return str(path)
 
 
+def _binary_table(tmp_path):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    return str(path)
+
+
 @pytest.mark.parametrize("argv", (
     lambda tmp: ("exceptional", "F4", "A_2", "--table",
                  str(tmp / "missing.txt")),
     lambda tmp: ("exceptional", "F4", "A_2", "--table", _bad_table(tmp)),
     lambda tmp: ("verify-faithful", "-t", "C", "3,3,1", "--witness-file",
                  str(tmp / "no-such-dir" / "witnesses.txt")),
-), ids=("missing-table", "bad-checksum", "unwritable-witness-file"))
+    lambda tmp: ("exceptional", "F4", "A1", "--table", _binary_table(tmp)),
+), ids=("missing-table", "bad-checksum", "unwritable-witness-file",
+        "non-utf8-table"))
 def test_bad_files_exit_2(tmp_path, capsys, argv):
     """Missing, corrupt or unwritable files are violated preconditions:
     exit 2 with a one-line message, never a traceback."""
     code, _ = run(*argv(tmp_path))
     err = capsys.readouterr().err
     assert code == cli.EXIT_PRECONDITION
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_too_deep_input_exits_2(capsys):
+    """A restriction query whose Littlewood-Richardson count recurses past
+    the interpreter's limit is a violated precondition, not a crash."""
+    code, _ = run("restrict-mult", "-t", "C", "-n", "2500", "-k", "1250",
+                  "2500;-", "1250;-", "1250;-")
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PRECONDITION
+    assert err.startswith("precondition violated:") and "too large" in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 

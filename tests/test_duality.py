@@ -276,16 +276,21 @@ def test_d_s_matches_induction_through_rank_10(letter):
     assert 0 < refused < total
 
 
-def _d_S_marked_by_definition(marked):
-    """Sommers dual of a marked orbit through (marking, orbit - marking),
-    by truncated induction; refused when that pair sits on no shape."""
-    rest = P.subtract(marked.orbit, marked.marking)
-    try:
-        du.pair_shape(marked.marking, rest, marked.letter)
-    except P.PartitionError:
-        raise P.PartitionError(f"no pseudo-Levi pair realizes "
-                               f"{marked.orbit} | {marked.marking}") from None
-    return O.d_S_by_induction(marked.marking, rest, marked.letter)
+def test_d_s_marked_matches_shape_check_first():
+    """``d_S_marked`` lets ``d_S`` check the pair's shape; on every reduced
+    marked orbit of B, C and D through rank 8 it gives what checking the
+    shape first and then calling ``d_S`` gives, refusals included."""
+    outcomes = collections.Counter()
+    for letter in P.LETTERS:
+        for rank in range(9):
+            for lam in P.type_partitions(letter, rank):
+                for marking in O.reduced_markings(lam, letter):
+                    marked = du.MarkedOrbit(letter, lam, marking)
+                    got = O.outcome(du.d_S_marked, marked)
+                    assert got == O.outcome(O.d_S_marked_by_shape, marked), \
+                        marked
+                    outcomes[got[0]] += 1
+    assert outcomes["returns"] and outcomes["raises"]
 
 
 def test_le_a_matches_definition():
@@ -299,7 +304,8 @@ def test_le_a_matches_definition():
                   for rank in range(7)
                   for lam in P.type_partitions(letter, rank)
                   for marking in O.reduced_markings(lam, letter)]
-        sommers = {m: _outcome(_d_S_marked_by_definition, m) for m in marked}
+        sommers = {m: _outcome(O.d_S_marked_by_shape, m, O.d_S_by_induction)
+                   for m in marked}
 
         def definition(m1, m2):
             if not O.dominance_le_loop(m1.orbit, m2.orbit):
@@ -326,10 +332,9 @@ def test_le_a_matches_definition():
                                              "cannot compare types B and C")
 
 
-def test_no_lift_outcome_is_memoised(monkeypatch):
+def test_no_lift_checks_the_shape_once_per_attempt(monkeypatch):
     """Two comparisons that reach a marking with no lift raise the same
-    error, and the lift is looked for once."""
-    du._d_S_of_marked.cache_clear()
+    error, and each attempt at the lift checks its shape once."""
     calls = []
     real = du.pair_shape
 
@@ -343,7 +348,7 @@ def test_no_lift_outcome_is_memoised(monkeypatch):
     second = _outcome(du.le_A, marked, marked)
     assert first == second == Raised(
         P.PartitionError, "no pseudo-Levi pair realizes (1, 1, 1) | (1,)")
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_order_caches_leave_identity_alone():

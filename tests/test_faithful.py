@@ -440,7 +440,7 @@ def test_family_members_returns_a_fresh_list():
 
 def _clear_memos():
     for memo in (F._sorted_members, F._family_of_orbit, du._d_A_of_orbit,
-                 du._d_S_of_marked, du._pi_mu):
+                 du._pi_mu):
         memo.cache_clear()
 
 

@@ -215,14 +215,23 @@ def test_dual_properties(letter, rank):
                 assert P.dominance_le(P.dual(mu, letter), P.dual(lam, letter))
 
 
-def test_special_iff_dual_dual_identity():
+def check_special_iff_dual_dual(ranks):
     """The parity criterion agrees with the closure of the image of d."""
     for letter in P.LETTERS:
-        for rank in range(1, 6):
+        for rank in ranks:
             for lam in P.type_partitions(letter, rank):
                 via_dual = P.dual(P.dual(lam, letter),
                                   P.dual_letter(letter)) == lam
                 assert via_dual == P.is_special(lam, letter), (letter, lam)
+
+
+def test_special_iff_dual_dual_identity():
+    check_special_iff_dual_dual(range(13))
+
+
+@pytest.mark.slow
+def test_special_iff_dual_dual_identity_through_rank_16():
+    check_special_iff_dual_dual(range(13, 17))
 
 
 def test_enumerate():

@@ -56,6 +56,40 @@ def test_refinement_all_pairs_and_tail():
     assert blocks[-1].values == (9,) and len(blocks[-1].values) == 1
 
 
+def test_refinement_blocks_of_character_symbols():
+    """On the monotonic representative of every character's s- and
+    a-symbol through rank 8, the blocks in order hold the sorted entries,
+    the pairs are the entries in both rows, the intervals are maximal runs
+    of consecutive entries, and each block's rows are its entries in each
+    row."""
+    for letter in P.LETTERS:
+        for rank in range(9):
+            for rep in sp.irreps(letter, rank):
+                for kind in ("s", "a"):
+                    sym = S.monotonic_representative(S.symbol_of_pair(
+                        rep.first, rep.second, letter, kind), letter)
+                    order = S.underline(sym) if sym.defect == 0 else sym
+                    top, bottom = set(order.top), set(order.bottom)
+                    blocks = S.refinement(sym, letter)
+                    assert [v for b in blocks for v in b.values] == \
+                        sorted(order.top + order.bottom), sym
+                    pairs = [b.values for b in blocks if b.tag == "pair"]
+                    assert pairs == [(v, v) for v in sorted(top & bottom)]
+                    ends = [(b.values[0], b.values[-1]) for b in blocks
+                            if b.tag == "interval"]
+                    for (low, high), (nxt, _) in zip(ends, ends[1:]):
+                        assert nxt > high + 1, sym
+                    for b in blocks:
+                        values = tuple(dict.fromkeys(b.values))
+                        if b.tag == "interval":
+                            assert values == tuple(
+                                range(values[0], values[-1] + 1)), sym
+                        assert b.top == tuple(v for v in values
+                                              if v in top), sym
+                        assert b.bottom == tuple(v for v in values
+                                                 if v in bottom), sym
+
+
 def test_flips():
     assert S.flips(PAPER_EXAMPLE, "B", ()) == PAPER_EXAMPLE
     swapped = S.flips(PAPER_EXAMPLE, "B", {4})
