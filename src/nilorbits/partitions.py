@@ -298,13 +298,7 @@ def self_dual(lam: Partition, letter: str) -> Partition:
 
 def integer_partitions(total: int, bound: int | None = None):
     """All partitions of ``total`` with parts at most ``bound``, decreasing."""
-    if total == 0:
-        yield ()
-        return
-    top = total if bound is None else min(bound, total)
-    for first in range(top, 0, -1):
-        for rest in integer_partitions(total - first, first):
-            yield (first,) + rest
+    return _paired_partitions(total, total if bound is None else bound, None)
 
 
 def type_partitions(letter: str, rank: int) -> tuple[Partition, ...]:
@@ -316,9 +310,9 @@ def type_partitions(letter: str, rank: int) -> tuple[Partition, ...]:
     return tuple(_paired_partitions(total, total, 1 if letter == "C" else 0))
 
 
-def _paired_partitions(total: int, bound: int, bad: int):
+def _paired_partitions(total: int, bound: int, bad: int | None):
     # the partitions of ``total`` into parts at most ``bound``, those of
-    # parity ``bad`` in pairs, decreasing-lex ordered
+    # parity ``bad`` (none when None) in pairs, decreasing-lex ordered
     if total == 0:
         yield ()
     for first in range(min(bound, total), 0, -1):

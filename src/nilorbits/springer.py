@@ -523,33 +523,40 @@ def lr_coefficient(mu1: Partition, mu2: Partition, mu: Partition) -> int:
     content = list(mu2)
     filling: dict[tuple[int, int], int] = {}
     counts = [0] * (len(content) + 1)
-
-    def count_from(i: int) -> int:
-        if i == len(cells):
-            return 1
-        r, c = cells[i]
-        total = 0
-        for v in range(1, len(content) + 1):
-            if counts[v] >= content[v - 1]:
+    # depth first over the cells in order, on its own stack so that the
+    # recursion limit does not bound the number of cells: ``placed`` holds
+    # the values of the first cells and ``v`` is the next value to try
+    total, placed, v = 0, [], 1
+    while True:
+        if len(placed) == len(cells):
+            total += 1
+        elif v <= len(content):
+            r, c = cells[len(placed)]
+            if counts[v] >= content[v - 1] or \
+                    v > 1 and counts[v] >= counts[v - 1]:
+                # the content is used up, or the reverse reading word
+                # would stop being a lattice word
+                v += 1
                 continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue  # reverse reading word must stay a lattice word
             right = filling.get((r, c + 1))
-            if right is not None and v > right:
-                continue
             above = filling.get((r - 1, c))
             if r > 0 and c < inner[r - 1]:
                 above = 0
-            if above is not None and v <= above:
+            if right is not None and v > right or \
+                    above is not None and v <= above:
+                v += 1
                 continue
-            filling[(r, c)] = v
+            filling[r, c] = v
             counts[v] += 1
-            total += count_from(i + 1)
-            counts[v] -= 1
-            del filling[(r, c)]
-        return total
-
-    return count_from(0)
+            placed.append(v)
+            v = 1
+            continue
+        if not placed:
+            return total
+        v = placed.pop()
+        counts[v] -= 1
+        del filling[cells[len(placed)]]
+        v += 1
 
 
 def restriction_multiplicity(rep: WeylIrrep, shape: PseudoLeviShape,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import operator
 from dataclasses import dataclass
-from itertools import combinations, count, groupby, product
+from itertools import chain, combinations, product
 from operator import le, lt, sub
 
 from . import partitions as pt
@@ -151,12 +151,6 @@ def is_type_symbol(sym: Symbol, letter: str) -> bool:
     return sym.gap_ok() and has_type_shape(sym, letter)
 
 
-def assert_type_symbol(sym: Symbol, letter: str) -> None:
-    if not is_type_symbol(sym, letter):
-        raise SymbolError(f"{sym} is not a valid type-{letter} "
-                          f"{sym.kind}-symbol")
-
-
 def pad_once(sym: Symbol, letter: str) -> Symbol:
     """One shift-equivalence step up (adds one column)."""
     step, lead = _stair(sym.kind, letter)
@@ -280,17 +274,12 @@ def refinement(sym: Symbol, letter: str) -> tuple[Block, ...]:
     if not is_monotonic(sym):
         raise SymbolError(f"{sym} is not monotonic")
     order = underline(sym) if sym.defect == 0 else sym
-    # rows increase strictly, so an entry in both rows is a repeated pair
+    both, runs = _split(order.top, order.bottom, "s")
     top = set(order.top)
-    blocks = [Block((v, v), (v,), (v,), "pair")
-              for v in top.intersection(order.bottom)]
-    singles = sorted(top.symmetric_difference(order.bottom))
-    # along a run of consecutive singles, value less index is constant
-    for _, run in groupby(singles, key=lambda v, i=count(): v - next(i)):
-        run = tuple(run)
-        blocks.append(Block(run, tuple(v for v in run if v in top),
-                            tuple(v for v in run if v not in top),
-                            "interval"))
+    blocks = [Block((v, v), (v,), (v,), "pair") for v in both]
+    blocks += [Block(run, tuple(v for v in run if v in top),
+                     tuple(v for v in run if v not in top), "interval")
+               for run in runs]
     blocks.sort(key=lambda blk: blk.values[0])
     return tuple(blocks)
 
@@ -319,56 +308,70 @@ def flips(sym: Symbol, letter: str, flip_set) -> Symbol:
     return out
 
 
-def enumerate_class(sym: Symbol, letter: str, k: int | None = None) -> list[Symbol]:
-    """All s-symbols of the letter similar to sym at size k: the blocks of
-    the monotonic representative's refinement dealt between the rows, each
-    block but a pair in either orientation, keeping the deals with the shape
-    of the type, sorted by rows.  a-symbol classes are enumerated by
-    ``similar_symbols``.
+def _split(top, bottom, kind: str):
+    # the entries in both rows, and the other entries in blocks, least
+    # first: each entry alone for a-symbols, the maximal runs of consecutive
+    # entries for s-symbols, whose rows step by 2, so a run alternates
+    # between the rows
+    both = set(top).intersection(bottom)
+    blocks: list[tuple[int, ...]] = []
+    for v in sorted(set(top).symmetric_difference(bottom)):
+        if kind == "s" and blocks and blocks[-1][-1] == v - 1:
+            blocks[-1] += (v,)
+        else:
+            blocks.append((v,))
+    return sorted(both), blocks
 
-    Rows of an s-symbol step by at least 2, so an interval block alternates
-    between the rows: it adds one to the defect (its longer row on top,
-    "up"), takes one away, or, with rows of equal length, leaves it alone.
-    Only deals with the type's defect are made: each choice of the odd
-    blocks that point up, times either orientation of the even ones."""
+
+def _class_rows(top, bottom, kind: str, letter: str):
+    # the rows of the kind-symbols of the letter similar to (top, bottom),
+    # at its size, sorted: the entries in both rows stay there and each
+    # block alternates between the rows; an odd block starting on top adds
+    # one to the defect and one starting below takes one away, so the odd
+    # blocks on top are chosen to keep the defect, and an even block starts
+    # on either row
+    both, blocks = _split(top, bottom, kind)
+    ways = [((blk[0::2], blk[1::2]), (blk[1::2], blk[0::2]))
+            for blk in blocks]
+    odd = [w for w, blk in zip(ways, blocks) if len(blk) % 2]
+    even = [w for w, blk in zip(ways, blocks) if not len(blk) % 2]
+    out = []
+    for ups in combinations(range(len(odd)),
+                            (len(odd) + len(top) - len(bottom)) // 2):
+        fixed = [w[j not in ups] for j, w in enumerate(odd)]
+        for deal in product(*even):
+            deal_top, deal_bottom = both[:], both[:]
+            for up, down in chain(fixed, deal):
+                deal_top += up
+                deal_bottom += down
+            deal_top.sort()
+            deal_bottom.sort()
+            if _has_type_shape(deal_top, deal_bottom, kind, letter):
+                out.append((tuple(deal_top), tuple(deal_bottom)))
+    return sorted(out)
+
+
+def enumerate_class(sym: Symbol, letter: str, k: int | None = None) -> list[Symbol]:
+    """All symbols of the letter and kind of sym similar to it at size k,
+    sorted by rows, after the refusals of ``monotonic_representative``:
+    the entries in both rows stay there, and each block of the other
+    entries (a maximal run of consecutive entries for s-symbols, whose rows
+    step by 2, a single entry for a-symbols) alternates between the rows,
+    in the orientations that keep the defect and the type's shape."""
     if k is not None:
         sym = at_size(sym, letter, k)
-    mono = monotonic_representative(sym, letter)
-    choices, odd = [], []
-    for i, blk in enumerate(refinement(mono, letter)):
-        up, down = (blk.top, blk.bottom), (blk.bottom, blk.top)
-        if blk.tag == "pair":
-            choices.append((up,))
-            continue
-        if len(blk.top) != len(blk.bottom):
-            odd.append(i)
-            if len(blk.top) < len(blk.bottom):
-                up, down = down, up
-        choices.append((up, down))
-    # the defect is twice the number of up blocks less the odd ones
-    twice_up = len(odd) + (1 if letter in ("B", "C") else 0)
-    out = []
-    for ups in combinations(odd, twice_up // 2) if twice_up % 2 == 0 else ():
-        picked = list(choices)
-        for i in odd:
-            picked[i] = (choices[i][0 if i in ups else 1],)
-        # the blocks are disjoint and sorted, so each row increases
-        for deal in product(*picked):
-            s = pt._trusted(Symbol,
-                            tuple(v for top, _ in deal for v in top),
-                            tuple(v for _, bottom in deal for v in bottom),
-                            sym.kind)
-            if has_type_shape(s, letter):
-                out.append(s)
-    return sorted(out, key=lambda s: (s.top, s.bottom))
+    _monotonic_rows(sym.entries(), sym.defect, sym.kind, letter)
+    return [pt._trusted(Symbol, top, bottom, sym.kind)
+            for top, bottom in _class_rows(sym.top, sym.bottom, sym.kind,
+                                           letter)]
 
 
 def similar_symbols(sym: Symbol, letter: str, k: int | None = None) -> list[Symbol]:
     """The family of an a-symbol: all a-symbols of the letter with the same
-    entry multiset at size k, sorted by rows.  A repeated entry sits in both
-    rows and the single entries are dealt between the rows in every way that
-    keeps the row lengths.  s-symbols are refused; their classes come from
-    ``enumerate_class``."""
+    entry multiset at size k, sorted by rows, or none when sym lacks the
+    type's shape.  A repeated entry sits in both rows and the single entries
+    are dealt between the rows in every way that keeps the row lengths.
+    s-symbols are refused; their classes come from ``enumerate_class``."""
     if sym.kind != "a":
         raise SymbolError(f"{sym} is an s-symbol; enumerate its class with "
                           f"enumerate_class")
@@ -376,14 +379,8 @@ def similar_symbols(sym: Symbol, letter: str, k: int | None = None) -> list[Symb
         sym = at_size(sym, letter, k)
     if not has_type_shape(sym, letter):
         return []
-    entries = set(sym.top) | set(sym.bottom)
-    both = set(sym.top) & set(sym.bottom)
-    # combinations() yields the dealt top entries in lexicographic order, and
-    # merging the same repeated entries into each keeps that order
-    return [pt._trusted(Symbol, tuple(sorted(both.union(dealt))),
-                        tuple(sorted(entries.difference(dealt))), "a")
-            for dealt in combinations(sorted(entries - both),
-                                      len(sym.top) - len(both))]
+    return [pt._trusted(Symbol, top, bottom, "a")
+            for top, bottom in _class_rows(sym.top, sym.bottom, "a", letter)]
 
 
 def add(s1: Symbol, s2: Symbol) -> Symbol:

@@ -121,11 +121,23 @@ def test_bad_files_exit_2(tmp_path, capsys, argv):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
-def test_too_deep_input_exits_2(capsys):
-    """A restriction query whose Littlewood-Richardson count recurses past
-    the interpreter's limit is a violated precondition, not a crash."""
-    code, _ = run("restrict-mult", "-t", "C", "-n", "2500", "-k", "1250",
-                  "2500;-", "1250;-", "1250;-")
+def test_long_skew_shape_is_counted():
+    """The Littlewood-Richardson count keeps its own stack, so a skew shape
+    of 1,250 cells, more than the interpreter's recursion limit, is
+    answered."""
+    assert run("restrict-mult", "-t", "C", "-n", "2500", "-k", "1250",
+               "2500;-", "1250;-", "1250;-") == (0, "1\n")
+
+
+def test_too_deep_input_exits_2(capsys, monkeypatch):
+    """A computation that recurses past the interpreter's limit is a
+    violated precondition, not a crash."""
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(sp, "restriction_multiplicity", too_deep)
+    code, _ = run("restrict-mult", "-t", "C", "-k", "1", "-n", "3",
+                  "2,1;-", "1;-", "1,1;-")
     err = capsys.readouterr().err
     assert code == cli.EXIT_PRECONDITION
     assert err.startswith("precondition violated:") and "too large" in err

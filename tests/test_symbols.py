@@ -196,6 +196,22 @@ def test_enumerate_class_matches_splittings():
                         (letter, lam, mu, k)
 
 
+def test_enumerate_class_of_a_symbols_is_the_family():
+    """Each single entry of an a-symbol is a block of its own, so the class
+    is the whole family, for the a-symbol of every bipartition of rank <= 6
+    at the minimal and two padded sizes."""
+    for letter in ("B", "C", "D"):
+        for total in range(7):
+            for lam, mu in bipartitions(total):
+                k0 = S.min_size_pair(lam, mu, letter)
+                for k in (k0, k0 + 1, k0 + 2):
+                    sym = S.symbol_of_pair(lam, mu, letter, "a", k)
+                    got = S.enumerate_class(sym, letter)
+                    assert got == S.similar_symbols(sym, letter) == \
+                        O.similar_symbols_bruteforce(sym, letter), \
+                        (letter, lam, mu, k)
+
+
 def test_enumerate_class_matches_filtered_deals():
     """Dealing only the type-shaped orientations gives the list, in its
     order, that filtering every deal gave, for every bipartition of rank
