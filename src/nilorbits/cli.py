@@ -2,8 +2,10 @@
 
 Every pipeline stage is a subcommand; ``--mode structured`` prints
 self-describing JSON records (one per line) that round-trip through
-``object_of``.  Exit codes: 0 success, 1 failed verification, 2 violated
-precondition, 64 malformed arguments.
+``object_of``, which reads every kind that ``record_of`` writes: each kind
+is declared once.  Exit codes: 0 success, 1 failed verification, 2 violated
+precondition (an input too large to compute included), 64 malformed
+arguments.
 """
 
 from __future__ import annotations
@@ -76,117 +78,111 @@ def _parse_marked(text: str, letter: str) -> du.MarkedOrbit:
 
 
 # ---------------------------------------------------------------------------
-# structured records
+# structured records: one (kind, class, writer, reader) entry per kind; the
+# writer gives every field of the record but "kind", the reader the object
+
+def _rows(obj) -> dict:
+    return {"rows": [list(obj.top), list(obj.bottom)]}
+
+
+def _symbol_fields(sym: sy.Symbol) -> dict:
+    return {**_rows(sym), "row_kind": sym.kind, "defect": sym.defect}
+
+
+def _symbol(rec) -> sy.Symbol:
+    return sy.Symbol(*map(tuple, rec["rows"]), rec["row_kind"])
+
+
+def _faithful_pair(rec) -> fa.FaithfulPair:
+    letter, rank = rec["letter"], rec["rank"]
+    return fa.FaithfulPair(
+        letter, rank, sp.PseudoLeviShape(letter, rec["node"], rank),
+        tuple(map(object_of, rec["families"])),
+        tuple(map(tuple, rec["orbit_pair"])), rec["provenance"])
+
+
+def _report(rec) -> fa.FaithfulnessReport:
+    # the record holds no pair: it is rebuilt from the orbit
+    letter, orbit = rec["letter"], rec["orbit"]
+    return fa.FaithfulnessReport(
+        orbit, letter, fa.faithful_pair(pt.parse_partition(orbit), letter),
+        rec["condition_i"], rec["condition_ii"],
+        tuple(map(tuple, rec["witnesses"])))
+
+
+_RECORDS = (
+    ("bool", bool, lambda b: {"value": b}, lambda r: bool(r["value"])),
+    ("int", int, lambda i: {"value": i}, lambda r: int(r["value"])),
+    ("partition", tuple, lambda lam: {"parts": list(lam)},
+     lambda r: tuple(r["parts"])),
+    ("decorated_partition", DecoratedPartition,
+     lambda d: {"parts": list(d.parts), "decoration": d.kappa},
+     lambda r: DecoratedPartition(tuple(r["parts"]), r["decoration"])),
+    ("marked_orbit", du.MarkedOrbit,
+     lambda m: {"letter": m.letter, "orbit": list(m.orbit),
+                "marking": list(m.marking),
+                "decoration_undetermined": m.decoration_undetermined},
+     lambda r: du.MarkedOrbit(r["letter"], tuple(r["orbit"]),
+                              tuple(r["marking"]))),
+    ("irrep", sp.WeylIrrep,
+     lambda w: {"letter": w.letter, "rank": w.rank, "first": list(w.first),
+                "second": list(w.second), "decoration": w.kappa},
+     lambda r: sp.WeylIrrep(r["letter"], r["rank"], tuple(r["first"]),
+                            tuple(r["second"]), r["decoration"])),
+    ("symbol", sy.Symbol, _symbol_fields, _symbol),
+    ("decorated_symbol", sy.DecoratedSymbol,
+     lambda d: {**_symbol_fields(d.sym), "decoration": d.kappa},
+     lambda r: sy.DecoratedSymbol(_symbol(r), r["decoration"])),
+    ("family", sp.FamilyId,
+     lambda f: {"letter": f.letter, "rank": f.rank, **_rows(f),
+                "decoration": f.kappa},
+     lambda r: sp.FamilyId(r["letter"], r["rank"], *map(tuple, r["rows"]),
+                           r["decoration"])),
+    ("wavefront", wf.WavefrontResult,
+     lambda w: {"canonical_unramified": record_of(w.canonical_unramified),
+                "algebraic": list(w.algebraic)},
+     lambda r: wf.WavefrontResult(object_of(r["canonical_unramified"]),
+                                  tuple(r["algebraic"]))),
+    ("exceptional_entry", fa.ExceptionalEntry,
+     lambda e: {"group": e.group, "orbit_label": e.dual_orbit_label,
+                "node_mask": e.node_mask, "factor_type": e.factor_type,
+                "family_orbit": e.family_orbit},
+     lambda r: fa.ExceptionalEntry(r["group"], r["orbit_label"],
+                                   r["node_mask"], r["factor_type"],
+                                   r["family_orbit"])),
+    # a sentinel string, matched by equality: it stands for its own class
+    ("use_default", fa.USE_DEFAULT, lambda _: {}, lambda _: fa.USE_DEFAULT),
+    ("faithful_pair", fa.FaithfulPair,
+     lambda p: {"letter": p.letter, "rank": p.rank, "node": p.shape.k,
+                "provenance": p.provenance,
+                "families": list(map(record_of, p.families)),
+                "orbit_pair": list(map(list, p.orbit_pair))},
+     _faithful_pair),
+    ("faithfulness_report", fa.FaithfulnessReport,
+     lambda r: {"letter": r.letter, "orbit": r.orbit,
+                "condition_i": r.condition_i, "condition_ii": r.condition_ii,
+                "witnesses": list(map(list, r.witnesses))},
+     _report),
+)
+_WRITERS = {cls: (kind, write) for kind, cls, write, _ in _RECORDS}
+_READERS = {kind: read for kind, _, _, read in _RECORDS}
+
 
 def record_of(obj) -> dict:
-    if isinstance(obj, bool):
-        return {"kind": "bool", "value": obj}
-    if isinstance(obj, int):
-        return {"kind": "int", "value": obj}
-    if isinstance(obj, tuple):
-        return {"kind": "partition", "parts": list(obj)}
-    if isinstance(obj, DecoratedPartition):
-        return {"kind": "decorated_partition", "parts": list(obj.parts),
-                "decoration": obj.kappa}
-    if isinstance(obj, du.MarkedOrbit):
-        return {"kind": "marked_orbit", "letter": obj.letter,
-                "orbit": list(obj.orbit), "marking": list(obj.marking),
-                "decoration_undetermined": obj.decoration_undetermined}
-    if isinstance(obj, sp.WeylIrrep):
-        return {"kind": "irrep", "letter": obj.letter, "rank": obj.rank,
-                "first": list(obj.first), "second": list(obj.second),
-                "decoration": obj.kappa}
-    if isinstance(obj, sy.Symbol):
-        return {"kind": "symbol", "rows": [list(obj.top), list(obj.bottom)],
-                "row_kind": obj.kind, "defect": obj.defect}
-    if isinstance(obj, sy.DecoratedSymbol):
-        rec = record_of(obj.sym)
-        rec["kind"] = "decorated_symbol"
-        rec["decoration"] = obj.kappa
-        return rec
-    if isinstance(obj, sp.FamilyId):
-        return {"kind": "family", "letter": obj.letter, "rank": obj.rank,
-                "rows": [list(obj.top), list(obj.bottom)],
-                "decoration": obj.kappa}
-    if isinstance(obj, wf.WavefrontResult):
-        return {"kind": "wavefront",
-                "canonical_unramified": record_of(obj.canonical_unramified),
-                "algebraic": list(obj.algebraic)}
-    if isinstance(obj, fa.ExceptionalEntry):
-        return {"kind": "exceptional_entry", "group": obj.group,
-                "orbit_label": obj.dual_orbit_label,
-                "node_mask": obj.node_mask, "factor_type": obj.factor_type,
-                "family_orbit": obj.family_orbit}
-    if obj == fa.USE_DEFAULT:
-        return {"kind": "use_default"}
-    if isinstance(obj, fa.FaithfulPair):
-        return {"kind": "faithful_pair", "letter": obj.letter,
-                "rank": obj.rank, "node": obj.shape.k,
-                "provenance": obj.provenance,
-                "families": [record_of(f) for f in obj.families],
-                "orbit_pair": [list(obj.orbit_pair[0]),
-                               list(obj.orbit_pair[1])]}
-    if isinstance(obj, fa.FaithfulnessReport):
-        return {"kind": "faithfulness_report", "letter": obj.letter,
-                "orbit": obj.orbit, "condition_i": obj.condition_i,
-                "condition_ii": obj.condition_ii,
-                "witnesses": [list(w) for w in obj.witnesses]}
-    raise TypeError(f"no structured form for {obj!r}")
+    """The record of ``obj``, found by its exact class (so a bool is never
+    an int), or by equality for ``USE_DEFAULT``."""
+    key = obj if obj == fa.USE_DEFAULT else type(obj)
+    if key not in _WRITERS:
+        raise TypeError(f"no structured form for {obj!r}")
+    kind, write = _WRITERS[key]
+    return {"kind": kind, **write(obj)}
 
 
 def object_of(record: dict):
     kind = record["kind"]
-    if kind == "bool":
-        return bool(record["value"])
-    if kind == "int":
-        return int(record["value"])
-    if kind == "partition":
-        return tuple(record["parts"])
-    if kind == "decorated_partition":
-        return DecoratedPartition(tuple(record["parts"]), record["decoration"])
-    if kind == "marked_orbit":
-        return du.MarkedOrbit(record["letter"], tuple(record["orbit"]),
-                              tuple(record["marking"]))
-    if kind == "irrep":
-        return sp.WeylIrrep(record["letter"], record["rank"],
-                            tuple(record["first"]), tuple(record["second"]),
-                            record["decoration"])
-    if kind == "symbol":
-        top, bottom = record["rows"]
-        return sy.Symbol(tuple(top), tuple(bottom), record["row_kind"])
-    if kind == "decorated_symbol":
-        top, bottom = record["rows"]
-        return sy.DecoratedSymbol(sy.Symbol(tuple(top), tuple(bottom),
-                                            record["row_kind"]),
-                                  record["decoration"])
-    if kind == "family":
-        top, bottom = record["rows"]
-        return sp.FamilyId(record["letter"], record["rank"], tuple(top),
-                           tuple(bottom), record["decoration"])
-    if kind == "wavefront":
-        marked = object_of(record["canonical_unramified"])
-        return wf.WavefrontResult(marked, tuple(record["algebraic"]))
-    if kind == "exceptional_entry":
-        return fa.ExceptionalEntry(record["group"], record["orbit_label"],
-                                   record["node_mask"], record["factor_type"],
-                                   record["family_orbit"])
-    if kind == "use_default":
-        return fa.USE_DEFAULT
-    if kind == "faithful_pair":
-        letter, rank = record["letter"], record["rank"]
-        mu, nu = record["orbit_pair"]
-        return fa.FaithfulPair(
-            letter, rank, sp.PseudoLeviShape(letter, record["node"], rank),
-            tuple(object_of(f) for f in record["families"]),
-            (tuple(mu), tuple(nu)), record["provenance"])
-    if kind == "faithfulness_report":
-        # the record holds no pair: it is rebuilt from the orbit
-        letter, orbit = record["letter"], record["orbit"]
-        return fa.FaithfulnessReport(
-            orbit, letter, fa.faithful_pair(pt.parse_partition(orbit), letter),
-            record["condition_i"], record["condition_ii"],
-            tuple(tuple(w) for w in record["witnesses"]))
-    raise ValueError(f"unknown record kind {kind!r}")
+    if kind not in _READERS:
+        raise ValueError(f"unknown record kind {kind!r}")
+    return _READERS[kind](record)
 
 
 class _Out:
@@ -216,8 +212,9 @@ def _opt(*names, **kwargs):
 
 
 def build_parser() -> _Parser:
-    """One ``add`` per verb: help, result function, arguments; an
-    ``own_output`` function prints for itself and returns the exit code."""
+    """One ``add`` per verb: help, result function, arguments; each element
+    of a list result is emitted on its own, and an ``own_output`` function
+    prints for itself and returns the exit code."""
     parser = _Parser(prog="nilorbits", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -298,8 +295,8 @@ def build_parser() -> _Parser:
         lambda a: fa.exceptional_lookup(a.group, a.label, a.table_path),
         _opt("group", choices=("G2", "F4", "E6", "E7", "E8")), "label",
         _opt("--table", dest="table_path"), typed=False)
-    add("enumerate", "all orbits of the type and rank", _enumerate,
-        rank=True, own_output=True)
+    add("enumerate", "all orbits of the type and rank",
+        lambda a: pt.enumerate_orbits(a.letter, a.rank), rank=True)
     return parser
 
 
@@ -339,12 +336,6 @@ def _family(args, out: _Out) -> int:
     return EXIT_OK
 
 
-def _enumerate(args, out: _Out) -> int:
-    for lam in pt.enumerate_orbits(args.letter, args.rank):
-        out.emit(lam)
-    return EXIT_OK
-
-
 def _verify(args, out: _Out) -> int:
     if (args.partition is None) == (args.rank is None):
         raise UsageError("verify-faithful needs a partition or --rank")
@@ -380,7 +371,9 @@ def run(argv, stream=None) -> int:
         out = _Out(args.mode, stream or sys.stdout)
         if args.own_output:
             return args.compute(args, out)
-        out.emit(args.compute(args))
+        result = args.compute(args)
+        for obj in result if isinstance(result, list) else [result]:
+            out.emit(obj)
         return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -392,6 +385,10 @@ def run(argv, stream=None) -> int:
     except RecursionError:
         print("precondition violated: the input is too large for this "
               "computation (it exceeds the recursion limit)", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except (OverflowError, MemoryError):
+        print("precondition violated: the input is too large for this "
+              "computation", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

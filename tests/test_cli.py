@@ -144,6 +144,38 @@ def test_too_deep_input_exits_2(capsys, monkeypatch):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", (
+    ("dual", "-t", "B", "1^10000000000000000000"),
+    ("dual", "-t", "B", "--", "99999999999999999999999"),
+), ids=("huge-exponent", "huge-part"))
+def test_oversized_input_exits_2(capsys, argv):
+    """A part or exponent too large for a list index is a violated
+    precondition: exit 2 with one line, not an OverflowError."""
+    code, _ = run(*argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PRECONDITION
+    assert err == ("precondition violated: the input is too large for this "
+                   "computation\n")
+
+
+@pytest.mark.parametrize("error, reason", (
+    (MemoryError, ""),
+    (RecursionError, " (it exceeds the recursion limit)"),
+), ids=("memory", "recursion"))
+def test_too_large_messages(capsys, monkeypatch, error, reason):
+    """Running out of memory is a violated precondition too; only a
+    recursion error names its limit."""
+    def too_large(*args):
+        raise error
+
+    monkeypatch.setattr(P, "dual", too_large)
+    code, _ = run("dual", "-t", "B", "3,1,1")
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PRECONDITION
+    assert err == ("precondition violated: the input is too large for this "
+                   f"computation{reason}\n")
+
+
 def _python_m(module, *argv):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -244,10 +276,26 @@ def test_record_roundtrip_all_kinds():
         True,
         7,
     ]
+    kinds = set()
     for obj in samples:
         rec = cli.record_of(obj)
         rebuilt = cli.object_of(json.loads(json.dumps(rec)))
         assert rebuilt == obj, rec
+        kinds.add(rec["kind"])
+    assert kinds == {kind for kind, *_ in cli._RECORDS}
+
+
+def test_record_refusals_name_the_value():
+    obj = object()
+    with pytest.raises(TypeError) as exc:
+        cli.record_of(obj)
+    assert str(exc.value) == f"no structured form for {obj!r}"
+    with pytest.raises(TypeError) as exc:
+        cli.record_of("use-defaults")
+    assert str(exc.value) == "no structured form for 'use-defaults'"
+    with pytest.raises(ValueError) as exc:
+        cli.object_of({"kind": "nope"})
+    assert str(exc.value) == "unknown record kind 'nope'"
 
 
 def test_irrep_record_refuses_bad_decoration():
@@ -283,4 +331,24 @@ def test_cli_population_matches_recorded_digests(monkeypatch):
         got = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
         if got != recorded[query.key]:
             wrong.append((query.key, code, out))
+    assert not wrong, wrong[:3]
+
+
+def test_cli_population_records_roundtrip(monkeypatch):
+    """Every record a structured query of the benchmark's CLI population
+    prints parses back through ``object_of`` to a value with the same
+    record."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    monkeypatch.syspath_prepend(bench)
+    monkeypatch.delenv("NILORBITS_MAX_RANK", raising=False)
+    from cli_queries import population
+    records = []
+    for query in population():
+        if "structured" in query.argv:
+            records += [json.loads(line)
+                        for line in run(*query.argv)[1].splitlines()]
+    assert len(records) == 602
+    wrong = [rec for rec in records
+             if cli.record_of(cli.object_of(rec)) != rec]
     assert not wrong, wrong[:3]

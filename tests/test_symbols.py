@@ -372,22 +372,23 @@ def test_symbol_bijectivity_small():
 
 
 def test_family_bijection_size():
-    """Similarity classes at a fixed size biject with the classes of the
-    shift quotient: sizes match for n <= 5."""
+    """At the common size 5, the similarity classes of a-symbols cover the
+    bipartitions of n exactly once, and match the families in number and
+    sizes, for n <= 5."""
     for letter in ("B", "C"):
+        counts = []
         for n in range(1, 6):
-            reps = {}
-            for lam, mu in bipartitions(n):
-                sym = S.symbol_of_pair(lam, mu, letter, "a")
-                key = tuple(sorted(S.normalize(sym, letter).entries()))
-                reps.setdefault(len(sym.bottom), {})
-            for lam, mu in bipartitions(n):
-                k = 5  # common size
-                sym = S.symbol_of_pair(lam, mu, letter, "a", k)
-                members = S.similar_symbols(sym, letter)
-                # every member comes from a bipartition (surjectivity at k)
-                for m in members:
-                    S.pair_of_symbol(m, letter)
+            classes = {tuple(S.similar_symbols(
+                S.symbol_of_pair(lam, mu, letter, "a", 5), letter))
+                for lam, mu in bipartitions(n)}
+            covered = [S.pair_of_symbol(m, letter)
+                       for members in classes for m in members]
+            assert sorted(covered) == sorted(bipartitions(n))
+            families = {sp.family_of(rep) for rep in sp.irreps(letter, n)}
+            sizes = sorted(len(sp.family_members(fid)) for fid in families)
+            assert sorted(map(len, classes)) == sizes
+            counts.append(len(classes))
+        assert counts == [2, 3, 6, 10, 16]
 
 
 def test_add_and_shriek():
