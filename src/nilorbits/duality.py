@@ -40,7 +40,7 @@ class MarkedOrbit:
         parts = set(self.marking)
         if len(parts) != len(self.marking) or not parts <= set(
                 pt.markable_parts(self.orbit, self.letter)):
-            reduced = pt.reduction(self.orbit, self.marking, self.letter)
+            reduced = pt._reduction(self.orbit, self.marking, self.letter)
             raise PartitionError(
                 f"marking {format_partition(self.marking)} is not reduced on "
                 f"{format_partition(self.orbit)} (its reduction is "

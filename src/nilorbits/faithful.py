@@ -92,9 +92,12 @@ def _full_pair(lam, letter: str, d: Partition,
 
 @lru_cache(maxsize=None)
 def _family_of_orbit(orbit, letter: str) -> sp.FamilyId:
-    """Family of the character E(orbit, 1) of a factor of type ``letter``;
-    one derivation per factor orbit and process."""
-    return sp.family_of(sp.rep_of_orbit(orbit, letter, letter))
+    """Family of the character E(orbit, 1) of a factor of type ``letter``,
+    from its Springer rows; one derivation per factor orbit and process."""
+    bare = pt.bare(orbit)
+    kappa = orbit.kappa if isinstance(orbit, DecoratedPartition) else 0
+    return sp._family_of_rows(*sp._staircase(bare, letter), letter,
+                              sum(bare) // 2, kappa)
 
 
 def _matching_dual_decoration(lam, d: Partition) -> int:
@@ -180,7 +183,7 @@ def _sorted_members(fid: sp.FamilyId,
                     apply_sgn_twist: bool) -> tuple[sp.WeylIrrep, ...]:
     """The witness pool of one family, built once per process; the members
     are frozen, so every orbit over the family shares them."""
-    members = sp.family_members(fid)
+    members = sp._family_members(fid)
     if apply_sgn_twist:
         members = [sp.sgn_twist(m) for m in members]
     return tuple(sorted(members, key=lambda m: (m.first, m.second, m.kappa)))
@@ -198,7 +201,7 @@ def verify_faithful(lam, letter: str, apply_sgn_twist: bool = True) -> Faithfuln
     negative control."""
     lam = _checked(lam, letter)
     target = du.d_A_triv(lam, letter)
-    fiber = sp.dual_fiber(lam, letter)
+    fiber = sp._dual_fiber(lam, letter)
     pair = _route(lam, letter, fiber, target)
     # every pair from ``_route`` fits its shape: ``pair_shape`` has checked
     # the general one, and a full-diagram pair is ((), Achar dual orbit)

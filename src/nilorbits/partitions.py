@@ -20,7 +20,8 @@ What they assume of their input:
   ``canonical_pair``, ``parse_partition`` and ``DecoratedPartition``;
 * ``height``, ``is_type_partition``, ``is_very_even``, ``format_partition``,
   ``contains``, ``subtract``, ``markable_parts`` and ``reduction`` take a
-  tuple or list in any order, zeros and negative parts included;
+  tuple or list in any order, zeros and negative parts included (``subtract``
+  and ``reduction`` refuse a second argument that ``contains`` rejects);
 * ``transpose`` takes a tuple or list in any order and reads ``lam[0]``
   as the number of columns;
 * the rest (``dominance_le``, ``dominance_key``, ``raise_first``,
@@ -370,13 +371,17 @@ def _markable_parts(lam: Partition, letter: str) -> Partition:
 def reduction(lam: Partition, mu: Partition, letter: str) -> Partition:
     """Canonical reduced marking r_lam(mu): the markable part x_i is kept
     exactly when ht_mu(x_i) - ht_mu(x_{i+1}) is odd, x_{i+1} being the next
-    larger markable part (height 0 beyond the largest)."""
+    larger markable part (height 0 beyond the largest).  ``mu`` must be a
+    subpartition of ``lam``."""
     assert_type_partition(lam, letter)
+    if not contains(lam, mu):
+        raise PartitionError(f"{format_partition(mu)} is not a subpartition "
+                             f"of {format_partition(lam)}")
     return _reduction(lam, mu, letter)
 
 
 def _reduction(lam: Partition, mu: Partition, letter: str) -> Partition:
-    # ``reduction`` on a checked ``letter``-partition
+    # ``reduction`` on a checked ``letter``-partition, of any ``mu``
     kept = []
     upper = 0
     for x in _markable_parts(lam, letter):  # decreasing

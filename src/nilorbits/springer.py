@@ -11,7 +11,8 @@ Public entry points check their arguments; internal producers use the
 trusted path: the character table behind ``irreps``, class and family
 members and sign twists, built from pairs already canonical with the right
 total, skip ``WeylIrrep``'s checks.  ``springer_support`` reads the orbit
-in one pass on rows, with no intermediate symbol.
+in one pass on rows, and dual fibres, families and family members go from
+rows to characters: none of them builds an intermediate symbol.
 """
 
 from __future__ import annotations
@@ -164,18 +165,21 @@ def rep_ssymbol(rep: WeylIrrep, convention: str | None = None,
     return sy.symbol_of_pair(rep.first, rep.second, convention, "s", k)
 
 
-def _staircase(lam: Partition,
-               odd_length: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The Springer recipe's rows: pad the parts with a 0 to the wanted
-    length parity, add 0, 1, 2, ... in increasing order and split the
-    entries by parity, halved (odd entries first)."""
+def _staircase(lam, letter: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The Springer recipe's a-symbol rows: pad the parts with a 0 to odd
+    length for B and C and even length for D, add 0, 1, 2, ... in increasing
+    order and split the entries by parity, halved, odd entries on top but in
+    type C.  A negative part is refused as ``Symbol`` refuses the rows."""
     padded = sorted(lam)
-    if len(padded) % 2 != odd_length:
+    if len(padded) % 2 != (letter != "D"):
         padded = [0] + padded
     entries = [v + i for i, v in enumerate(padded)]
-    odd = tuple(sorted((e - 1) // 2 for e in entries if e % 2))
-    even = tuple(sorted(e // 2 for e in entries if e % 2 == 0))
-    return odd, even
+    odd = tuple((e - 1) // 2 for e in entries if e % 2)
+    even = tuple(e // 2 for e in entries if e % 2 == 0)
+    rows = (even, odd) if letter == "C" else (odd, even)
+    if min(lam, default=0) < 0:
+        Symbol(*rows, "a")
+    return rows
 
 
 def springer_symbol(lam, letter: str):
@@ -183,30 +187,29 @@ def springer_symbol(lam, letter: str):
     over the orbit ``lam``: pad the parts to the type's length parity, add
     0, 1, 2, ... and split by parity.  Returns an ordered symbol for B and C
     and a decorated symbol for D."""
-    kappa = 0
-    if isinstance(lam, DecoratedPartition):
-        kappa = lam.kappa
-        lam = lam.parts
+    kappa = lam.kappa if isinstance(lam, DecoratedPartition) else 0
+    lam = pt.bare(lam)
     pt.assert_type_partition(lam, letter)
-    xi, eta = _staircase(lam, letter in ("B", "C"))
-    if letter == "B":
-        assert len(xi) == len(eta) + 1
-        return Symbol(xi, eta, "a")
-    if letter == "C":
-        assert len(eta) == len(xi) + 1
-        return Symbol(eta, xi, "a")
-    assert len(xi) == len(eta)
-    return DecoratedSymbol(Symbol(xi, eta, "a"), kappa)
+    sym = Symbol(*_staircase(lam, letter), "a")
+    return DecoratedSymbol(sym, kappa) if letter == "D" else sym
 
 
 def springer_bipartition(lam, letter: str) -> tuple[Partition, Partition, int]:
-    """Bipartition avatar of the Springer character of ``lam``."""
-    sym = springer_symbol(lam, letter)
-    if letter == "D":
-        first, second = sy.pair_of_symbol(sym.sym, "D")
-        return first, second, sym.kappa
-    first, second = sy.pair_of_symbol(sym, letter)
-    return first, second, 0
+    """Bipartition avatar of the Springer character of ``lam``, read from
+    the rows of ``springer_symbol`` after its refusals."""
+    pt.assert_type_partition(pt.bare(lam), letter)
+    return _springer_pair(lam, letter)
+
+
+def _springer_pair(lam, letter: str) -> tuple[Partition, Partition, int]:
+    # ``springer_bipartition`` of a checked orbit: its rows, underlined in
+    # type D, where the decoration stays only on equal rows
+    top, bottom = _staircase(pt.bare(lam), letter)
+    if letter == "D" and sum(top) < sum(bottom):
+        top, bottom = bottom, top
+    return (*sy._pair_of_rows(top, bottom, "a", letter),
+            lam.kappa if isinstance(lam, DecoratedPartition) and
+            top == bottom else 0)
 
 
 def rep_of_orbit(lam, conv_letter: str, ambient_letter: str) -> WeylIrrep:
@@ -305,36 +308,41 @@ def collapse_symbol(lam: Partition, kappa: int = 0) -> DecoratedSymbol:
     if not is_type_partition(pt.transpose(lam), "D"):
         raise PartitionError(f"transpose of {format_partition(lam)} is not "
                              f"a D-partition")
-    xi, eta = _staircase(lam, False)
-    assert len(xi) == len(eta)
-    return DecoratedSymbol(Symbol(xi, eta, "a"), kappa)
+    return DecoratedSymbol(Symbol(*_staircase(lam, "D"), "a"), kappa)
 
 
 def dual_fiber(lam, letter: str) -> list[WeylIrrep]:
     """All characters of the rank-n type-``letter`` group whose dual-side
     Springer support is ``lam``: the similarity class of its dual-side
-    s-symbol, enumerated by ``enumerate_class``."""
+    s-symbol, refused and dealt as by ``enumerate_class``, on rows."""
+    pt.assert_type_partition(pt.bare(lam), dual_letter(letter))
+    return _dual_fiber(lam, letter)
+
+
+def _dual_fiber(lam, letter: str) -> list[WeylIrrep]:
+    # ``dual_fiber`` of a checked orbit: the s-rows of its Springer pair at
+    # the size that holds the whole class
     conv = dual_letter(letter)
-    first, second, kappa = springer_bipartition(lam, conv)
-    rank = sum(first) + sum(second)
+    first, second, kappa = _springer_pair(lam, conv)
     k = max(sy.min_size_pair(first, second, conv),
             len(pt.bare(lam)) // 2 + 1)
-    ssym = sy.symbol_of_pair(first, second, conv, "s", k)
-    return _irreps_of_symbols(sy.enumerate_class(ssym, conv), conv,
-                              letter, rank, kappa)
+    top, bottom = sy._rows_of_pair(first, second, conv, "s", k)
+    sy._monotonic_rows(sorted(top + bottom), len(top) - len(bottom), "s",
+                       conv)
+    return _irreps_of_rows(sy._class_rows(top, bottom, "s", conv), "s", conv,
+                           letter, sum(first) + sum(second), kappa)
 
 
-def _irreps_of_symbols(symbols, conv: str, letter: str, rank: int,
-                       kappa: int) -> list[WeylIrrep]:
-    """The distinct characters whose symbols in the ``conv`` convention are
-    listed, in order of first appearance; ``WeylIrrep`` keeps the decoration
-    only on a degenerate type-D pair.  Only the first character goes
-    through the checks, of a caller's ``FamilyId`` too: similar symbols
-    share their rows' lengths and entries, so all pairs share its total."""
+def _irreps_of_rows(rows, kind: str, conv: str, letter: str, rank: int,
+                    kappa: int) -> list[WeylIrrep]:
+    # the distinct characters of ``conv``-convention rows dealt by
+    # ``_class_rows``, in order.  Only the first goes through the checks, of
+    # a caller's ``FamilyId`` too: the rows share a total
     out: dict[WeylIrrep, None] = {}
-    for sym in symbols:
+    for top, bottom in rows:
         make = _irrep if out else WeylIrrep
-        out.setdefault(make(letter, rank, *sy.pair_of_symbol(sym, conv),
+        out.setdefault(make(letter, rank,
+                            *sy._pair_of_rows(top, bottom, kind, conv),
                             kappa))
     return list(out)
 
@@ -364,22 +372,37 @@ class FamilyId:
 
 
 def family_of(rep: WeylIrrep) -> FamilyId:
-    alpha = rep_asymbol(rep)
-    mono = sy.monotonic_representative(alpha, rep.letter)
-    mono = sy.normalize(mono, rep.letter)
-    if rep.letter == "D":
-        mono = sy.underline(mono)
-    kappa = rep.kappa if rep.degenerate else 0
-    return FamilyId(rep.letter, rep.rank, mono.top, mono.bottom, kappa)
+    return _family_of_rows(
+        *sy._rows_of_pair(rep.first, rep.second, rep.letter, "a"),
+        rep.letter, rep.rank, rep.kappa)
+
+
+def _family_of_rows(top, bottom, letter: str, rank: int,
+                    kappa: int) -> FamilyId:
+    # the family of a-symbol rows at any size: the normalized monotonic
+    # deal of the sorted entries.  In type D the deal puts the larger entry
+    # of each column on top, so it is underlined
+    top, bottom = sy._stripped(*sy._monotonic_rows(
+        tuple(sorted(top + bottom)), len(top) - len(bottom), "a", letter),
+        "a", letter)
+    return FamilyId(letter, rank, top, bottom,
+                    kappa if top == bottom and top else 0)
 
 
 def family_members(fid: FamilyId) -> list[WeylIrrep]:
     """The complete family: the characters of all a-symbols similar to the
-    family's monotonic a-symbol, enumerated by ``similar_symbols`` (plus the
-    decoration rule in type D)."""
-    base = Symbol(fid.top, fid.bottom, "a")
-    return _irreps_of_symbols(sy.similar_symbols(base, fid.letter),
-                              fid.letter, fid.letter, fid.rank, fid.kappa)
+    family's monotonic a-symbol, refused and dealt as by
+    ``similar_symbols`` (plus the decoration rule in type D), on rows."""
+    Symbol(fid.top, fid.bottom, "a")  # the rows' checks
+    return _family_members(fid)
+
+
+def _family_members(fid: FamilyId) -> list[WeylIrrep]:
+    # ``family_members`` of checked rows; a deal keeps the defect, so rows
+    # without the type's shape have no deal
+    return _irreps_of_rows(sy._class_rows(fid.top, fid.bottom, "a",
+                                          fid.letter),
+                           "a", fid.letter, fid.letter, fid.rank, fid.kappa)
 
 
 def special_rep(fid: FamilyId) -> WeylIrrep:

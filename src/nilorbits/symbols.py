@@ -14,7 +14,10 @@ a-symbols are the families.
 
 Public entry points check their arguments; internal producers use the
 trusted path: the class and family members and monotonic representatives
-dealt here from checked symbols skip ``Symbol``'s row check.
+dealt here from checked symbols skip ``Symbol``'s row check.  The row
+helpers (the class kernel, the monotonic deal, shift normalization and the
+inverse of the staircase) also serve the springer layer, which goes from
+rows to characters with no intermediate symbol.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from itertools import chain, combinations, product
 from operator import le, lt, sub
 
 from . import partitions as pt
-from .partitions import (Partition, as_partition, canonical_pair,
-                         format_partition, transpose)
+from .partitions import (Partition, as_partition, format_partition,
+                         transpose)
 
 log = logging.getLogger(__name__)
 
@@ -119,17 +122,21 @@ def _stair(kind: str, letter: str) -> tuple[int, int]:
     return (2, int(letter == "C")) if kind == "s" else (1, 0)
 
 
-def _unstaired(sym: Symbol, letter: str) -> tuple[list[int], list[int]]:
-    # the rows less their staircase: the bipartition's parts, least first
-    step, lead = _stair(sym.kind, letter)
-    return (list(map(sub, sym.top, range(0, step * len(sym.top), step))),
-            list(map(sub, sym.bottom,
-                     range(lead, lead + step * len(sym.bottom), step))))
+def _pair_of_rows(top, bottom, kind: str, letter: str):
+    # the rows less their staircase, read backwards without zeros: the
+    # bipartition when the rows step by at least the kind's gap, as those
+    # of the Springer recipe and of ``_class_rows`` do, with no sort
+    step, lead = _stair(kind, letter)
+    first = list(map(sub, top, range(0, step * len(top), step)))
+    second = list(map(sub, bottom, range(lead, lead + step * len(bottom),
+                                         step)))
+    return (tuple(filter(None, reversed(first))),
+            tuple(filter(None, reversed(second))))
 
 
 def symbol_size(sym: Symbol, letter: str) -> int:
     """The integer n with sym attached to a rank-n group of the given type."""
-    return sum(map(sum, _unstaired(sym, letter)))
+    return sum(map(sum, _pair_of_rows(sym.top, sym.bottom, sym.kind, letter)))
 
 
 def has_type_shape(sym: Symbol, letter: str) -> bool:
@@ -158,24 +165,22 @@ def pad_once(sym: Symbol, letter: str) -> Symbol:
                   (lead,) + tuple(v + step for v in sym.bottom), sym.kind)
 
 
-def strip_once(sym: Symbol, letter: str):
-    """One shift-equivalence step down, or None when already minimal."""
-    step, lead = _stair(sym.kind, letter)
-    if not sym.top or not sym.bottom:
-        return None
-    if sym.top[0] != 0 or sym.bottom[0] != lead:
-        return None
-    return Symbol(tuple(v - step for v in sym.top[1:]),
-                  tuple(v - step for v in sym.bottom[1:]), sym.kind)
-
-
 def normalize(sym: Symbol, letter: str) -> Symbol:
     """Minimal representative of the shift class."""
-    while True:
-        smaller = strip_once(sym, letter)
-        if smaller is None:
-            return sym
-        sym = smaller
+    return Symbol(*_stripped(sym.top, sym.bottom, sym.kind, letter), sym.kind)
+
+
+def _stripped(top, bottom, kind: str, letter: str):
+    # ``normalize`` on rows: the leading columns on the staircase, (0; lead),
+    # (step; lead + step), ..., taken off, and the rest shifted down
+    step, lead = _stair(kind, letter)
+    strip = 0
+    for column in zip(top, bottom):
+        if column != (step * strip, lead + step * strip):
+            break
+        strip += 1
+    return (tuple(v - step * strip for v in top[strip:]),
+            tuple(v - step * strip for v in bottom[strip:]))
 
 
 def at_size(sym: Symbol, letter: str, k: int) -> Symbol:
@@ -439,7 +444,7 @@ def _rows_of_pair(first: Partition, second: Partition, letter: str,
 
 def pair_of_symbol(sym: Symbol, letter: str) -> tuple[Partition, Partition]:
     """Inverse of ``symbol_of_pair`` on the same row order."""
-    first, second = _unstaired(sym, letter)
+    first, second = _pair_of_rows(sym.top, sym.bottom, sym.kind, letter)
     if min(first + second, default=0) < 0:
         raise SymbolError(f"{sym} is not in the image of a bipartition")
     return as_partition(first), as_partition(second)
@@ -456,7 +461,7 @@ def sgn_twist_pair(first: Partition, second: Partition, letter: str,
         log.info("sign twist of a degenerate type-D pair %s keeps its "
                  "decoration %d by convention", format_partition(first), kappa)
         return transpose(first), transpose(second), kappa
-    a, b = canonical_pair(transpose(first), transpose(second))
+    a, b = pt._ordered_pair(transpose(first), transpose(second))
     return a, b, kappa if a == b else 0
 
 

@@ -742,3 +742,78 @@ def springer_support_by_round_trip(rep, side: str = "group"):
         kappa = rep.kappa if rep.degenerate else 0
         return sp.orbit_of_symbol(sy.DecoratedSymbol(alpha, kappa), "D")
     return sp.orbit_of_symbol(alpha, conv)
+
+
+# ---------------------------------------------------------------------------
+# dual fibres, families and factor families through whole symbols
+
+def springer_bipartition_by_symbol(lam, letter: str):
+    """The Springer symbol of the orbit, inverted by ``pair_of_symbol``.
+    The reference for ``springer.springer_bipartition``."""
+    sym = sp.springer_symbol(lam, letter)
+    if letter == "D":
+        return (*sy.pair_of_symbol(sym.sym, "D"), sym.kappa)
+    return (*sy.pair_of_symbol(sym, letter), 0)
+
+
+def _irreps_by_symbols(symbols, conv: str, letter: str, rank: int,
+                       kappa: int):
+    # the distinct checked characters of the symbols, in order
+    return list(dict.fromkeys(
+        sp.WeylIrrep(letter, rank, *sy.pair_of_symbol(sym, conv), kappa)
+        for sym in symbols))
+
+
+def dual_fiber_by_symbols(lam, letter: str):
+    """The dual-side s-symbol of the orbit at size k, its class by
+    ``enumerate_class``, each member inverted by ``pair_of_symbol``.  The
+    reference for ``springer.dual_fiber``."""
+    conv = pt.dual_letter(letter)
+    first, second, kappa = springer_bipartition_by_symbol(lam, conv)
+    rank = sum(first) + sum(second)
+    k = max(sy.min_size_pair(first, second, conv),
+            len(pt.bare(lam)) // 2 + 1)
+    ssym = sy.symbol_of_pair(first, second, conv, "s", k)
+    return _irreps_by_symbols(sy.enumerate_class(ssym, conv), conv, letter,
+                              rank, kappa)
+
+
+def normalize_by_steps(sym, letter: str):
+    """Strip one column on the staircase at a time into a checked
+    ``Symbol``, until none is left.  The reference for
+    ``symbols.normalize``."""
+    step, lead = sy._stair(sym.kind, letter)
+    while sym.top and sym.bottom and \
+            (sym.top[0], sym.bottom[0]) == (0, lead):
+        sym = sy.Symbol(tuple(v - step for v in sym.top[1:]),
+                        tuple(v - step for v in sym.bottom[1:]), sym.kind)
+    return sym
+
+
+def family_of_by_symbol(rep):
+    """The minimal a-symbol, its monotonic representative, normalized and
+    underlined in type D.  The reference for ``springer.family_of``."""
+    mono = sy.monotonic_representative(sp.rep_asymbol(rep), rep.letter)
+    mono = normalize_by_steps(mono, rep.letter)
+    if rep.letter == "D":
+        mono = sy.underline(mono)
+    kappa = rep.kappa if rep.degenerate else 0
+    return sp.FamilyId(rep.letter, rep.rank, mono.top, mono.bottom, kappa)
+
+
+def family_members_by_symbols(fid):
+    """The family's a-symbol class by ``similar_symbols``, each member
+    inverted by ``pair_of_symbol``.  The reference for
+    ``springer.family_members``."""
+    base = sy.Symbol(fid.top, fid.bottom, "a")
+    return _irreps_by_symbols(sy.similar_symbols(base, fid.letter),
+                              fid.letter, fid.letter, fid.rank, fid.kappa)
+
+
+def family_of_orbit_by_symbols(orbit, letter: str):
+    """The family of the checked Springer character of the orbit.  The
+    reference for ``faithful._family_of_orbit``."""
+    first, second, kappa = springer_bipartition_by_symbol(orbit, letter)
+    rank = sum(first) + sum(second)
+    return family_of_by_symbol(sp.WeylIrrep(letter, rank, first, second,
+                                            kappa))

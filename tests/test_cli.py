@@ -158,6 +158,17 @@ def test_oversized_input_exits_2(capsys, argv):
                    "computation\n")
 
 
+def test_reduce_refuses_a_marking_outside_the_orbit(capsys):
+    """``reduce`` exits 2 on a mu that is no subpartition of the orbit, as
+    ``lea`` does on the same marking."""
+    for mu in ("5", "99999999999999999999"):
+        assert run("reduce", "-t", "B", "3,1,1", mu) == (2, "")
+        assert capsys.readouterr().err == \
+            f"precondition violated: {mu} is not a subpartition of 3,1^2\n"
+    assert run("lea", "-t", "B", "3,1,1|5", "3,1,1|-") == (2, "")
+    assert run("reduce", "-t", "B", "3,1,1", "3,1") == (0, "3,1\n")
+
+
 @pytest.mark.parametrize("error, reason", (
     (MemoryError, ""),
     (RecursionError, " (it exceeds the recursion limit)"),

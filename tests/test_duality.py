@@ -44,8 +44,10 @@ def test_marked_orbit_validation():
 
 def _marked_by_reduction(letter, orbit, marking):
     """The marked orbit, refused unless the marking is its own reduction:
-    the validation ``MarkedOrbit`` replaces by one ``markable_parts`` pass."""
-    reduced = P.reduction(orbit, marking, letter)
+    the validation ``MarkedOrbit`` replaces by one ``markable_parts`` pass.
+    The reduction is the unchecked one, which also reads a marking that is
+    no subpartition of the orbit."""
+    reduced = P._reduction(orbit, marking, letter)
     if reduced != marking:
         raise P.PartitionError(
             f"marking {P.format_partition(marking)} is not reduced on "

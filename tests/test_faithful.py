@@ -583,3 +583,69 @@ def test_override_table_read_every_call(tmp_path):
     for _ in range(2):
         with pytest.raises(F.TableError):
             F.exceptional_lookup("F4", "A_2", str(tampered))
+
+
+def _same_as_symbol_route(letter, rank):
+    """The row-built dual fibres, Springer pairs, factor families, families
+    and family members of one group equal the ones built through whole
+    symbols (``tests/oracles.py``), lists, order and types included."""
+    co = P.dual_letter(letter)
+    for lam in P.enumerate_orbits(co, rank, rank):
+        want = O.dual_fiber_by_symbols(lam, letter)
+        assert repr(sp.dual_fiber(lam, letter)) == repr(want), lam
+        assert repr(sp._dual_fiber(F._checked(lam, letter), letter)) == \
+            repr(want), lam
+    for lam in P.enumerate_orbits(letter, rank, rank):
+        for orbit in {lam, P.bare(lam)}:
+            assert sp.springer_bipartition(orbit, letter) == \
+                O.springer_bipartition_by_symbol(orbit, letter), orbit
+            assert repr(F._family_of_orbit(orbit, letter)) == \
+                repr(O.family_of_orbit_by_symbols(orbit, letter)), orbit
+    fids = {}
+    for rep in sp.irreps(letter, rank):
+        fid = sp.family_of(rep)
+        assert repr(fid) == repr(O.family_of_by_symbol(rep)), rep
+        fids[fid] = None
+    for fid in fids:
+        assert repr(sp.family_members(fid)) == \
+            repr(O.family_members_by_symbols(fid)), fid
+
+
+@pytest.mark.parametrize("letter", P.LETTERS)
+def test_rows_match_symbol_route(letter):
+    for rank in range(8):
+        _same_as_symbol_route(letter, rank)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("letter", P.LETTERS)
+def test_rows_match_symbol_route_through_rank_12(letter):
+    for rank in range(8, 13):
+        _same_as_symbol_route(letter, rank)
+
+
+@pytest.mark.parametrize("letter, lam", [
+    ("B", (5, -1, 1)), ("B", (13, -4, -4)), ("C", (3, 3, -1, 1)),
+    ("C", (-3, -3)), ("C", (-2,)),
+    ("D", (3, -1)), ("D", P.DecoratedPartition((2, 2), 1)), ("B", (2, 1)),
+    ("C", P.DecoratedPartition((2, 2), 1)),
+    ("X", (3,)), ("C", [1, 3, 0, 0, 1, 3])])
+def test_public_row_paths_refuse_as_the_symbol_route(letter, lam):
+    """Outside orbits, negative parts among them, are refused with the
+    symbol route's errors and messages, and what it accepts agrees."""
+    assert O.outcome(sp.springer_bipartition, lam, letter) == \
+        O.outcome(O.springer_bipartition_by_symbol, lam, letter)
+    co = {"B": "C", "C": "B"}.get(letter, letter)
+    assert O.outcome(sp.dual_fiber, lam, co) == \
+        O.outcome(O.dual_fiber_by_symbols, lam, co)
+
+
+@pytest.mark.parametrize("fid", [
+    sp.FamilyId("B", 2, (0, 2), (1,)), sp.FamilyId("B", 2, (-1, 2), (1,)),
+    sp.FamilyId("C", 2, (2, 0), (1,)), sp.FamilyId("D", 2, (0, 2), (1,)),
+    sp.FamilyId("B", 2, (0, 1), (1, 2)), sp.FamilyId("X", 1, (1,), ()),
+    sp.FamilyId("D", 4, (1, 2), (1, 2), 1), sp.FamilyId("B", 5, (0, 2), (1,)),
+    sp.FamilyId("B", 2, (0, 2), (1,), 3)])
+def test_family_members_refuse_as_the_symbol_route(fid):
+    assert O.outcome(sp.family_members, fid) == \
+        O.outcome(O.family_members_by_symbols, fid)

@@ -277,13 +277,15 @@ def test_reduction():
 
 
 def test_reduction_depends_on_height_parity_only():
-    """mu and mu' with the same height parities at every markable part have
-    equal reductions."""
+    """Subpartitions mu and mu' with the same height parities at every
+    markable part have equal reductions."""
     lam = (3, 3, 2, 2, 1, 1)
     letter = "C"
     marks = P.markable_parts(lam, letter)
     seen = {}
     for mu in all_partitions_upto(6):
+        if not P.contains(lam, mu):
+            continue
         key = tuple(P.height(mu, x) % 2 for x in marks)
         red = P.reduction(lam, mu, letter)
         assert seen.setdefault(key, red) == red
@@ -426,9 +428,31 @@ def test_reduction_matches_loop():
         for letter in admissible_letters(sum(lam)):
             for mu in markings:
                 assert O.outcome(P.reduction, lam, mu, letter) == \
-                    O.outcome(O.reduction_loop, lam, mu, letter), \
+                    O.outcome(_reduction_of_subpartition, lam, mu, letter), \
                     (lam, mu, letter)
     for lam in IRREGULAR + [(3, 1, 1, 0, 0), (2, 2, 0, 0)]:
         for letter in P.LETTERS:
             assert O.outcome(P.reduction, lam, (1,), letter) == \
-                O.outcome(O.reduction_loop, lam, (1,), letter), (lam, letter)
+                O.outcome(_reduction_of_subpartition, lam, (1,), letter), \
+                (lam, letter)
+
+
+def _reduction_of_subpartition(lam, mu, letter):
+    """``oracles.reduction_loop`` after the checks of ``reduction``: the
+    type of lam, then mu inside lam."""
+    P.assert_type_partition(lam, letter)
+    if not O.contains_loop(lam, mu):
+        raise P.PartitionError(f"{O.format_partition_loop(mu)} is not a "
+                               f"subpartition of "
+                               f"{O.format_partition_loop(lam)}")
+    return O.reduction_loop(lam, mu, letter)
+
+
+def test_reduction_refuses_a_marking_outside_the_orbit():
+    """``reduction`` answers only for a subpartition of the orbit."""
+    with pytest.raises(P.PartitionError,
+                       match=r"^5 is not a subpartition of 3,1\^2$"):
+        P.reduction((3, 1, 1), (5,), "B")
+    with pytest.raises(P.PartitionError, match=r"^1\^3 is not a "):
+        P.reduction((3, 1, 1), (1, 1, 1), "B")
+    assert P.reduction((3, 1, 1), (3, 1, 1), "B") == (3,)

@@ -162,6 +162,32 @@ def small_symbols(kind):
     return [S.Symbol(top, bottom, kind) for top in rows for bottom in rows]
 
 
+def test_normalize_matches_stepwise_strip():
+    """All leading staircase columns stripped at once against one at a
+    time into a checked ``Symbol``: the same value, or the same error (a
+    row gap below 2 leaves a negative entry)."""
+    kinds = set()
+    for kind in ("s", "a"):
+        for sym in small_symbols(kind):
+            for letter in P.LETTERS:
+                got = O.outcome(S.normalize, sym, letter)
+                assert got == O.outcome(O.normalize_by_steps, sym, letter), \
+                    (sym, letter)
+                kinds.add(got[0] if got[0] == "raises" else
+                          got[2] == sym)
+    assert kinds == {"raises", True, False}
+
+
+def test_sgn_twist_pair_orders_type_d_pairs_canonically():
+    for rank in range(7):
+        for rep in sp.irreps("D", rank):
+            a, b, kappa = S.sgn_twist_pair(rep.first, rep.second, "D",
+                                           rep.kappa)
+            assert (a, b) == P.canonical_pair(P.transpose(rep.first),
+                                              P.transpose(rep.second))
+            assert kappa == (rep.kappa if a == b else 0)
+
+
 def test_monotonic_representative_matches_symbol_deal():
     """The row-level deal against dealing into a checked ``Symbol``: the
     same value, or the same error and message (wrong defect, a row gap

@@ -199,3 +199,40 @@ def test_public_constructors_still_refuse():
     # sbar keeps its pair check
     with pytest.raises(pt.PartitionError, match=r"degenerate shape"):
         du.sbar((1, 1), (3,), "B")
+
+
+def test_verify_all_builds_no_symbol(monkeypatch):
+    """The verification path goes from orbits to characters on rows: on
+    empty memos, ``verify_all`` of B, C and D through rank 8 builds no
+    ``Symbol`` and no ``DecoratedSymbol``, checked or trusted."""
+    built = Counter()
+    trusted = pt._trusted
+
+    def counted_trusted(cls, *values):
+        built[cls.__name__] += 1
+        return trusted(cls, *values)
+
+    monkeypatch.setattr(pt, "_trusted", counted_trusted)
+    for cls in (sy.Symbol, sy.DecoratedSymbol):
+        def counted(obj, post_init=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            post_init(obj)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    # the counters see what they are meant to count
+    sy.Symbol((0,), (), "a")
+    pt._trusted(sy.Symbol, (0,), (), "a")
+    sy.DecoratedSymbol(sy.Symbol((1,), (0,), "a"))
+    assert built == Counter(Symbol=3, DecoratedSymbol=1)
+    built.clear()
+    for memo in MEMOS:
+        memo.cache_clear()
+    try:
+        for letter in pt.LETTERS:
+            for rank in range(9):
+                assert all(r.ok for r in fa.verify_all(letter, rank))
+    finally:
+        for memo in MEMOS:
+            memo.cache_clear()
+    assert built["WeylIrrep"]
+    assert built["Symbol"] == built["DecoratedSymbol"] == 0, built
