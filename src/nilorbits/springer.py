@@ -168,14 +168,15 @@ def rep_ssymbol(rep: WeylIrrep, convention: str | None = None,
 def _staircase(lam, letter: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The Springer recipe's a-symbol rows: pad the parts with a 0 to odd
     length for B and C and even length for D, add 0, 1, 2, ... in increasing
-    order and split the entries by parity, halved, odd entries on top but in
-    type C.  A negative part is refused as ``Symbol`` refuses the rows."""
+    order and split the entries by parity, halved, odd entries on top
+    except in type C.  A negative part is refused as ``Symbol`` refuses the
+    rows."""
     padded = sorted(lam)
     if len(padded) % 2 != (letter != "D"):
         padded = [0] + padded
     entries = [v + i for i, v in enumerate(padded)]
-    odd = tuple((e - 1) // 2 for e in entries if e % 2)
-    even = tuple(e // 2 for e in entries if e % 2 == 0)
+    odd = tuple([(e - 1) // 2 for e in entries if e % 2])
+    even = tuple([e // 2 for e in entries if e % 2 == 0])
     rows = (even, odd) if letter == "C" else (odd, even)
     if min(lam, default=0) < 0:
         Symbol(*rows, "a")

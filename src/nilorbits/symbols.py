@@ -179,6 +179,8 @@ def _stripped(top, bottom, kind: str, letter: str):
         if column != (step * strip, lead + step * strip):
             break
         strip += 1
+    if not strip:  # no new rows: fewer short-lived tuples, less peak memory
+        return top, bottom
     return (tuple(v - step * strip for v in top[strip:]),
             tuple(v - step * strip for v in bottom[strip:]))
 
