@@ -10,9 +10,13 @@ symbol-class enumerators, the fully sorted product of two families as
 the reference for the witness scan of the faithfulness check, a filter
 over the subsets of the markable parts as the list of reduced markings,
 truncated induction as the reference for the closed form of Sommers
-duality, and the padded running-total loop as the reference for dominance.
-The per-part loops that the partition and symbol primitives replaced by
-single passes are kept here, named ``*_loop``, as their references.
+duality, the padded running-total loop as the reference for dominance, and
+the symbol route (Springer symbol, class by ``enumerate_class`` or
+``similar_symbols``, ``pair_of_symbol`` per member, stepwise
+normalization) as the reference for the dual fibres, families and factor
+families that the library builds on rows.  The per-part loops that the
+partition and symbol primitives replaced by single passes are kept here,
+named ``*_loop``, as their references.
 
 Only the tests use this module; the library computes multiplicities through
 Littlewood-Richardson products and symbol classes in closed form.
