@@ -36,11 +36,12 @@ class MarkedOrbit:
         object.__setattr__(self, "marking", pt.as_partition(self.marking))
         pt.assert_type_partition(self.orbit, self.letter)
         # a marking is its own reduction exactly when its parts are
-        # distinct markable parts of the orbit
+        # distinct markable parts of the orbit; ``reduction`` refuses one
+        # that is not a subpartition
         parts = set(self.marking)
         if len(parts) != len(self.marking) or not parts <= set(
                 pt.markable_parts(self.orbit, self.letter)):
-            reduced = pt._reduction(self.orbit, self.marking, self.letter)
+            reduced = pt.reduction(self.orbit, self.marking, self.letter)
             raise PartitionError(
                 f"marking {format_partition(self.marking)} is not reduced on "
                 f"{format_partition(self.orbit)} (its reduction is "

@@ -116,10 +116,13 @@ def _matching_dual_decoration(lam, d: Partition) -> int:
 
 
 def _checked(lam, letter: str):
-    """The orbit after its one check: a decorated orbit as given, a bare one
-    in its sorted form."""
-    bare = _orbit(lam, letter)
-    return lam if isinstance(lam, DecoratedPartition) else bare
+    """The orbit and its Achar dual, after the orbit's one check, inside
+    ``d_A_triv``: a decorated orbit as given, a bare one in its sorted
+    form."""
+    target = du.d_A_triv(lam, letter)
+    if not isinstance(lam, DecoratedPartition):
+        lam = pt.as_partition(lam)
+    return lam, target
 
 
 def _route(lam, letter: str, fiber, target: du.MarkedOrbit) -> FaithfulPair:
@@ -156,8 +159,7 @@ def faithful_pair(lam, letter: str) -> FaithfulPair:
     """Shape and family for the orbit, routed by its kind: very even or
     single-character orbits use the full diagram, edge shapes use the full
     diagram, everything else the parity-subpartition product shape."""
-    lam = _checked(lam, letter)
-    target = du.d_A_triv(lam, letter)
+    lam, target = _checked(lam, letter)
     return _route(lam, letter, sp.dual_fiber(lam, letter), target)
 
 
@@ -182,11 +184,12 @@ class FaithfulnessReport:
 def _sorted_members(fid: sp.FamilyId,
                     apply_sgn_twist: bool) -> tuple[sp.WeylIrrep, ...]:
     """The witness pool of one family, built once per process; the members
-    are frozen, so every orbit over the family shares them."""
-    members = sp._family_members(fid)
+    are frozen, so every orbit over the family shares them.  The twisted
+    pool is dealt as the family of the twists."""
     if apply_sgn_twist:
-        members = [sp.sgn_twist(m) for m in members]
-    return tuple(sorted(members, key=lambda m: (m.first, m.second, m.kappa)))
+        fid = sp._twisted_family(fid)
+    return tuple(sorted(sp._family_members(fid),
+                        key=lambda m: (m.first, m.second, m.kappa)))
 
 
 def verify_faithful(lam, letter: str, apply_sgn_twist: bool = True) -> FaithfulnessReport:
@@ -197,10 +200,13 @@ def verify_faithful(lam, letter: str, apply_sgn_twist: bool = True) -> Faithfuln
     Springer support meets the (sign-twisted) family pool in restriction;
     the first pool member with positive multiplicity is recorded as the
     witness.  The pool is the product of the two families, each sorted by
-    (first, second, kappa).  ``apply_sgn_twist=False`` drops the twist and serves as a
-    negative control."""
-    lam = _checked(lam, letter)
-    target = du.d_A_triv(lam, letter)
+    (first, second, kappa).  On the full diagram the first family is the
+    trivial character of the empty factor, and a character meets the pool
+    exactly when it is a member of the second family: when its own twist
+    lies in the family, so no second pool is built.
+    ``apply_sgn_twist=False`` drops the twist and serves as a negative
+    control."""
+    lam, target = _checked(lam, letter)
     fiber = sp._dual_fiber(lam, letter)
     pair = _route(lam, letter, fiber, target)
     # every pair from ``_route`` fits its shape: ``pair_shape`` has checked
@@ -209,20 +215,24 @@ def verify_faithful(lam, letter: str, apply_sgn_twist: bool = True) -> Faithfuln
     condition_i = image == target
 
     members1 = _sorted_members(pair.families[0], apply_sgn_twist)
-    members2 = _sorted_members(pair.families[1], apply_sgn_twist)
+    if pair.shape.full:
+        (empty,) = members1
+    else:
+        members2 = _sorted_members(pair.families[1], apply_sgn_twist)
     witnesses = []
     condition_ii = True
     for rep in fiber:
         found = None
-        # a fresh product per character: the scan stops at the first hit
-        for f1, f2 in product(members1, members2):
-            if pair.shape.full:
-                hit = f2 == rep
-            else:
-                hit = sp.restriction_multiplicity(rep, pair.shape, f1, f2) > 0
-            if hit:
-                found = f"{f1} x {f2}"
-                break
+        if pair.shape.full:
+            twin = sp.sgn_twist(rep) if apply_sgn_twist else rep
+            if sp.family_of(twin) == pair.families[1]:
+                found = f"{empty} x {rep}"
+        else:
+            # a fresh product per character: the scan stops at the first hit
+            for f1, f2 in product(members1, members2):
+                if sp.restriction_multiplicity(rep, pair.shape, f1, f2) > 0:
+                    found = f"{f1} x {f2}"
+                    break
         witnesses.append((str(rep), found))
         if found is None:
             condition_ii = False

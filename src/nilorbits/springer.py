@@ -87,11 +87,18 @@ class WeylIrrep:
         return ((size, self.first, self.second),)
 
     def __str__(self) -> str:
-        body = f"{format_partition(self.first)};{format_partition(self.second)}"
+        body = f"{_half_text(self.first)};{_half_text(self.second)}"
         if self.letter == "D":
             return f"{{{body}}}:{self.kappa}" if self.degenerate else \
                 f"{{{body}}}"
         return f"({body})"
+
+
+@lru_cache(maxsize=None)
+def _half_text(half: Partition) -> str:
+    # ``format_partition`` of a character's canonical half, once per half
+    # and process
+    return format_partition(half)
 
 
 def _canonical_halves(letter: str, first: Partition, second: Partition,
@@ -322,7 +329,8 @@ def dual_fiber(lam, letter: str) -> list[WeylIrrep]:
 
 def _dual_fiber(lam, letter: str) -> list[WeylIrrep]:
     # ``dual_fiber`` of a checked orbit: the s-rows of its Springer pair at
-    # the size that holds the whole class
+    # the size that holds the whole class, each unordered type-D pair dealt
+    # once; the characters share the orbit's total
     conv = dual_letter(letter)
     first, second, kappa = _springer_pair(lam, conv)
     k = max(sy.min_size_pair(first, second, conv),
@@ -330,22 +338,9 @@ def _dual_fiber(lam, letter: str) -> list[WeylIrrep]:
     top, bottom = sy._rows_of_pair(first, second, conv, "s", k)
     sy._monotonic_rows(sorted(top + bottom), len(top) - len(bottom), "s",
                        conv)
-    return _irreps_of_rows(sy._class_rows(top, bottom, "s", conv), "s", conv,
-                           letter, sum(first) + sum(second), kappa)
-
-
-def _irreps_of_rows(rows, kind: str, conv: str, letter: str, rank: int,
-                    kappa: int) -> list[WeylIrrep]:
-    # the distinct characters of ``conv``-convention rows dealt by
-    # ``_class_rows``, in order.  Only the first goes through the checks, of
-    # a caller's ``FamilyId`` too: the rows share a total
-    out: dict[WeylIrrep, None] = {}
-    for top, bottom in rows:
-        make = _irrep if out else WeylIrrep
-        out.setdefault(make(letter, rank,
-                            *sy._pair_of_rows(top, bottom, kind, conv),
-                            kappa))
-    return list(out)
+    rank = sum(first) + sum(second)
+    return [_irrep(letter, rank, *sy._pair_of_rows(t, b, "s", conv), kappa)
+            for t, b in sy._deals(top, bottom, "s", conv, unordered=True)]
 
 
 def is_special_rep(rep: WeylIrrep) -> bool:
@@ -395,15 +390,31 @@ def family_members(fid: FamilyId) -> list[WeylIrrep]:
     family's monotonic a-symbol, refused and dealt as by
     ``similar_symbols`` (plus the decoration rule in type D), on rows."""
     Symbol(fid.top, fid.bottom, "a")  # the rows' checks
-    return _family_members(fid)
+    members = _family_members(fid)
+    if members:  # the checks of a character, of the type and the total
+        WeylIrrep(fid.letter, fid.rank, members[0].first, members[0].second,
+                  fid.kappa)
+    return members
 
 
 def _family_members(fid: FamilyId) -> list[WeylIrrep]:
-    # ``family_members`` of checked rows; a deal keeps the defect, so rows
-    # without the type's shape have no deal
-    return _irreps_of_rows(sy._class_rows(fid.top, fid.bottom, "a",
-                                          fid.letter),
-                           "a", fid.letter, fid.letter, fid.rank, fid.kappa)
+    # ``family_members`` of checked rows, each unordered type-D pair dealt
+    # once; a deal keeps the defect, so rows without the type's shape have
+    # no deal
+    return [_irrep(fid.letter, fid.rank,
+                   *sy._pair_of_rows(t, b, "a", fid.letter), fid.kappa)
+            for t, b in sy._deals(fid.top, fid.bottom, "a", fid.letter,
+                                  unordered=True)]
+
+
+def _twisted_family(fid: FamilyId) -> FamilyId:
+    # the family of the sign twists of a checked family's members: the twist
+    # permutes the families (Lusztig, *Characters of reductive groups over a
+    # finite field*, 1984), so it is the family of the special member's twist
+    special = _irrep(fid.letter, fid.rank,
+                     *sy._pair_of_rows(fid.top, fid.bottom, "a", fid.letter),
+                     fid.kappa)
+    return family_of(sgn_twist(special))
 
 
 def special_rep(fid: FamilyId) -> WeylIrrep:

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import logging
 import operator
+from bisect import bisect
 from dataclasses import dataclass
-from itertools import chain, combinations, product
 from operator import le, lt, sub
 
 from . import partitions as pt
@@ -125,7 +125,7 @@ def _stair(kind: str, letter: str) -> tuple[int, int]:
 def _pair_of_rows(top, bottom, kind: str, letter: str):
     # the rows less their staircase, read backwards without zeros: the
     # bipartition when the rows step by at least the kind's gap, as those
-    # of the Springer recipe and of ``_class_rows`` do, with no sort
+    # of the Springer recipe and of ``_deals`` do, with no sort
     step, lead = _stair(kind, letter)
     first = list(map(sub, top, range(0, step * len(top), step)))
     second = list(map(sub, bottom, range(lead, lead + step * len(bottom),
@@ -330,32 +330,48 @@ def _split(top, bottom, kind: str):
     return sorted(both), blocks
 
 
-def _class_rows(top, bottom, kind: str, letter: str):
+def _deals(top, bottom, kind: str, letter: str, unordered: bool = False):
     # the rows of the kind-symbols of the letter similar to (top, bottom),
     # at its size, sorted: the entries in both rows stay there and each
-    # block alternates between the rows; an odd block starting on top adds
-    # one to the defect and one starting below takes one away, so the odd
-    # blocks on top are chosen to keep the defect, and an even block starts
-    # on either row
+    # block alternates between the rows.  An odd block starting on top adds
+    # one to the defect and one starting below takes one away, so as many
+    # odd blocks start on top as keep the defect; an even block starts on
+    # either row.  Rows without the type's shape deal nothing, and type-C
+    # s-rows never start the bottom row at 0.  ``unordered`` deals each
+    # unordered pair of type-D rows once: the first single entry on top.
+    # The blocks are dealt least first, each joined to the run of entries
+    # in both rows below it, so every row comes out increasing; starting a
+    # block on top gives the smaller top row from there on, and the top rows
+    # all have one length, so dealing that way first deals in order
+    if len(top) - len(bottom) != (letter in ("B", "C")):
+        return []
     both, blocks = _split(top, bottom, kind)
-    ways = [((blk[0::2], blk[1::2]), (blk[1::2], blk[0::2]))
-            for blk in blocks]
-    odd = [w for w, blk in zip(ways, blocks) if len(blk) % 2]
-    even = [w for w, blk in zip(ways, blocks) if not len(blk) % 2]
-    out = []
-    for ups in combinations(range(len(odd)),
-                            (len(odd) + len(top) - len(bottom)) // 2):
-        fixed = [w[j not in ups] for j, w in enumerate(odd)]
-        for deal in product(*even):
-            deal_top, deal_bottom = both[:], both[:]
-            for up, down in chain(fixed, deal):
-                deal_top += up
-                deal_bottom += down
-            deal_top.sort()
-            deal_bottom.sort()
-            if _has_type_shape(deal_top, deal_bottom, kind, letter):
-                out.append((tuple(deal_top), tuple(deal_bottom)))
-    return sorted(out)
+    type_c_s = kind == "s" and letter == "C"
+    if type_c_s and both[:1] == [0]:
+        return []
+    # the first block starts on top
+    first_up = unordered and letter == "D" or \
+        type_c_s and bool(blocks) and blocks[0][0] == 0
+    left = sum(len(blk) % 2 for blk in blocks)
+    need = (left + len(top) - len(bottom)) // 2
+    deals = [((), (), 0)]  # rows so far, odd blocks started on top
+    taken = 0
+    for blk in blocks:
+        run = tuple(both[taken:bisect(both, blk[0])])
+        taken += len(run)
+        up, down = run + blk[0::2], run + blk[1::2]
+        odd = len(blk) % 2
+        left -= odd
+        dealt = []
+        for t, b, ups in deals:
+            if ups + odd <= need:
+                dealt.append((t + up, b + down, ups + odd))
+            if ups + left >= need and not first_up:
+                dealt.append((t + down, b + up, ups))
+        deals = dealt
+        first_up = False
+    run = tuple(both[taken:])
+    return [(t + run, b + run) for t, b, _ in deals]
 
 
 def enumerate_class(sym: Symbol, letter: str, k: int | None = None) -> list[Symbol]:
@@ -369,8 +385,7 @@ def enumerate_class(sym: Symbol, letter: str, k: int | None = None) -> list[Symb
         sym = at_size(sym, letter, k)
     _monotonic_rows(sym.entries(), sym.defect, sym.kind, letter)
     return [pt._trusted(Symbol, top, bottom, sym.kind)
-            for top, bottom in _class_rows(sym.top, sym.bottom, sym.kind,
-                                           letter)]
+            for top, bottom in _deals(sym.top, sym.bottom, sym.kind, letter)]
 
 
 def similar_symbols(sym: Symbol, letter: str, k: int | None = None) -> list[Symbol]:
@@ -387,7 +402,7 @@ def similar_symbols(sym: Symbol, letter: str, k: int | None = None) -> list[Symb
     if not has_type_shape(sym, letter):
         return []
     return [pt._trusted(Symbol, top, bottom, "a")
-            for top, bottom in _class_rows(sym.top, sym.bottom, "a", letter)]
+            for top, bottom in _deals(sym.top, sym.bottom, "a", letter)]
 
 
 def add(s1: Symbol, s2: Symbol) -> Symbol:

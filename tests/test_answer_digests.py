@@ -4,6 +4,8 @@ answer, witness or error message of the groups fails here."""
 import pytest
 
 import answer_digests
+from nilorbits import faithful as fa
+from nilorbits import partitions as pt
 
 PINNED = {
     "fibres":
@@ -24,6 +26,11 @@ PINNED = {
         "5b9788eff9c6c5676cc63f488074a1ab36f8dbff9ed5c6e5fa1f49e9f7a3b72e",
 }
 
+# every ``verify_faithful`` report of B, C and D at rank 16, with the sign
+# twist, rendered as the ``reports-twist`` group renders its reports
+RANK_16_REPORTS = \
+    "b20f03913da9bf45c73b90e31adbbf2342541bef3af1112aa90302093b0da944"
+
 
 def test_every_group_is_pinned():
     assert set(answer_digests.GROUPS) == set(PINNED)
@@ -34,3 +41,11 @@ def test_every_group_is_pinned():
 def test_answer_digest(group):
     lines = answer_digests.GROUPS[group]()
     assert answer_digests.digest(lines) == PINNED[group]
+
+
+@pytest.mark.slow
+def test_rank_16_reports_digest():
+    lines = (answer_digests._render(fa.verify_faithful, lam, letter, True)
+             for letter in pt.LETTERS
+             for lam in pt.enumerate_orbits(pt.dual_letter(letter), 16, 16))
+    assert answer_digests.digest(lines) == RANK_16_REPORTS

@@ -169,6 +169,14 @@ def test_reduce_refuses_a_marking_outside_the_orbit(capsys):
     assert run("reduce", "-t", "B", "3,1,1", "3,1") == (0, "3,1\n")
 
 
+def test_lea_refuses_a_marking_outside_the_orbit(capsys):
+    """``lea`` refuses a marking that is no subpartition of its orbit with
+    the message of ``reduce``, and exits 2."""
+    assert run("lea", "-t", "B", "3,1,1|5", "3,1,1|-") == (2, "")
+    assert capsys.readouterr().err == \
+        "precondition violated: 5 is not a subpartition of 3,1^2\n"
+
+
 @pytest.mark.parametrize("error, reason", (
     (MemoryError, ""),
     (RecursionError, " (it exceeds the recursion limit)"),

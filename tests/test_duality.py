@@ -42,11 +42,33 @@ def test_marked_orbit_validation():
     assert du.MarkedOrbit("D", (2, 2), ()).decoration_undetermined
 
 
+def test_marking_outside_the_orbit_refused_as_by_reduction():
+    """A marking that is no subpartition of its orbit is refused with the
+    message of ``reduction``, not offered a reduction it does not have:
+    every orbit of B, C, D through rank 4 against every partition of 1 to
+    5 outside it."""
+    refused = 0
+    for letter in P.LETTERS:
+        for rank in range(5):
+            for lam in P.type_partitions(letter, rank):
+                for total in range(1, 6):
+                    for marking in P.integer_partitions(total):
+                        if P.contains(lam, marking):
+                            continue
+                        got = _outcome(du.MarkedOrbit, letter, lam, marking)
+                        assert got == _outcome(P.reduction, lam, marking,
+                                               letter), (letter, lam, marking)
+                        refused += 1
+    assert refused
+    with pytest.raises(P.PartitionError, match=r"^5 is not a subpartition "
+                                               r"of 3,1\^2$"):
+        du.MarkedOrbit("B", (3, 1, 1), (5,))
+
+
 def _marked_by_reduction(letter, orbit, marking):
     """The marked orbit, refused unless the marking is its own reduction:
-    the validation ``MarkedOrbit`` replaces by one ``markable_parts`` pass.
-    The reduction is the unchecked one, which also reads a marking that is
-    no subpartition of the orbit."""
+    the validation ``MarkedOrbit`` replaces by one ``markable_parts`` pass,
+    for a marking inside the orbit."""
     reduced = P._reduction(orbit, marking, letter)
     if reduced != marking:
         raise P.PartitionError(
@@ -70,9 +92,6 @@ def test_marking_validation_matches_reduction():
                     assert got == want, (letter, lam, marking)
                     kinds[isinstance(got, Raised)] += 1
     assert kinds[True] and kinds[False]
-    # a marking that is no subpartition at all is refused the same way
-    assert _outcome(du.MarkedOrbit, "B", (3, 1, 1), (5,)) == \
-        _outcome(_marked_by_reduction, "B", (3, 1, 1), (5,))
 
 
 def test_pair_shape_validation():

@@ -423,6 +423,44 @@ def test_family_pools_are_memoised_sorted_tuples(twist):
                 assert F._sorted_members(fid, twist) is pool
 
 
+@pytest.mark.parametrize("letter", P.LETTERS)
+def test_twisted_family_holds_the_twisted_members(letter):
+    """Every family through rank 10, both decorations of a degenerate
+    type-D family included: the family that ``_sorted_members`` deals for
+    the twisted pool has the twists of the family's members as members."""
+    key = lambda m: (m.first, m.second, m.kappa)
+    for rank in range(11):
+        for fid in _families(letter, rank):
+            twists = [sp.sgn_twist(m) for m in sp.family_members(fid)]
+            members = sp.family_members(sp._twisted_family(fid))
+            assert sorted(members, key=key) == sorted(twists, key=key), fid
+            assert len(set(members)) == len(members), fid
+
+
+def test_full_shape_builds_no_second_pool():
+    """``verify_all`` through rank 8 on empty memos decides a full-diagram
+    witness by family membership: no pool is built for the second family
+    of a full-shape orbit, unless a pool of the family serves a product
+    shape (or the empty first factor)."""
+    _clear_memos()
+    full, pooled = set(), set()
+    for letter in P.LETTERS:
+        for rank in range(9):
+            for report in F.verify_all(letter, rank):
+                first, second = report.pair.families
+                if report.pair.shape.full:
+                    full.add(second)
+                    pooled.add(first)
+                else:
+                    pooled.update((first, second))
+    full -= pooled
+    assert len(full) > 100
+    for fid in full:
+        misses = F._sorted_members.cache_info().misses
+        F._sorted_members(fid, True)
+        assert F._sorted_members.cache_info().misses == misses + 1, fid
+
+
 def test_family_members_returns_a_fresh_list():
     """Mutating a returned family touches neither the next call nor the
     memoised pool."""
@@ -462,9 +500,9 @@ def test_memos_do_not_depend_on_call_order():
     assert _all_pairs(8) == first
 
 
-def test_each_orbit_checked_at_most_twice(monkeypatch):
-    """``verify_faithful`` checks its orbit once itself and once in
-    ``d_A_triv``, on every route, edge shapes included."""
+def test_each_orbit_checked_once(monkeypatch):
+    """``verify_faithful`` checks its orbit once, inside ``d_A_triv``, on
+    every route, edge shapes included."""
     calls = []
     real = du._orbit
 
@@ -480,7 +518,7 @@ def test_each_orbit_checked_at_most_twice(monkeypatch):
             for lam in P.enumerate_orbits(P.dual_letter(letter), rank):
                 calls.clear()
                 report = F.verify_faithful(lam, letter)
-                assert len(calls) <= 2, (letter, lam, len(calls))
+                assert len(calls) == 1, (letter, lam, len(calls))
                 routes.add(report.pair.provenance)
     assert routes == {"edge-case", "general-construction",
                       "unique-representation"}
@@ -593,7 +631,7 @@ def _same_as_symbol_route(letter, rank):
     for lam in P.enumerate_orbits(co, rank, rank):
         want = O.dual_fiber_by_symbols(lam, letter)
         assert repr(sp.dual_fiber(lam, letter)) == repr(want), lam
-        assert repr(sp._dual_fiber(F._checked(lam, letter), letter)) == \
+        assert repr(sp._dual_fiber(F._checked(lam, letter)[0], letter)) == \
             repr(want), lam
     for lam in P.enumerate_orbits(letter, rank, rank):
         for orbit in {lam, P.bare(lam)}:

@@ -255,6 +255,34 @@ def test_enumerate_class_matches_filtered_deals():
                                       other), (letter, lam, mu, k, other)
 
 
+def test_deal_kernel_matches_splittings():
+    """The deal kernel on every pair of rows of at most three entries below
+    6 with the kind's gaps, type-C s-rows with 0 in both rows among them:
+    for each kind and type, the sorted splittings of the entries into rows
+    of the same lengths that are symbols of the type; with ``unordered`` in
+    type D, the first of each mirrored pair."""
+    rows = [row for n in range(4) for row in combinations(range(6), n)]
+    dealt = 0
+    for kind in ("s", "a"):
+        gap = 2 if kind == "s" else 1
+        spaced = [row for row in rows
+                  if all(b - a >= gap for a, b in zip(row, row[1:]))]
+        for top, bottom in product(spaced, repeat=2):
+            for letter in P.LETTERS:
+                sym = S.Symbol(top, bottom, kind)
+                want = [(s.top, s.bottom)
+                        for s in O.similar_symbols_bruteforce(sym, letter)]
+                assert S._deals(top, bottom, kind, letter) == want, \
+                    (top, bottom, kind, letter)
+                once = S._deals(top, bottom, kind, letter, unordered=True)
+                if letter == "D":
+                    want = [(t, b) for t, b in want
+                            if (b, t) not in want or (t, b) <= (b, t)]
+                assert once == want, (top, bottom, kind, letter)
+                dealt += len(once)
+    assert dealt
+
+
 def dual_fibre_classes(rank):
     """The s-symbol that ``springer.dual_fiber`` enumerates, for every
     orbit of every type at the rank, with the type."""
