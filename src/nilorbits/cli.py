@@ -11,7 +11,6 @@ arguments.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import duality as du
@@ -192,6 +191,9 @@ class _Out:
 
     def emit(self, obj, text: str | None = None):
         if self.mode == "structured":
+            # imported here, like faithful's hashlib, so that a text query
+            # skips it
+            import json
             print(json.dumps(record_of(obj), sort_keys=True), file=self.stream)
         else:
             print(_text_of(obj) if text is None else text, file=self.stream)
@@ -211,28 +213,38 @@ def _opt(*names, **kwargs):
     return names, kwargs
 
 
-def build_parser() -> _Parser:
+def _add_verb(sub, verb, help, compute, *arguments, typed=True, rank=False,
+              node=False, own_output=False) -> None:
+    p = sub.add_parser(verb, help=help)
+    if typed:
+        p.add_argument("-t", "--type", required=True, dest="letter",
+                       choices=("B", "C", "D"))
+    if rank:
+        p.add_argument("-n", "--rank", type=int, required=True)
+    if node:
+        p.add_argument("-k", "--node", type=int, required=True)
+    p.add_argument("--mode", choices=("text", "structured"), default="text")
+    for spec in arguments:
+        names, kwargs = ((spec,), {}) if isinstance(spec, str) else spec
+        p.add_argument(*names, **kwargs)
+    p.set_defaults(compute=compute, own_output=own_output)
+
+
+def build_parser(verb: str | None = None) -> _Parser:
     """One ``add`` per verb: help, result function, arguments; each element
     of a list result is emitted on its own, and an ``own_output`` function
-    prints for itself and returns the exit code."""
+    prints for itself and returns the exit code.
+
+    When ``verb`` is a declared verb, only its subparser is built: it parses
+    an argument list led by ``verb`` as the full parser does.  Otherwise
+    (``-h``, no verb, an unknown one) every verb's is, so help and usage
+    errors name them all."""
     parser = _Parser(prog="nilorbits", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
+    declared = {}
 
-    def add(verb, help, compute, *arguments, typed=True, rank=False,
-            node=False, own_output=False):
-        p = sub.add_parser(verb, help=help)
-        if typed:
-            p.add_argument("-t", "--type", required=True, dest="letter",
-                           choices=("B", "C", "D"))
-        if rank:
-            p.add_argument("-n", "--rank", type=int, required=True)
-        if node:
-            p.add_argument("-k", "--node", type=int, required=True)
-        p.add_argument("--mode", choices=("text", "structured"), default="text")
-        for spec in arguments:
-            names, kwargs = ((spec,), {}) if isinstance(spec, str) else spec
-            p.add_argument(*names, **kwargs)
-        p.set_defaults(compute=compute, own_output=own_output)
+    def add(name, *declaration, **options):
+        declared[name] = declaration, options
 
     add("collapse", "largest type partition below the input",
         lambda a: pt.collapse(_bare_partition(a.partition), a.letter),
@@ -297,6 +309,9 @@ def build_parser() -> _Parser:
         _opt("--table", dest="table_path"), typed=False)
     add("enumerate", "all orbits of the type and rank",
         lambda a: pt.enumerate_orbits(a.letter, a.rank), rank=True)
+    for name, (declaration, options) in declared.items():
+        if verb not in declared or name == verb:
+            _add_verb(sub, name, *declaration, **options)
     return parser
 
 
@@ -367,7 +382,7 @@ def _verify(args, out: _Out) -> int:
 
 def run(argv, stream=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         out = _Out(args.mode, stream or sys.stdout)
         if args.own_output:
             return args.compute(args, out)

@@ -17,7 +17,6 @@ rows to characters: none of them builds an intermediate symbol.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import le, sub
@@ -28,8 +27,6 @@ from .partitions import (DecoratedPartition, Partition, PartitionError,
                          as_partition, dual_letter, format_partition,
                          is_type_partition)
 from .symbols import DecoratedSymbol, Symbol, SymbolError
-
-log = logging.getLogger(__name__)
 
 
 class AmbiguousDecorationError(ValueError):
@@ -535,8 +532,8 @@ def j_induce(shape: PseudoLeviShape, rep1: WeylIrrep, rep2: WeylIrrep,
                              f"{shape.rank} symbol")
     f, s = sy.pair_of_symbol(total, conv_out)
     if conv_out == "D" and f == s and f:
-        log.debug("induced symbol %s has equal rows; returning "
-                  "decoration 0", total)
+        sy._log(__name__, "DEBUG", "induced symbol %s has equal rows; "
+                "returning decoration 0", total)
     return WeylIrrep(shape.letter, shape.rank, f, s)
 
 

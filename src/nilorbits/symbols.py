@@ -22,8 +22,8 @@ rows to characters with no intermediate symbol.
 
 from __future__ import annotations
 
-import logging
 import operator
+import sys
 from bisect import bisect
 from dataclasses import dataclass
 from operator import le, lt, sub
@@ -32,7 +32,22 @@ from . import partitions as pt
 from .partitions import (Partition, as_partition, format_partition,
                          transpose)
 
-log = logging.getLogger(__name__)
+
+def _log(name: str, level: str, msg: str, *args) -> None:
+    """``logging.getLogger(name).log`` at the level named ``level`` (such as
+    ``"INFO"``), for the caller, made only when ``logging`` is loaded and
+    the logger is enabled for the level; a callable in ``args`` is called
+    for its value only then.  The library does not import ``logging``: no
+    handler or level can be set without importing it, so while it is not
+    loaded every debug or info record would be dropped anyway."""
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return
+    logger = logging.getLogger(name)
+    level = getattr(logging, level)
+    if logger.isEnabledFor(level):
+        logger.log(level, msg, *[arg() if callable(arg) else arg
+                                 for arg in args], stacklevel=2)
 
 
 class SymbolError(ValueError):
@@ -475,8 +490,9 @@ def sgn_twist_pair(first: Partition, second: Partition, letter: str,
     if letter in ("B", "C"):
         return transpose(second), transpose(first), 0
     if first == second:
-        log.info("sign twist of a degenerate type-D pair %s keeps its "
-                 "decoration %d by convention", format_partition(first), kappa)
+        _log(__name__, "INFO", "sign twist of a degenerate type-D pair %s "
+             "keeps its decoration %d by convention",
+             lambda: format_partition(first), kappa)
         return transpose(first), transpose(second), kappa
     a, b = pt._ordered_pair(transpose(first), transpose(second))
     return a, b, kappa if a == b else 0

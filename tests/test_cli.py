@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -20,6 +21,12 @@ def run(*argv):
     buf = io.StringIO()
     code = cli.run(list(argv), stream=buf)
     return code, buf.getvalue()
+
+
+VERBS = ("collapse", "dual", "special", "markable", "reduce", "springer",
+         "family", "jinduce", "restrict-mult", "sbar", "ds", "da", "lea",
+         "wf", "wf-wrep", "faithful", "verify-faithful", "exceptional",
+         "enumerate")
 
 
 def run_json(*argv):
@@ -210,17 +217,32 @@ def test_module_entry_point():
     assert proc.stdout.splitlines() == ["3", "1^3"]
 
 
-def test_cli_import_leaves_hashlib_out():
-    """Importing the CLI imports neither hashlib nor importlib.resources:
-    only reading an exceptional table needs them."""
+def _loaded_after_import(modules, probes):
+    """Which of ``probes`` are in ``sys.modules`` after importing
+    ``modules`` in a fresh ``python -S``, where no ``site`` step imports
+    anything first."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = (f"import sys; sys.path.insert(0, {src!r}); import nilorbits.cli; "
-            f"print('hashlib' in sys.modules, "
-            f"'importlib.resources' in sys.modules)")
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            f"import {', '.join(modules)}; "
+            f"print(*[p for p in {list(probes)!r} if p in sys.modules])")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    return proc.stdout.split()
+
+
+def test_cli_import_leaves_hashlib_out():
+    """Importing the CLI imports none of hashlib and importlib.resources
+    (only reading an exceptional table needs them), json (only structured
+    output does) and logging (the library logs only through a loaded
+    ``logging``); importing the library does not import logging."""
+    assert _loaded_after_import(
+        ["nilorbits.cli"],
+        ["hashlib", "importlib.resources", "json", "logging"]) == []
+    library = [f"nilorbits.{name}" for name in (
+        "partitions", "symbols", "springer", "duality", "faithful",
+        "wavefront")]
+    assert _loaded_after_import(library, ["logging"]) == []
 
 
 def test_package_entry_point():
@@ -371,3 +393,66 @@ def test_cli_population_records_roundtrip(monkeypatch):
     wrong = [rec for rec in records
              if cli.record_of(cli.object_of(rec)) != rec]
     assert not wrong, wrong[:3]
+
+
+def _parsed(parser, argv):
+    """The namespace ``parser`` gives ``argv``, with its result function
+    read by ``__code__`` (each parser makes its own lambdas), or the
+    usage error it raises."""
+    try:
+        args = vars(parser.parse_args(list(argv)))
+    except cli.UsageError as exc:
+        return "usage error", str(exc)
+    return {**args, "compute": args["compute"].__code__}
+
+
+def test_single_verb_parser_parses_the_population_alike(monkeypatch):
+    """The parser of a query's verb alone gives every query of the
+    benchmark's CLI population the namespace, or the usage error, of the
+    parser of all verbs."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    monkeypatch.syspath_prepend(bench)
+    from cli_queries import population
+    full = cli.build_parser()
+    errors = 0
+    for query in population():
+        got = _parsed(cli.build_parser(query.argv[0]), query.argv)
+        assert got == _parsed(full, query.argv), query.key
+        errors += isinstance(got, tuple)
+    assert errors == 3  # -t E, enumerate without -n, frobnicate
+
+
+def _help(parser, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_single_verb_parser_help_is_unchanged(verb):
+    single = _help(cli.build_parser(verb), [verb, "--help"])
+    assert single == _help(cli.build_parser(), [verb, "--help"])
+    assert single.startswith(f"usage: nilorbits {verb} [-h]")
+
+
+def test_parser_of_no_declared_verb_has_every_verb(capsys):
+    """``-h``, no arguments and an unknown verb get the parser of all 19
+    verbs, with their help, usage error and exit code."""
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: nilorbits [-h]")
+    assert "{" + ",".join(VERBS) + "}" in out
+    assert all(f"\n    {verb} " in out for verb in VERBS)
+    assert cli.run([]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "usage error: the following arguments are required: verb\n"
+    assert cli.run(["frobnicate", "-t", "B", "1"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument verb: invalid choice: "
+                          "'frobnicate' (choose from ")
+    assert [verb for verb in VERBS if verb in err] == list(VERBS)

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import pytest
 
@@ -331,6 +332,25 @@ def test_j_induce_independent_of_size():
     assert count == 1053
     with pytest.raises(P.PartitionError, match="below the minimal"):
         sp.j_induce(shape, rep1, rep2, k=k0 - 1)
+
+
+def test_j_induce_logs_equal_rows_at_debug(caplog):
+    """A type-D induced character with equal halves gets decoration 0 and
+    a debug record saying so, from ``j_induce``; none at the default
+    level."""
+    shape = sp.PseudoLeviShape("D", 0, 2)
+    (y, x), (p, q) = shape.factor_letters, shape.factor_ranks
+    rep1 = sp.WeylIrrep(y, p, (), ())
+    rep2 = sp.WeylIrrep(x, q, (1,), (1,), 1)
+    induced = sp.WeylIrrep("D", 2, (1,), (1,), 0)
+    assert sp.j_induce(shape, rep1, rep2) == induced
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger=sp.__name__):
+        assert sp.j_induce(shape, rep1, rep2) == induced
+    assert [(r.name, r.levelno, r.funcName, r.getMessage())
+            for r in caplog.records] == \
+        [(sp.__name__, logging.DEBUG, "j_induce", "induced symbol (1;1) has "
+          "equal rows; returning decoration 0")]
 
 
 def test_j_induce_shriek_path_worked_instance():

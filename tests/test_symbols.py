@@ -1,3 +1,4 @@
+import logging
 from itertools import combinations, product
 
 import pytest
@@ -470,6 +471,39 @@ def test_sgn_twist_pair():
     # type D keeps the decoration of a degenerate pair
     a, b, kappa = S.sgn_twist_pair((2,), (2,), "D", 1)
     assert {a, b} == {(1, 1)} and kappa == 1
+
+
+def test_degenerate_twist_formats_only_an_emitted_record(monkeypatch,
+                                                         caplog):
+    """The sign twist of a degenerate type-D character formats the half of
+    its info record only when the record is emitted: not at the default
+    level, and word for word, from ``sgn_twist_pair``, at INFO."""
+    real = S.format_partition
+    formatted = []
+
+    def counting(lam):
+        formatted.append(lam)
+        return real(lam)
+
+    monkeypatch.setattr(S, "format_partition", counting)
+    degenerate = [rep for rank in range(1, 9) for rep in sp.irreps("D", rank)
+                  if rep.first == rep.second]
+    assert len(degenerate) == 22
+    assert not logging.getLogger(S.__name__).isEnabledFor(logging.INFO)
+
+    def twist_all():
+        for rep in degenerate:
+            S.sgn_twist_pair(rep.first, rep.second, "D", rep.kappa)
+
+    twist_all()
+    assert formatted == [] and caplog.records == []
+    with caplog.at_level(logging.INFO, logger=S.__name__):
+        twist_all()
+    assert len(formatted) == len(caplog.records) == 22
+    assert {(r.name, r.levelno, r.funcName) for r in caplog.records} == \
+        {(S.__name__, logging.INFO, "sgn_twist_pair")}
+    assert "sign twist of a degenerate type-D pair 2,1 keeps its " \
+        "decoration 0 by convention" in caplog.messages
 
 
 def test_decorated_symbol():
