@@ -44,10 +44,10 @@ def _log(name: str, level: str, msg: str, *args) -> None:
     if logging is None:
         return
     logger = logging.getLogger(name)
-    level = getattr(logging, level)
-    if logger.isEnabledFor(level):
-        logger.log(level, msg, *[arg() if callable(arg) else arg
-                                 for arg in args], stacklevel=2)
+    levelno = getattr(logging, level)
+    if logger.isEnabledFor(levelno):
+        logger.log(levelno, msg, *[arg() if callable(arg) else arg
+                                   for arg in args], stacklevel=2)
 
 
 class SymbolError(ValueError):

@@ -353,18 +353,26 @@ def test_verify_structured():
     assert recs[0]["condition_i"] and recs[0]["condition_ii"]
 
 
+BENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+
+
+def _population(monkeypatch):
+    """The benchmark's CLI population, in its fixed order, with the default
+    rank bound."""
+    monkeypatch.syspath_prepend(BENCH)
+    monkeypatch.delenv("NILORBITS_MAX_RANK", raising=False)
+    from cli_queries import population
+    return population()
+
+
 def test_cli_population_matches_recorded_digests(monkeypatch):
     """Every query of the benchmark's CLI population, run in process, gives
     the exit code and standard output recorded in perfbench/digests.json
     (sha256 of ``f"{code}\\n{stdout}"``, keyed by the shell-quoted argv)."""
-    bench = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "perfbench")
-    monkeypatch.syspath_prepend(bench)
-    monkeypatch.delenv("NILORBITS_MAX_RANK", raising=False)
-    from cli_queries import population
-    with open(os.path.join(bench, "digests.json"), encoding="utf-8") as fh:
+    with open(os.path.join(BENCH, "digests.json"), encoding="utf-8") as fh:
         recorded = json.load(fh)["cli_queries"]
-    queries = population()
+    queries = _population(monkeypatch)
     assert len(queries) == len(recorded) == 488
     wrong = []
     for query in queries:
@@ -379,13 +387,8 @@ def test_cli_population_records_roundtrip(monkeypatch):
     """Every record a structured query of the benchmark's CLI population
     prints parses back through ``object_of`` to a value with the same
     record."""
-    bench = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "perfbench")
-    monkeypatch.syspath_prepend(bench)
-    monkeypatch.delenv("NILORBITS_MAX_RANK", raising=False)
-    from cli_queries import population
     records = []
-    for query in population():
+    for query in _population(monkeypatch):
         if "structured" in query.argv:
             records += [json.loads(line)
                         for line in run(*query.argv)[1].splitlines()]
@@ -410,13 +413,9 @@ def test_single_verb_parser_parses_the_population_alike(monkeypatch):
     """The parser of a query's verb alone gives every query of the
     benchmark's CLI population the namespace, or the usage error, of the
     parser of all verbs."""
-    bench = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "perfbench")
-    monkeypatch.syspath_prepend(bench)
-    from cli_queries import population
     full = cli.build_parser()
     errors = 0
-    for query in population():
+    for query in _population(monkeypatch):
         got = _parsed(cli.build_parser(query.argv[0]), query.argv)
         assert got == _parsed(full, query.argv), query.key
         errors += isinstance(got, tuple)
