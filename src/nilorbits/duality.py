@@ -13,7 +13,6 @@ orbits skip ``MarkedOrbit``'s check that the marking is reduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import zip_longest
 
@@ -23,7 +22,7 @@ from .partitions import (DecoratedPartition, Partition, PartitionError,
                          dual_letter, format_partition, is_very_even)
 
 
-@dataclass(frozen=True)
+@pt._record
 class MarkedOrbit:
     """An orbit partition with its canonical reduced marking."""
 
@@ -47,7 +46,7 @@ class MarkedOrbit:
                 f"{format_partition(self.orbit)} (its reduction is "
                 f"{format_partition(reduced)})")
 
-    # the dominance keys of ``le_A``, cached outside the dataclass fields,
+    # the dominance keys of ``le_A``, cached outside the record fields,
     # so repr, ==, hash and records do not see them
     @cached_property
     def _orbit_key(self) -> pt.DominanceKey:

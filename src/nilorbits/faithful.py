@@ -11,7 +11,6 @@ Exceptional groups are served from a shipped table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -58,7 +57,7 @@ def _edge_case(bare: Partition, letter: str) -> tuple[bool, str]:
     return False, "not an edge shape"
 
 
-@dataclass(frozen=True)
+@pt._record
 class FaithfulPair:
     """A shape with a family of its Weyl group, plus the orbit pair the
     family sits over."""
@@ -163,8 +162,12 @@ def faithful_pair(lam, letter: str) -> FaithfulPair:
     return _route(lam, letter, sp.dual_fiber(lam, letter), target)
 
 
-@dataclass(frozen=True)
+@pt._record
 class FaithfulnessReport:
+    """Both faithfulness conditions for one dual-side orbit, the pair they
+    were checked on, and one witness entry per character of its dual
+    fibre (``None`` where no pool member was found)."""
+
     orbit: str
     letter: str
     pair: FaithfulPair
@@ -252,8 +255,10 @@ def verify_all(letter: str, rank: int, apply_sgn_twist: bool = True):
 # ---------------------------------------------------------------------------
 # exceptional groups: shipped table and label catalogs
 
-@dataclass(frozen=True)
+@pt._record
 class ExceptionalEntry:
+    """One row of the shipped exceptional-group table."""
+
     group: str
     dual_orbit_label: str
     node_mask: str

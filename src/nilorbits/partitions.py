@@ -33,10 +33,8 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, fields
-from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import ge, mod
+from operator import attrgetter, ge, mod
 
 Partition = tuple[int, ...]
 
@@ -392,7 +390,93 @@ def _reduction(lam: Partition, mu: Partition, letter: str) -> Partition:
     return as_partition(kept)
 
 
-@dataclass(frozen=True)
+class FrozenFieldError(AttributeError):
+    """Raised on assigning to or deleting a field of a frozen value."""
+
+
+def _record(cls):
+    """Make ``cls`` a frozen, hashable value type over the fields annotated
+    in its body (two or more), in that order, as ``dataclass(frozen=True)``
+    would, but with no code compiled at import time.  The class gets:
+
+    * ``__init__``, which takes the fields positionally or by keyword, with
+      the class attributes of the same names as defaults, and then calls
+      ``__post_init__`` if the class defines one (looked up on each call);
+    * ``__repr__`` in the form ``Name(field=value, ...)``;
+    * ``__eq__`` between objects of the same class, and ``__hash__``, both
+      over the tuple of field values;
+    * ``__setattr__`` and ``__delattr__``, which raise ``FrozenFieldError``;
+    * ``__match_args__``, the field names in order, which ``_trusted``
+      reads too."""
+    names = tuple(cls.__annotations__)
+    defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    values = attrgetter(*names)
+    positions = tuple(enumerate(names))
+    count = len(names)
+    post_init = hasattr(cls, "__post_init__")
+    setattr_ = object.__setattr__
+
+    def bind(args, kwargs):
+        # the field values of a call that names fields, leaves defaulted
+        # ones out or passes the wrong number of values
+        title = f"{cls.__name__}()"
+        if len(args) > count:
+            raise TypeError(f"{title} takes {count} arguments but "
+                            f"{len(args)} were given")
+        bound = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{title} got an unexpected keyword argument "
+                                f"{name!r}")
+            if name in bound:
+                raise TypeError(f"{title} got multiple values for argument "
+                                f"{name!r}")
+            bound[name] = value
+        missing = [name for name in names
+                   if name not in bound and name not in defaults]
+        if missing:
+            raise TypeError(f"{title} missing required arguments: "
+                            f"{', '.join(map(repr, missing))}")
+        return [bound[name] if name in bound else defaults[name]
+                for name in names]
+
+    # the fields are set one by one in field order, so instances share
+    # dict keys; indexing ``args`` is faster here than a ``zip``
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != count:
+            args = bind(args, kwargs)
+        for i, name in positions:
+            setattr_(self, name, args[i])
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}("
+                f"{', '.join(map('{}={!r}'.format, names, values(self)))})")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __setattr__(self, name, value):
+        raise FrozenFieldError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenFieldError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__,
+                   __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__match_args__ = names
+    return cls
+
+
+@_record
 class DecoratedPartition:
     """A partition with a decoration in {0, 1}; the decoration is only
     meaningful when the partition is very even and is normalized to 0
@@ -418,20 +502,15 @@ class DecoratedPartition:
 
 
 def _trusted(cls, *values):
-    """The frozen dataclass ``cls`` with ``values`` as its fields, made
+    """The ``_record`` class ``cls`` with ``values`` as its fields, made
     without ``__post_init__``, for internal producers whose values are
     already checked and canonical.  Every field needs a value, defaulted
     ones too.  Fields are set one by one in field order, as ``__init__``
     does, so instances still share dict keys."""
     obj = object.__new__(cls)
-    for name, value in zip(_field_names(cls), values, strict=True):
+    for name, value in zip(cls.__match_args__, values, strict=True):
         object.__setattr__(obj, name, value)
     return obj
-
-
-@lru_cache(maxsize=None)
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
 
 
 def bare(lam) -> Partition:

@@ -17,7 +17,6 @@ rows to characters: none of them builds an intermediate symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import le, sub
 
@@ -34,7 +33,7 @@ class AmbiguousDecorationError(ValueError):
     is deliberately not modelled (very even orbits, degenerate pairs)."""
 
 
-@dataclass(frozen=True)
+@pt._record
 class WeylIrrep:
     """An irreducible character avatar: ordered bipartition for types B and
     C, unordered decorated bipartition for type D (canonical order, larger
@@ -68,7 +67,7 @@ class WeylIrrep:
         return self.letter == "D" and self.first == self.second and \
             bool(self.first)
 
-    # cached outside the dataclass fields, so repr, ==, hash and records
+    # cached outside the record fields, so repr, ==, hash and records
     # do not see it
     @cached_property
     def _lifts(self) -> tuple[tuple[int, Partition, Partition], ...]:
@@ -345,7 +344,7 @@ def is_special_rep(rep: WeylIrrep) -> bool:
     return sy.is_monotonic(rep_asymbol(rep))
 
 
-@dataclass(frozen=True)
+@pt._record
 class FamilyId:
     """Canonical name of a family: the minimal monotonic a-symbol of the
     class, plus the decoration for a degenerate type-D class."""
@@ -429,7 +428,7 @@ def same_family(r1: WeylIrrep, r2: WeylIrrep) -> bool:
     return family_of(r1) == family_of(r2)
 
 
-@dataclass(frozen=True)
+@pt._record
 class PseudoLeviShape:
     """Maximal pseudo-Levi shape: delete node k of the extended diagram of
     the rank-n type.  The factor types are D_k x B_(n-k) for B, C_k x C_(n-k)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import operator
 import sys
 from bisect import bisect
-from dataclasses import dataclass
 from operator import le, lt, sub
 
 from . import partitions as pt
@@ -54,7 +53,7 @@ class SymbolError(ValueError):
     """Raised when an argument violates a symbol-level precondition."""
 
 
-@dataclass(frozen=True)
+@pt._record
 class Symbol:
     """An ordered two-row symbol; ``kind`` is "s" (gap 2) or "a" (gap 1)."""
 
@@ -104,7 +103,7 @@ def underline(sym: Symbol) -> Symbol:
     return sym.swapped()
 
 
-@dataclass(frozen=True)
+@pt._record
 class DecoratedSymbol:
     """Unordered defect-0 symbol with a decoration, stored underlined.  The
     decoration is normalized to 0 unless the rows are equal."""
@@ -279,7 +278,7 @@ def _monotonic_rows(entries, defect: int, kind: str, letter: str):
     return top, bottom
 
 
-@dataclass(frozen=True)
+@pt._record
 class Block:
     """One block of the refinement: a repeated pair or an interval of
     consecutive entries, with its top-row and bottom-row sub-sequences."""

@@ -9,8 +9,6 @@ dual, and the algebraic wavefront set is the underlying partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import duality as du
 from . import partitions as pt
 from . import springer as sp
@@ -18,7 +16,7 @@ from .duality import MarkedOrbit
 from .partitions import Partition, PartitionError
 
 
-@dataclass(frozen=True)
+@pt._record
 class WavefrontResult:
     """Canonical unramified wavefront set plus its algebraic shadow (the
     underlying orbit partition)."""

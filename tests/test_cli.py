@@ -235,14 +235,18 @@ def test_cli_import_leaves_hashlib_out():
     """Importing the CLI imports none of hashlib and importlib.resources
     (only reading an exceptional table needs them), json (only structured
     output does) and logging (the library logs only through a loaded
-    ``logging``); importing the library does not import logging."""
+    ``logging``); importing the library does not import logging.  Neither
+    imports dataclasses or inspect: the value types are ``_record``
+    classes."""
     assert _loaded_after_import(
         ["nilorbits.cli"],
-        ["hashlib", "importlib.resources", "json", "logging"]) == []
+        ["hashlib", "importlib.resources", "json", "logging", "dataclasses",
+         "inspect"]) == []
     library = [f"nilorbits.{name}" for name in (
         "partitions", "symbols", "springer", "duality", "faithful",
         "wavefront")]
-    assert _loaded_after_import(library, ["logging"]) == []
+    assert _loaded_after_import(
+        library, ["logging", "dataclasses", "inspect"]) == []
 
 
 def test_package_entry_point():
