@@ -400,8 +400,9 @@ def _record(cls):
     would, but with no code compiled at import time.  The class gets:
 
     * ``__init__``, which takes the fields positionally or by keyword, with
-      the class attributes of the same names as defaults, and then calls
-      ``__post_init__`` if the class defines one (looked up on each call);
+      the class attributes of the same names as defaults (those fields come
+      last), and then calls ``__post_init__`` if the class defines one
+      (looked up on each call);
     * ``__repr__`` in the form ``Name(field=value, ...)``;
     * ``__eq__`` between objects of the same class, and ``__hash__``, both
       over the tuple of field values;
@@ -410,35 +411,38 @@ def _record(cls):
       reads too."""
     names = tuple(cls.__annotations__)
     defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    count = len(names)
+    required = count - len(defaults)
+    if tuple(defaults) != names[required:]:
+        raise TypeError(f"{cls.__name__}: fields with defaults must come last")
+    tail = tuple(defaults.values())
     values = attrgetter(*names)
     positions = tuple(enumerate(names))
-    count = len(names)
     post_init = hasattr(cls, "__post_init__")
     setattr_ = object.__setattr__
 
     def bind(args, kwargs):
-        # the field values of a call that names fields, leaves defaulted
-        # ones out or passes the wrong number of values
+        # the field values of a call that leaves defaulted fields out,
+        # names fields or passes the wrong number of values
+        if not kwargs and required <= len(args) < count:
+            return args + tail[len(args) - required:]
         title = f"{cls.__name__}()"
         if len(args) > count:
             raise TypeError(f"{title} takes {count} arguments but "
                             f"{len(args)} were given")
-        bound = dict(zip(names, args))
-        for name, value in kwargs.items():
+        for name in kwargs:
             if name not in names:
                 raise TypeError(f"{title} got an unexpected keyword argument "
                                 f"{name!r}")
-            if name in bound:
+            if names.index(name) < len(args):
                 raise TypeError(f"{title} got multiple values for argument "
                                 f"{name!r}")
-            bound[name] = value
-        missing = [name for name in names
-                   if name not in bound and name not in defaults]
+        bound = {**defaults, **dict(zip(names, args)), **kwargs}
+        missing = [name for name in names if name not in bound]
         if missing:
             raise TypeError(f"{title} missing required arguments: "
                             f"{', '.join(map(repr, missing))}")
-        return [bound[name] if name in bound else defaults[name]
-                for name in names]
+        return [bound[name] for name in names]
 
     # the fields are set one by one in field order, so instances share
     # dict keys; indexing ``args`` is faster here than a ``zip``

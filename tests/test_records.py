@@ -152,6 +152,25 @@ def test_keywords_and_defaults():
         sp.WeylIrrep("B", 2, (1,), (1,), kappa=2)
 
 
+def test_defaults_come_last():
+    @pt._record
+    class Two:
+        a: int
+        b: int = 1
+        c: int = 2
+
+    assert (Two(0).b, Two(0).c) == (1, 2)
+    assert (Two(0, 5).b, Two(0, 5).c) == (5, 2)
+    assert Two(0, c=7) == Two(0, 1, 7)
+
+    class Late:
+        kappa: int = 0
+        letter: str
+
+    with pytest.raises(TypeError, match="defaults must come last"):
+        pt._record(Late)
+
+
 @pytest.mark.parametrize("args, kwargs", [
     (("B", 2, (1,)), {}),                       # a field missing
     ((), {"letter": "B", "rank": 2}),
