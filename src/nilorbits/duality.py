@@ -18,8 +18,8 @@ from itertools import zip_longest
 
 from . import partitions as pt
 from . import springer as sp
-from .partitions import (DecoratedPartition, Partition, PartitionError,
-                         dual_letter, format_partition, is_very_even)
+from .partitions import (Partition, PartitionError, dual_letter,
+                         format_partition, is_very_even)
 
 
 @pt._record
@@ -187,18 +187,6 @@ def _d_A_of_orbit(letter: str, bare: Partition) -> MarkedOrbit:
     dual_orbit = pt.dual(bare, dual_letter(letter))
     return pt._trusted(MarkedOrbit, letter, dual_orbit,
                        pt._reduction(dual_orbit, pi, letter))
-
-
-def closure_le(lam1, lam2, letter: str) -> bool:
-    """Closure order on orbit avatars: dominance of partitions; two very
-    even type-D orbits with the same partition and different decorations are
-    incomparable."""
-    b1, b2 = pt.bare(lam1), pt.bare(lam2)
-    if letter == "D" and isinstance(lam1, DecoratedPartition) \
-            and isinstance(lam2, DecoratedPartition):
-        if lam1.very_even and lam2.very_even and b1 == b2:
-            return lam1.kappa == lam2.kappa
-    return pt.dominance_le(b1, b2)
 
 
 def le_A(m1: MarkedOrbit, m2: MarkedOrbit) -> bool:

@@ -511,8 +511,12 @@ def _trusted(cls, *values):
     already checked and canonical.  Every field needs a value, defaulted
     ones too.  Fields are set one by one in field order, as ``__init__``
     does, so instances still share dict keys."""
+    names = cls.__match_args__
+    if len(values) != len(names):
+        raise ValueError(f"{cls.__name__} needs {len(names)} values, got "
+                         f"{len(values)}")
     obj = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, values, strict=True):
+    for name, value in zip(names, values):
         object.__setattr__(obj, name, value)
     return obj
 

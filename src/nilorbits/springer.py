@@ -142,10 +142,6 @@ def trivial_rep(letter: str, rank: int) -> WeylIrrep:
     return WeylIrrep(letter, rank, (rank,) if rank else (), ())
 
 
-def sign_rep(letter: str, rank: int) -> WeylIrrep:
-    return WeylIrrep(letter, rank, (), (1,) * rank)
-
-
 def sgn_twist(rep: WeylIrrep) -> WeylIrrep:
     """Tensor with the sign character on the avatar level."""
     a, b, kappa = sy.sgn_twist_pair(rep.first, rep.second, rep.letter,
@@ -283,8 +279,15 @@ def springer_support(rep: WeylIrrep, side: str = "group"):
         raise PartitionError(f"side must be 'group' or 'dual', got {side!r}")
     conv = rep.letter if side == "group" else dual_letter(rep.letter)
     top, bottom = sy._rows_of_pair(rep.first, rep.second, conv, "s")
-    top, bottom = sy._monotonic_rows(sorted(top + bottom),
-                                     len(top) - len(bottom), "s", conv)
+    return _support_of_entries(tuple(sorted(top + bottom)), conv, rep.kappa)
+
+
+def _support_of_entries(entries, conv: str, kappa: int):
+    # ``springer_support`` from the sorted entries of a character's minimal
+    # s-symbol in convention ``conv`` and its decoration (0 unless the
+    # character is degenerate): all it reads of the character, and the same
+    # for its whole similarity class; the convention fixes the defect
+    top, bottom = sy._monotonic_rows(entries, int(conv != "D"), "s", conv)
     _, lead = sy._stair("s", conv)
     a_top = list(map(sub, top, range(len(top))))
     a_bottom = list(map(sub, bottom, range(lead, lead + len(bottom))))
@@ -300,8 +303,8 @@ def springer_support(rep: WeylIrrep, side: str = "group"):
     if sum(a_top) < sum(a_bottom):
         a_top, a_bottom = a_bottom, a_top
     lam = _orbit_of_rows(a_top, a_bottom, "D")
-    kappa = rep.kappa if rep.degenerate and pt.is_very_even(lam) else 0
-    return pt._trusted(DecoratedPartition, lam, kappa)
+    return pt._trusted(DecoratedPartition, lam,
+                       kappa if pt.is_very_even(lam) else 0)
 
 
 def collapse_symbol(lam: Partition, kappa: int = 0) -> DecoratedSymbol:
@@ -420,12 +423,6 @@ def special_rep(fid: FamilyId) -> WeylIrrep:
     if fid.letter == "D":
         return WeylIrrep(fid.letter, fid.rank, f, s, fid.kappa)
     return WeylIrrep(fid.letter, fid.rank, f, s)
-
-
-def same_family(r1: WeylIrrep, r2: WeylIrrep) -> bool:
-    if (r1.letter, r1.rank) != (r2.letter, r2.rank):
-        raise PartitionError(f"characters of different groups: {r1} vs {r2}")
-    return family_of(r1) == family_of(r2)
 
 
 @pt._record

@@ -210,10 +210,6 @@ def at_size(sym: Symbol, letter: str, k: int) -> Symbol:
     return sym
 
 
-def shift_equal(s1: Symbol, s2: Symbol, letter: str) -> bool:
-    return normalize(s1, letter) == normalize(s2, letter)
-
-
 def similar(s1: Symbol, s2: Symbol, letter: str) -> bool:
     """Equal entry multisets once brought to a common size."""
     if s1.kind != s2.kind:

@@ -9,9 +9,12 @@ dual, and the algebraic wavefront set is the underlying partition.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import duality as du
 from . import partitions as pt
 from . import springer as sp
+from . import symbols as sy
 from .duality import MarkedOrbit
 from .partitions import Partition, PartitionError
 
@@ -36,11 +39,22 @@ class WavefrontResult:
 
 def wf_of_wrep(rep: sp.WeylIrrep) -> MarkedOrbit:
     """Wavefront set of an irreducible character: Achar dual of the
-    dual-side Springer support, trivially marked."""
-    support = sp.springer_support(rep, "dual")
-    # ``springer_support`` has checked the orbit's type, so the orbit goes
-    # to the Achar dual without ``d_A_triv``'s second check
-    return du._d_A_of_orbit(rep.letter, pt.bare(support))
+    dual-side Springer support, trivially marked.  The support is constant
+    on a similarity class of s-symbols, so it is read once per class, from
+    the entries of the character's minimal dual-side s-symbol."""
+    conv = pt.dual_letter(rep.letter)
+    top, bottom = sy._rows_of_pair(rep.first, rep.second, conv, "s")
+    return _wf_of_class(rep.letter, tuple(sorted(top + bottom)), rep.kappa)
+
+
+@lru_cache(maxsize=None)
+def _wf_of_class(letter: str, entries: tuple[int, ...],
+                 kappa: int) -> MarkedOrbit:
+    # ``springer_support``'s step after the rows has checked the orbit's
+    # type, so the orbit goes to the Achar dual without ``d_A_triv``'s
+    # second check
+    support = sp._support_of_entries(entries, pt.dual_letter(letter), kappa)
+    return du._d_A_of_orbit(letter, pt.bare(support))
 
 
 def wf_iwahori_real(az_dual_orbit, letter: str) -> WavefrontResult:

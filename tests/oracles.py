@@ -16,7 +16,9 @@ the symbol route (Springer symbol, class by ``enumerate_class`` or
 normalization) as the reference for the dual fibres, families and factor
 families that the library builds on rows.  The per-part loops that the
 partition and symbol primitives replaced by single passes are kept here,
-named ``*_loop``, as their references.
+named ``*_loop``, as their references.  Small helpers that only the tests
+read (the sign character, shift equality of symbols, equal families, the
+closure order) live at the end.
 
 Only the tests use this module; the library computes multiplicities through
 Littlewood-Richardson products and symbol classes in closed form.
@@ -821,3 +823,35 @@ def family_of_orbit_by_symbols(orbit, letter: str):
     rank = sum(first) + sum(second)
     return family_of_by_symbol(sp.WeylIrrep(letter, rank, first, second,
                                             kappa))
+
+
+# ---------------------------------------------------------------------------
+# small helpers that only the tests read: the sign character, shift
+# equality of symbols, equal families, and the closure order on decorated
+# orbits
+
+def sign_rep(letter: str, rank: int):
+    return sp.WeylIrrep(letter, rank, (), (1,) * rank)
+
+
+def shift_equal(s1, s2, letter: str) -> bool:
+    return sy.normalize(s1, letter) == sy.normalize(s2, letter)
+
+
+def same_family(r1, r2) -> bool:
+    if (r1.letter, r1.rank) != (r2.letter, r2.rank):
+        raise pt.PartitionError(f"characters of different groups: {r1} vs "
+                                f"{r2}")
+    return sp.family_of(r1) == sp.family_of(r2)
+
+
+def closure_le(lam1, lam2, letter: str) -> bool:
+    """Closure order on orbit avatars: dominance of partitions; two very
+    even type-D orbits with the same partition and different decorations are
+    incomparable."""
+    b1, b2 = pt.bare(lam1), pt.bare(lam2)
+    if letter == "D" and isinstance(lam1, pt.DecoratedPartition) \
+            and isinstance(lam2, pt.DecoratedPartition):
+        if lam1.very_even and lam2.very_even and b1 == b2:
+            return lam1.kappa == lam2.kappa
+    return pt.dominance_le(b1, b2)

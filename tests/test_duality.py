@@ -395,10 +395,10 @@ def test_d_a_triv_returns_one_object_per_orbit():
 def test_closure_le_decorations():
     a = P.DecoratedPartition((2, 2), 0)
     b = P.DecoratedPartition((2, 2), 1)
-    assert du.closure_le(a, a, "D")
-    assert not du.closure_le(a, b, "D")
-    assert du.closure_le(b, P.DecoratedPartition((3, 1), 0), "D")
-    assert du.closure_le((2, 2), (3, 1), "D")
+    assert O.closure_le(a, a, "D")
+    assert not O.closure_le(a, b, "D")
+    assert O.closure_le(b, P.DecoratedPartition((3, 1), 0), "D")
+    assert O.closure_le((2, 2), (3, 1), "D")
 
 
 def test_maximal_marked():

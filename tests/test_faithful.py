@@ -239,7 +239,7 @@ def test_dual_factor_symbol_against_springer_path():
                     assert got == ref, (letter, lam)
                 else:
                     assert S.similar(got, ref, letter) and \
-                        S.shift_equal(got, ref, letter), (letter, lam)
+                        O.shift_equal(got, ref, letter), (letter, lam)
 
 
 def test_dual_factor_symbol_block_jump():
@@ -476,9 +476,13 @@ def test_family_members_returns_a_fresh_list():
     assert set(pool) == set(expected)
 
 
+# the memos of the faithfulness check and of what it reads
+MEMOS = (F._sorted_members, F._family_of_orbit, F._shipped_table,
+         du._d_A_of_orbit, du._pi_mu, sp._half_text, sp.lr_coefficient)
+
+
 def _clear_memos():
-    for memo in (F._sorted_members, F._family_of_orbit, du._d_A_of_orbit,
-                 du._pi_mu):
+    for memo in MEMOS:
         memo.cache_clear()
 
 

@@ -15,6 +15,7 @@ from collections import Counter
 import pytest
 
 import answer_digests
+import test_faithful
 from nilorbits import duality as du
 from nilorbits import faithful as fa
 from nilorbits import partitions as pt
@@ -25,7 +26,21 @@ from test_answer_digests import PINNED
 
 # the memos whose entries are built on the trusted path
 MEMOS = (du._d_A_of_orbit, fa._sorted_members, fa._family_of_orbit,
-         sp._irreps)
+         sp._irreps, wf._wf_of_class)
+LIBRARY = (pt, sy, sp, du, fa, wf)
+
+
+def test_memo_lists_name_every_memo():
+    """Every ``functools.lru_cache`` memo of the library modules is on one
+    of the tests' memo lists, so that the tests clear all of them."""
+    memos = {id(value): f"{module.__name__}.{name}" for module in LIBRARY
+             for name, value in vars(module).items()
+             if hasattr(value, "cache_clear") and
+             hasattr(value, "cache_info")}
+    assert "nilorbits.wavefront._wf_of_class" in memos.values()
+    for memo in MEMOS + test_faithful.MEMOS:
+        memos.pop(id(memo), None)
+    assert not memos, sorted(memos.values())
 
 
 def _checking(module, name, public, calls):

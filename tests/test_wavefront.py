@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import oracles as O
@@ -63,11 +65,33 @@ def test_wf_examples():
 def test_wf_sign_is_dual_of_zero():
     for letter in P.LETTERS:
         n = 3
-        sgn = sp.sign_rep(letter, n)
+        sgn = O.sign_rep(letter, n)
         zero = (1,) * (2 * n + (1 if letter == "C" else 0))
         if letter == "B":
             zero = (1,) * (2 * n)
         assert wf.wf_of_wrep(sgn) == du.d_A_triv(zero, letter)
+
+
+def test_wf_of_wrep_once_per_class():
+    """On an empty memo, every character through rank 10, visited in a
+    seeded random order, gets the Achar dual of its own dual-side Springer
+    support.  Every dual orbit is such a support, so the memo then holds
+    one entry per dual orbit: the supports are all of them but rank-0 type
+    D's second decoration, as many as the memo's entries."""
+    reps = [rep for letter in P.LETTERS for rank in range(11)
+            for rep in sp.irreps(letter, rank)]
+    random.Random(21).shuffle(reps)
+    wf._wf_of_class.cache_clear()
+    supports = set()
+    for rep in reps:
+        support = sp.springer_support(rep, "dual")
+        supports.add((rep.letter, support))
+        assert wf.wf_of_wrep(rep) == du.d_A_triv(P.bare(support),
+                                                 rep.letter), str(rep)
+    orbits = {(letter, lam) for letter in P.LETTERS for rank in range(11)
+              for lam in P.enumerate_orbits(P.dual_letter(letter), rank)}
+    assert supports == orbits - {("D", P.DecoratedPartition((), 1))}
+    assert wf._wf_of_class.cache_info().currsize == len(supports)
 
 
 def test_wf_iwahori_real():
