@@ -13,7 +13,7 @@ orbits skip ``MarkedOrbit``'s check that the marking is reduced.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import zip_longest
 
 from . import partitions as pt
@@ -46,15 +46,9 @@ class MarkedOrbit:
                 f"{format_partition(self.orbit)} (its reduction is "
                 f"{format_partition(reduced)})")
 
-    # the dominance keys of ``le_A``, cached outside the record fields,
-    # so repr, ==, hash and records do not see them
-    @cached_property
-    def _orbit_key(self) -> pt.DominanceKey:
-        return pt.dominance_key(self.orbit)
-
-    @cached_property
-    def _sommers_key(self) -> pt.DominanceKey:
-        return pt.dominance_key(d_S_marked(self))
+    # the dominance keys of ``le_A``, filled on first use outside the fields
+    _orbit_key = None
+    _sommers_key = None
 
     @property
     def decoration_undetermined(self) -> bool:
@@ -202,9 +196,19 @@ def le_A(m1: MarkedOrbit, m2: MarkedOrbit) -> bool:
     if m1.letter != m2.letter:
         raise PartitionError(f"cannot compare types {m1.letter} and "
                              f"{m2.letter}")
-    if not pt.key_le(m1._orbit_key, m2._orbit_key):
+    if not pt.key_le(m1._orbit_key or _keep_key(m1, "_orbit_key", m1.orbit),
+                     m2._orbit_key or _keep_key(m2, "_orbit_key", m2.orbit)):
         return False
-    return pt.key_le(m2._sommers_key, m1._sommers_key)
+    return pt.key_le(
+        m2._sommers_key or _keep_key(m2, "_sommers_key", d_S_marked(m2)),
+        m1._sommers_key or _keep_key(m1, "_sommers_key", d_S_marked(m1)))
+
+
+def _keep_key(m: MarkedOrbit, name: str, lam: Partition) -> pt.DominanceKey:
+    # the dominance key of ``lam``, kept as the attribute ``name`` of ``m``
+    key = pt.dominance_key(lam)
+    object.__setattr__(m, name, key)
+    return key
 
 
 def maximal_marked(items) -> list[MarkedOrbit]:

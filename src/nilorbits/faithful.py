@@ -18,7 +18,6 @@ from . import duality as du
 from . import partitions as pt
 from . import springer as sp
 from .duality import _orbit, _pi_mu
-from .duality import pi_mu  # noqa: F401 - public here too
 from .partitions import (DecoratedPartition, Partition, PartitionError,
                          dual_letter, format_partition, is_very_even)
 # perfbench/tracer.py's self-test reaches it through this binding

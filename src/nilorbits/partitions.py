@@ -408,7 +408,12 @@ def _record(cls):
       over the tuple of field values;
     * ``__setattr__`` and ``__delattr__``, which raise ``FrozenFieldError``;
     * ``__match_args__``, the field names in order, which ``_trusted``
-      reads too."""
+      reads too.
+
+    Derived values live in private attributes set with ``object.__setattr__``,
+    never through ``__dict__`` (no ``cached_property``): on CPython 3.11 a
+    ``__dict__`` write takes the instance off its inline-values fast path,
+    and four field loads on a ``WeylIrrep`` go from 27 ns to 116 ns."""
     names = tuple(cls.__annotations__)
     defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
     count = len(names)

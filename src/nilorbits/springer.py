@@ -17,7 +17,7 @@ rows to characters: none of them builds an intermediate symbol.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import le, sub
 
 from . import partitions as pt
@@ -67,20 +67,7 @@ class WeylIrrep:
         return self.letter == "D" and self.first == self.second and \
             bool(self.first)
 
-    # cached outside the record fields, so repr, ==, hash and records
-    # do not see it
-    @cached_property
-    def _lifts(self) -> tuple[tuple[int, Partition, Partition], ...]:
-        """Signed-group lifts as (size of first half, first, second).  A
-        type-D character with distinct halves lifts to the two orderings; a
-        degenerate one induces irreducibly to its single ordered pair, for
-        either decoration, so the restriction formula is exact per
-        decoration."""
-        size = sum(self.first)
-        if self.letter == "D" and self.first != self.second:
-            return ((size, self.first, self.second),
-                    (self.rank - size, self.second, self.first))
-        return ((size, self.first, self.second),)
+    _lifts = None  # filled by ``_fill_lifts`` outside the fields
 
     def __str__(self) -> str:
         body = f"{_half_text(self.first)};{_half_text(self.second)}"
@@ -105,6 +92,19 @@ def _canonical_halves(letter: str, first: Partition, second: Partition,
         return first, second, 0
     first, second = pt._ordered_pair(first, second)
     return first, second, kappa if first == second and first else 0
+
+
+def _fill_lifts(rep: WeylIrrep) -> tuple[tuple[int, Partition, Partition], ...]:
+    """``rep._lifts``: its signed-group lifts as (size of first half, first,
+    second).  A type-D character with distinct halves lifts to the two
+    orderings; a degenerate one induces irreducibly to its single ordered
+    pair, for either decoration, so restriction is exact per decoration."""
+    size = sum(rep.first)
+    lifts = ((size, rep.first, rep.second),)
+    if rep.letter == "D" and rep.first != rep.second:
+        lifts += ((rep.rank - size, rep.second, rep.first),)
+    object.__setattr__(rep, "_lifts", lifts)
+    return lifts
 
 
 def _irrep(letter: str, rank: int, first: Partition, second: Partition,
@@ -441,6 +441,10 @@ class PseudoLeviShape:
             raise PartitionError(f"bad type letter {self.letter!r}")
         if not 0 <= self.k <= self.rank:
             raise PartitionError(f"node index {self.k} outside 0..{self.rank}")
+        # the factor letters and ranks outside the fields; None if degenerate
+        object.__setattr__(self, "_factors", None if self.degenerate else (
+            ("D", "B") if self.letter == "B" else (self.letter, self.letter),
+            (self.k, self.rank - self.k)))
 
     @property
     def degenerate(self) -> bool:
@@ -450,21 +454,19 @@ class PseudoLeviShape:
             return self.rank >= 2 and self.k in (1, self.rank - 1)
         return False
 
-    @cached_property
+    @property
     def factor_letters(self) -> tuple[str, str]:
-        self._assert_product()
-        return ("D", "B") if self.letter == "B" else \
-            (self.letter, self.letter)
+        return self._product()[0]
 
-    @cached_property
+    @property
     def factor_ranks(self) -> tuple[int, int]:
-        self._assert_product()
-        return self.k, self.rank - self.k
+        return self._product()[1]
 
-    def _assert_product(self) -> None:
-        if self.degenerate:
+    def _product(self) -> tuple[tuple[str, str], tuple[int, int]]:
+        if self._factors is None:
             raise PartitionError(
                 f"shape {self} is the whole algebra, not a product")
+        return self._factors
 
     @property
     def full(self) -> bool:
@@ -591,10 +593,10 @@ def restriction_multiplicity(rep: WeylIrrep, shape: PseudoLeviShape,
                              rep1: WeylIrrep, rep2: WeylIrrep) -> int:
     """Multiplicity of the factor pair in the restriction of ``rep`` to the
     shape, as a sum of products of Littlewood-Richardson coefficients over
-    the hyperoctahedral lifts of the type-D factors.  The lifts and half
-    sizes come from each character's cached ``_lifts``; a split whose sizes
-    do not add up contributes nothing, and the second coefficient is only
-    looked up when the first is non-zero.
+    the hyperoctahedral lifts of the type-D factors, read off each
+    character's ``_lifts`` (filled on first use) and the shape's
+    ``_factors``; a split whose sizes do not add up contributes nothing,
+    and the second coefficient is only looked up when the first is non-zero.
 
     Refused, in this order: a character of another group than the shape's
     ambient group, a degenerate shape, factors of other groups than the
@@ -604,7 +606,7 @@ def restriction_multiplicity(rep: WeylIrrep, shape: PseudoLeviShape,
     if rep.letter != shape.letter or rep.rank != shape.rank:
         raise PartitionError(f"{rep} is not a character of the ambient "
                              f"group of {shape}")
-    (y, x), (p, q) = shape.factor_letters, shape.factor_ranks
+    (y, x), (p, q) = shape._factors or shape._product()
     if rep1.letter != y or rep1.rank != p or rep2.letter != x or \
             rep2.rank != q:
         _factor_check(shape, rep1, rep2)
@@ -612,10 +614,10 @@ def restriction_multiplicity(rep: WeylIrrep, shape: PseudoLeviShape,
         raise AmbiguousDecorationError(
             f"{rep} has very even dual support; restriction is not resolved "
             f"per decoration")
-    size, lam, mu = rep._lifts[0]
+    size, lam, mu = (rep._lifts or _fill_lifts(rep))[0]
     total = 0
-    for s1, a1, b1 in rep1._lifts:
-        for s2, a2, b2 in rep2._lifts:
+    for s1, a1, b1 in rep1._lifts or _fill_lifts(rep1):
+        for s2, a2, b2 in rep2._lifts or _fill_lifts(rep2):
             if s1 + s2 != size:
                 continue
             c = lr_coefficient(a1, a2, lam)

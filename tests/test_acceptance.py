@@ -176,7 +176,7 @@ def test_acceptance_6_marking_sweep():
                     continue
                 if F.is_edge_case(lam, letter)[0]:
                     continue
-                pi, mu = F.pi_mu(lam, letter)
+                pi, mu = du.pi_mu(lam, letter)
                 d = P.dual(lam, co)
                 target = du.d_A_triv(lam, letter)
                 ok &= du.sbar(mu, P.subtract(d, mu), letter) == target

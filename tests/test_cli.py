@@ -202,12 +202,12 @@ def test_too_large_messages(capsys, monkeypatch, error, reason):
                    f"computation{reason}\n")
 
 
-def _python_m(module, *argv):
+def _python_m(module, *argv, stdout=subprocess.PIPE):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", module, *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=60)
 
 
 def test_module_entry_point():
@@ -215,6 +215,20 @@ def test_module_entry_point():
     proc = _python_m("nilorbits.cli", "enumerate", "-t", "B", "-n", "1")
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["3", "1^3"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+def test_full_output_device_exits_2():
+    """An answer that cannot be written is a violated precondition: with
+    standard output on ``/dev/full`` the process exits 2 with one line on
+    standard error, not a traceback."""
+    with open("/dev/full", "w") as full:
+        proc = _python_m("nilorbits", "dual", "-t", "B", "3,1,1",
+                         stdout=full)
+    assert proc.returncode == cli.EXIT_PRECONDITION
+    assert proc.stderr == \
+        "precondition violated: [Errno 28] No space left on device\n"
 
 
 def _loaded_after_import(modules, probes):

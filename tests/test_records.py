@@ -5,6 +5,7 @@ is equality between their twins.  The test may import ``dataclasses``; the
 library does not."""
 
 import dataclasses
+import functools
 from itertools import combinations
 
 import pytest
@@ -35,6 +36,7 @@ FIELDS = {
     wf.WavefrontResult: ("canonical_unramified", "algebraic"),
 }
 RANKS = range(1, 6)
+LIBRARY = (pt, sy, sp, du, fa, wf)
 
 
 def _twin_class(cls):
@@ -183,3 +185,25 @@ def test_bad_arguments_are_type_errors(args, kwargs):
         sp.WeylIrrep(*args, **kwargs)
     with pytest.raises(TypeError):
         TWINS[sp.WeylIrrep](*args, **kwargs)
+
+
+def _record_classes():
+    """The ``_record`` classes of the library modules: the classes whose
+    ``__init__`` runs the code ``_record`` gives every class."""
+    code = pt.DecoratedPartition.__init__.__code__
+    return {value for module in LIBRARY for value in vars(module).values()
+            if isinstance(value, type) and
+            getattr(value.__init__, "__code__", None) is code}
+
+
+def test_records_hold_no_cached_property():
+    """A ``cached_property`` writes through the instance ``__dict__``, which
+    slows every later attribute load on that value (see ``_record``); no
+    value type may hold one."""
+    classes = _record_classes()
+    assert classes == set(FIELDS)
+    for cls in classes:
+        for klass in cls.__mro__:
+            cached = [name for name, value in vars(klass).items()
+                      if isinstance(value, functools.cached_property)]
+            assert not cached, (cls.__name__, cached)

@@ -4,6 +4,8 @@ import pytest
 
 import oracles as O
 from nilorbits import cli
+from nilorbits import duality as du
+from nilorbits import faithful as fa
 from nilorbits import partitions as P
 from nilorbits import springer as sp
 from nilorbits import symbols as S
@@ -570,23 +572,51 @@ def test_irreps_fresh_list_of_shared_characters():
     assert len(again) == 13
 
 
+def _like_fresh(value, fresh, record=cli.record_of):
+    """``value`` and an equal value made afresh agree in repr, hash,
+    equality, record and fields."""
+    assert (repr(value), hash(value), record(value)) == \
+        (repr(fresh), hash(fresh), record(fresh))
+    assert value == fresh and fresh == value and not value != fresh
+    assert type(value).__match_args__ == type(fresh).__match_args__
+
+
 def test_cached_lifts_leave_the_character_unchanged():
-    """Restriction caches lift data on the characters it touches; their
-    repr, hash, equality, record and fields stay as before."""
+    """Restriction stores lift data on the characters it touches, ``le_A``
+    the dominance keys of the marked orbits it compares, and a shape its
+    factors; their repr, hash, equality, record and fields stay those of a
+    fresh value."""
     fields = sp.WeylIrrep.__match_args__
     assert fields == ("letter", "rank", "first", "second", "kappa")
     shape = sp.PseudoLeviShape("D", 2, 5)
-    e = W("D", 5, (2, 1), (1, 1))
-    f1 = W("D", 2, (1,), (1,), 1)
-    f2 = W("D", 3, (2,), (1,))
-    before = [(repr(r), hash(r), cli.record_of(r)) for r in (e, f1, f2)]
+    args = (("D", 5, (2, 1), (1, 1)), ("D", 2, (1,), (1,), 1),
+            ("D", 3, (2,), (1,)))
+    e, f1, f2 = reps = [W(*a) for a in args]
+    before = [(repr(r), hash(r), cli.record_of(r)) for r in reps]
     sp.restriction_multiplicity(e, shape, f1, f2)
-    assert all("_lifts" in vars(r) for r in (e, f1, f2))
-    after = [(repr(r), hash(r), cli.record_of(r)) for r in (e, f1, f2)]
+    assert all(r._lifts is not None for r in reps)
+    after = [(repr(r), hash(r), cli.record_of(r)) for r in reps]
     assert after == before
-    assert (e, f1, f2) == (W("D", 5, (2, 1), (1, 1)),
-                           W("D", 2, (1,), (1,), 1), W("D", 3, (2,), (1,)))
+    for rep, a in zip(reps, args, strict=True):
+        _like_fresh(rep, W(*a))
     assert sp.WeylIrrep.__match_args__ == fields
+
+    low = du.MarkedOrbit("B", (3, 1, 1), (3, 1))
+    high = du.MarkedOrbit("B", (5,), ())
+    assert du.le_A(low, high)
+    for m in (low, high):
+        assert m._orbit_key is not None and m._sommers_key is not None
+        _like_fresh(m, du.MarkedOrbit(m.letter, m.orbit, m.marking))
+    assert du.MarkedOrbit.__match_args__ == ("letter", "orbit", "marking")
+
+    pair = fa.faithful_pair((3, 3, 1), "C")
+    assert pair.shape.factor_letters == ("C", "C")
+    fresh = sp.PseudoLeviShape(*(getattr(pair.shape, name)
+                                 for name in ("letter", "k", "rank")))
+    _like_fresh(pair.shape, fresh, lambda shape: cli.record_of(
+        fa.FaithfulPair(pair.letter, pair.rank, shape, pair.families,
+                        pair.orbit_pair, pair.provenance)))
+    assert sp.PseudoLeviShape.__match_args__ == ("letter", "k", "rank")
 
 
 def test_frobenius_consistency():
