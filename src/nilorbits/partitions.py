@@ -411,9 +411,9 @@ def _record(cls):
       reads too.
 
     Derived values live in private attributes set with ``object.__setattr__``,
-    never through ``__dict__`` (no ``cached_property``): on CPython 3.11 a
+    never through ``__dict__`` as a cached property does: on CPython 3.11 a
     ``__dict__`` write takes the instance off its inline-values fast path,
-    and four field loads on a ``WeylIrrep`` go from 27 ns to 116 ns."""
+    and four field loads on a ``WeylIrrep`` then take 172 ns, not 46 ns."""
     names = tuple(cls.__annotations__)
     defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
     count = len(names)
@@ -512,10 +512,10 @@ class DecoratedPartition:
 
 def _trusted(cls, *values):
     """The ``_record`` class ``cls`` with ``values`` as its fields, made
-    without ``__post_init__``, for internal producers whose values are
-    already checked and canonical.  Every field needs a value, defaulted
-    ones too.  Fields are set one by one in field order, as ``__init__``
-    does, so instances still share dict keys."""
+    without ``__post_init__`` (nor what it derives, as a shape's factors),
+    for internal producers whose values are already checked and canonical.
+    Every field needs a value, defaulted ones too.  Fields are set one by
+    one in field order, as ``__init__`` does, so instances share dict keys."""
     names = cls.__match_args__
     if len(values) != len(names):
         raise ValueError(f"{cls.__name__} needs {len(names)} values, got "
