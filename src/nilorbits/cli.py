@@ -11,6 +11,7 @@ arguments.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import duality as du
@@ -191,9 +192,7 @@ class _Out:
 
     def emit(self, obj, text: str | None = None):
         if self.mode == "structured":
-            # imported here, like faithful's hashlib, so that a text query
-            # skips it
-            import json
+            import json  # here, like faithful's hashlib: text skips it
             print(json.dumps(record_of(obj), sort_keys=True), file=self.stream)
         else:
             print(_text_of(obj) if text is None else text, file=self.stream)
@@ -344,10 +343,8 @@ def _family(args, out: _Out) -> int:
         for obj in [fid, *members]:
             out.emit(obj)
     else:
-        line = f"family {fid}"
-        if members:
-            line += "  members: " + " ".join(map(str, members))
-        out.emit(fid, line)
+        out.emit(fid, f"family {fid}" + (
+            "  members: " + " ".join(map(str, members)) if members else ""))
     return EXIT_OK
 
 
@@ -385,11 +382,14 @@ def run(argv, stream=None) -> int:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         out = _Out(args.mode, stream or sys.stdout)
         if args.own_output:
-            return args.compute(args, out)
-        result = args.compute(args)
-        for obj in result if isinstance(result, list) else [result]:
-            out.emit(obj)
-        return EXIT_OK
+            code = args.compute(args, out)
+        else:
+            result = args.compute(args)
+            for obj in result if isinstance(result, list) else [result]:
+                out.emit(obj)
+            code = EXIT_OK
+        out.stream.flush()  # a failed write raises here, not at exit
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -397,18 +397,21 @@ def run(argv, stream=None) -> int:
             fa.TableError, OSError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except RecursionError:
+    except (RecursionError, OverflowError, MemoryError) as exc:
+        why = " (it exceeds the recursion limit)" \
+            if isinstance(exc, RecursionError) else ""
         print("precondition violated: the input is too large for this "
-              "computation (it exceeds the recursion limit)", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (OverflowError, MemoryError):
-        print("precondition violated: the input is too large for this "
-              "computation", file=sys.stderr)
+              f"computation{why}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:  # ``run`` reported it; the flush at exit would exit 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -79,8 +79,7 @@ class WeylIrrep:
 
 @lru_cache(maxsize=None)
 def _half_text(half: Partition) -> str:
-    # ``format_partition`` of a character's canonical half, once per half
-    # and process
+    # ``format_partition`` of a canonical half, once per half and process
     return format_partition(half)
 
 
@@ -398,8 +397,7 @@ def family_members(fid: FamilyId) -> list[WeylIrrep]:
 
 def _family_members(fid: FamilyId) -> list[WeylIrrep]:
     # ``family_members`` of checked rows, each unordered type-D pair dealt
-    # once; a deal keeps the defect, so rows without the type's shape have
-    # no deal
+    # once; a deal keeps the defect: rows not of the type's shape have none
     return [_irrep(fid.letter, fid.rank,
                    *sy._pair_of_rows(t, b, "a", fid.letter), fid.kappa)
             for t, b in sy._deals(fid.top, fid.bottom, "a", fid.letter,

@@ -202,9 +202,9 @@ def test_too_large_messages(capsys, monkeypatch, error, reason):
                    f"computation{reason}\n")
 
 
-def _python_m(module, *argv, stdout=subprocess.PIPE):
+def _python_m(module, *argv, stdout=subprocess.PIPE, **environ):
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **environ)
     return subprocess.run([sys.executable, "-m", module, *argv],
                           stdout=stdout, stderr=subprocess.PIPE, text=True,
                           env=env, timeout=60)
@@ -219,13 +219,19 @@ def test_module_entry_point():
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs /dev/full")
-def test_full_output_device_exits_2():
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [
+    ("dual", "-t", "B", "3,1,1"),
+    # about 25 kB, more than the output buffer holds
+    ("enumerate", "-t", "B", "-n", "12", "--mode", "structured")])
+def test_full_output_device_exits_2(argv, unbuffered):
     """An answer that cannot be written is a violated precondition: with
     standard output on ``/dev/full`` the process exits 2 with one line on
-    standard error, not a traceback."""
+    standard error, not a traceback, whether the write fails while the
+    answer is printed or only when the buffer is flushed."""
     with open("/dev/full", "w") as full:
-        proc = _python_m("nilorbits", "dual", "-t", "B", "3,1,1",
-                         stdout=full)
+        proc = _python_m("nilorbits", *argv, stdout=full,
+                         PYTHONUNBUFFERED=unbuffered)
     assert proc.returncode == cli.EXIT_PRECONDITION
     assert proc.stderr == \
         "precondition violated: [Errno 28] No space left on device\n"
