@@ -111,10 +111,11 @@ def d_S(mu: Partition, nu: Partition, letter: str) -> Partition:
     Lusztig's canonical quotient*, Transform. Groups 8 (2003)."""
     shape = pair_shape(mu, nu, letter)
     _, x = shape.factor_letters
+    # ``pair_shape`` has checked nu, and the sum has the dual type's parity
     first = pt.transpose(pt.as_partition(mu))
-    second = pt.dual(pt.as_partition(nu), x)
+    second = pt._dual_of_transpose(pt.transpose(pt.as_partition(nu)), x)
     summed = [a + b for a, b in zip_longest(first, second, fillvalue=0)]
-    return pt.collapse(tuple(summed), dual_letter(letter))
+    return pt._collapse(summed, dual_letter(letter))
 
 
 def d_S_marked(marked: MarkedOrbit) -> Partition:
@@ -144,15 +145,12 @@ def pi_mu(lam, letter: str) -> tuple[Partition, Partition]:
     the odd ones; a part with odd multiplicity contributes once to the first
     output and once to the second, a part with even positive multiplicity
     contributes twice to the second only."""
-    return _pi_mu(_orbit(lam, letter), letter)
+    return _pi_mu(pt.transpose(_orbit(lam, letter)), letter)
 
 
-@lru_cache(maxsize=None)
-def _pi_mu(bare: Partition, letter: str) -> tuple[Partition, Partition]:
-    # ``pi_mu`` of an orbit that ``_orbit`` has already checked; memoised,
-    # since the general route of ``verify_faithful`` needs it twice
+def _pi_mu(t: Partition, letter: str) -> tuple[Partition, Partition]:
+    # ``pi_mu`` of a checked orbit whose transpose is ``t``
     keep = 0 if letter == "C" else 1
-    t = pt.transpose(bare)
     pi, mu = [], []
     for x in set(t):
         if x % 2 != keep:
@@ -177,8 +175,9 @@ def d_A_triv(lam, letter: str) -> MarkedOrbit:
 @lru_cache(maxsize=None)
 def _d_A_of_orbit(letter: str, bare: Partition) -> MarkedOrbit:
     # one MarkedOrbit per orbit, so its cached prefix sums are shared too
-    pi, _ = _pi_mu(bare, letter)
-    dual_orbit = pt.dual(bare, dual_letter(letter))
+    t = pt.transpose(bare)
+    pi, _ = _pi_mu(t, letter)
+    dual_orbit = pt._dual_of_transpose(t, dual_letter(letter))
     return pt._trusted(MarkedOrbit, letter, dual_orbit,
                        pt._reduction(dual_orbit, pi, letter))
 

@@ -138,7 +138,7 @@ def _route(lam, letter: str, fiber, target: du.MarkedOrbit) -> FaithfulPair:
     if target.marking == () and len(fiber) == 1:
         # the full diagram hits the Achar dual only when the marking is empty
         return _full_pair(lam, letter, d, "unique-representation")
-    _, mu = _pi_mu(bare, letter)
+    _, mu = _pi_mu(pt.transpose(bare), letter)
     nu = pt.subtract(d, mu)
     if letter == "D" and is_very_even(nu):
         raise sp.AmbiguousDecorationError(

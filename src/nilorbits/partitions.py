@@ -25,8 +25,8 @@ What they assume of their input:
 * ``transpose`` takes a tuple or list in any order and reads ``lam[0]``
   as the number of columns;
 * the rest (``dominance_le``, ``dominance_key``, ``raise_first``,
-  ``lower_last``, ``collapse``, ``is_special``, ``dual``, ``self_dual``)
-  expect a canonical partition: a decreasing tuple without zeros.
+  ``lower_last``, ``collapse``, ``is_special``, ``dual``) expect a
+  canonical partition: a decreasing tuple without zeros.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from operator import attrgetter, ge, mod
 Partition = tuple[int, ...]
 
 LETTERS = ("B", "C", "D")
+_DUAL_LETTERS = {"B": "C", "C": "B", "D": "D"}
 
 _ENUM_BOUND_ENV = "NILORBITS_MAX_RANK"
 DEFAULT_ENUM_BOUND = 12
@@ -176,7 +177,7 @@ def key_le(low: DominanceKey, high: DominanceKey) -> bool:
 def dual_letter(letter: str) -> str:
     """Type of the Langlands dual algebra: B <-> C, D <-> D."""
     _check_letter(letter)
-    return {"B": "C", "C": "B", "D": "D"}[letter]
+    return _DUAL_LETTERS[letter]
 
 
 def _check_letter(letter: str) -> None:
@@ -233,23 +234,25 @@ def collapse(lam: Partition, letter: str) -> Partition:
     """
     _check_letter(letter)
     _check_total(lam, letter)
-    bad = 0 if letter in ("B", "D") else 1
-    keep = tuple(p for p in lam if p % 2 != bad)
-    fix = [p for p in lam if p % 2 == bad]
-    if len(fix) % 2:
-        fix.append(0)
-    out = list(keep)
-    for i in range(0, len(fix), 2):
-        a, b = fix[i], fix[i + 1]
-        if a == b:
-            out += [a, b]
-        else:
-            out += [a - 1, b + 1]
-    result = as_partition(out)
+    result = _collapse(lam, letter)
     if not is_type_partition(result, letter):
         raise AssertionError(f"collapse produced a non-{letter}-partition "
                              f"{result} from {lam}")
     return result
+
+
+def _collapse(parts: Partition, letter: str) -> Partition:
+    # ``collapse`` with no check of the letter, the total or the result
+    bad = 0 if letter in ("B", "D") else 1
+    out = [p for p in parts if p % 2 != bad]
+    fix = [p for p in parts if p % 2 == bad]
+    if len(fix) % 2:
+        fix.append(0)
+    for a, b in zip(fix[::2], fix[1::2]):
+        out += (a, b) if a == b else (a - 1, b + 1)
+    out.sort(reverse=True)
+    # only a padded pair (1, 0) of type C leaves a zero part
+    return tuple(out) if not out or out[-1] > 0 else as_partition(out)
 
 
 def is_special(lam, letter: str) -> bool:
@@ -281,18 +284,14 @@ def dual(lam, letter: str):
     """
     lam = bare(lam)
     assert_type_partition(lam, letter)
-    if letter == "B":
-        return collapse(lower_last(transpose(lam)), "C")
-    if letter == "C":
-        return collapse(raise_first(transpose(lam)), "B")
-    return collapse(transpose(lam), "D")
+    return _dual_of_transpose(transpose(lam), letter)
 
 
-def self_dual(lam: Partition, letter: str) -> Partition:
-    """Duality within the same type: transpose followed by the same-type
-    collapse.  Used for orbits of pseudo-Levi factors."""
-    assert_type_partition(lam, letter)
-    return collapse(transpose(lam), letter)
+def _dual_of_transpose(t: Partition, letter: str) -> Partition:
+    # ``dual`` of a checked ``letter``-partition whose transpose is ``t``
+    if letter != "D":
+        t = lower_last(t) if letter == "B" else raise_first(t)
+    return _collapse(t, _DUAL_LETTERS[letter])
 
 
 def integer_partitions(total: int, bound: int | None = None):

@@ -10,7 +10,8 @@ symbol-class enumerators, the fully sorted product of two families as
 the reference for the witness scan of the faithfulness check, a filter
 over the subsets of the markable parts as the list of reduced markings,
 truncated induction as the reference for the closed form of Sommers
-duality, the padded running-total loop as the reference for dominance, and
+duality, the compositions of checked public steps as the references for
+the trusted kernels of the Achar and Sommers duals, the padded running-total loop as the reference for dominance, and
 the symbol route (Springer symbol, class by ``enumerate_class`` or
 ``similar_symbols``, ``pair_of_symbol`` per member, stepwise
 normalization) as the reference for the dual fibres, families and factor
@@ -27,7 +28,7 @@ Littlewood-Richardson products and symbol classes in closed form.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
 from math import factorial
 
 from nilorbits import duality as du
@@ -480,10 +481,37 @@ def d_S_by_induction(mu, nu, letter: str):
     the closed form ``duality.d_S``."""
     shape = du.pair_shape(mu, nu, letter)
     y, x = shape.factor_letters
-    rep1 = sp.rep_of_orbit(pt.self_dual(mu, y), y, y)
-    rep2 = sp.rep_of_orbit(pt.self_dual(nu, x), x, x)
+    rep1 = sp.rep_of_orbit(self_dual(mu, y), y, y)
+    rep2 = sp.rep_of_orbit(self_dual(nu, x), x, x)
     induced = sp.j_induce(shape, rep1, rep2)
     return pt.bare(sp.springer_support(induced, "dual"))
+
+
+def self_dual(lam, letter: str):
+    """Duality within the same type: transpose followed by the same-type
+    collapse, for orbits of pseudo-Levi factors."""
+    pt.assert_type_partition(lam, letter)
+    return pt.collapse(pt.transpose(lam), letter)
+
+
+def d_S_by_public_steps(mu, nu, letter: str):
+    """``duality.d_S`` through the checked public ``dual`` and ``collapse``:
+    the reference for its trusted kernels."""
+    shape = du.pair_shape(mu, nu, letter)
+    _, x = shape.factor_letters
+    first = pt.transpose(pt.as_partition(mu))
+    second = pt.dual(pt.as_partition(nu), x)
+    summed = [a + b for a, b in zip_longest(first, second, fillvalue=0)]
+    return pt.collapse(tuple(summed), pt.dual_letter(letter))
+
+
+def d_A_triv_by_public_steps(lam, letter: str):
+    """``duality.d_A_triv`` as ``pi_mu``, the public ``dual`` and
+    ``reduction``, built through the checking constructor: the reference
+    for the one-transpose kernel ``duality._d_A_of_orbit``."""
+    pi, _ = du.pi_mu(lam, letter)
+    orbit = pt.dual(lam, pt.dual_letter(letter))
+    return du.MarkedOrbit(letter, orbit, pt.reduction(orbit, pi, letter))
 
 
 def d_S_marked_by_shape(marked, image=du.d_S):

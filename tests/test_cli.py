@@ -237,6 +237,34 @@ def test_full_output_device_exits_2(argv, unbuffered):
         "precondition violated: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.skipif(not hasattr(os, "pipe"), reason="needs os.pipe")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [
+    ("dual", "-t", "B", "3,1,1"),
+    ("enumerate", "-t", "B", "-n", "12", "--mode", "structured"),
+    # exits 1 when the pipe stays open
+    ("verify-faithful", "-t", "B", "-n", "6", "--no-twist")])
+def test_closed_pipe_exits_2(argv, unbuffered):
+    """A reader that closed the pipe makes standard output unwritable: the
+    process exits 2 with one line on standard error, not a traceback, and
+    that exit takes precedence over a failed verification's exit 1."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _python_m("nilorbits", *argv, stdout=write_end,
+                         PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_PRECONDITION
+    assert proc.stderr == "precondition violated: [Errno 32] Broken pipe\n"
+
+
+def test_no_twist_control_exits_1():
+    proc = _python_m("nilorbits", "verify-faithful", "-t", "B", "-n", "6",
+                     "--no-twist")
+    assert proc.returncode == cli.EXIT_VERIFY
+
+
 def _loaded_after_import(modules, probes):
     """Which of ``probes`` are in ``sys.modules`` after importing
     ``modules`` in a fresh ``python -S``, where no ``site`` step imports

@@ -221,7 +221,7 @@ def test_dual_factor_symbol_against_springer_path():
                 got = dual_factor_symbol(lam, letter)
                 _, mu = du.pi_mu(lam, letter)
                 y = "D" if letter in ("B", "D") else "C"
-                dls = P.self_dual(mu, y)
+                dls = O.self_dual(mu, y)
                 rep = sp.rep_of_orbit(
                     P.DecoratedPartition(dls, 0) if y == "D" else dls, y, y)
                 ref = sp.rep_asymbol(rep)
@@ -478,7 +478,7 @@ def test_family_members_returns_a_fresh_list():
 
 # the memos of the faithfulness check and of what it reads
 MEMOS = (F._sorted_members, F._family_of_orbit, F._shipped_table,
-         du._d_A_of_orbit, du._pi_mu, sp._half_text, sp.lr_coefficient)
+         du._d_A_of_orbit, sp._half_text, sp.lr_coefficient)
 
 
 def _clear_memos():

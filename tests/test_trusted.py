@@ -15,6 +15,7 @@ from collections import Counter
 import pytest
 
 import answer_digests
+import oracles as O
 import test_faithful
 from nilorbits import duality as du
 from nilorbits import faithful as fa
@@ -180,6 +181,53 @@ def test_trusted_marked_orbits_equal_public_ones():
     for letter, lam in answer_digests._orbits(10):
         marked = du.d_A_triv(lam, letter)
         _same(marked, du.MarkedOrbit(letter, marked.orbit, marked.marking))
+
+
+@pytest.mark.parametrize("rank", [10, pytest.param(16, marks=pytest.mark.slow)])
+def test_d_A_triv_equals_public_steps(rank):
+    """The one-transpose kernel of ``d_A_triv`` answers as ``pi_mu``, the
+    public ``dual`` and ``reduction`` do, on every dual orbit."""
+    for letter, lam in answer_digests._orbits(rank):
+        assert O.outcome(du.d_A_triv, lam, letter) == \
+            O.outcome(O.d_A_triv_by_public_steps, lam, letter)
+
+
+def _accepted_pairs(upto):
+    # every (mu, nu, letter) that ``pair_shape`` accepts, through rank upto
+    for letter in pt.LETTERS:
+        for rank in range(upto + 1):
+            for shape in sp.product_shapes(letter, rank):
+                (y, x), (p, q) = shape.factor_letters, shape.factor_ranks
+                for mu in pt.type_partitions(y, p):
+                    for nu in pt.type_partitions(x, q):
+                        yield mu, nu, letter
+
+
+@pytest.mark.parametrize("rank", [6, pytest.param(16, marks=pytest.mark.slow)])
+def test_d_S_equals_public_steps(rank):
+    """``d_S`` on its trusted kernels answers, refusals included, as it does
+    through the public ``dual`` and ``collapse``."""
+    count = 0
+    for mu, nu, letter in _accepted_pairs(rank):
+        assert O.outcome(du.d_S, mu, nu, letter) == \
+            O.outcome(O.d_S_by_public_steps, mu, nu, letter), (mu, nu, letter)
+        count += 1
+    assert count > 1000
+
+
+@pytest.mark.parametrize("rank", [10, pytest.param(16, marks=pytest.mark.slow)])
+def test_collapse_kernel_gives_type_partitions(rank):
+    """The self-check that the trusted ``_collapse`` skips: on every
+    partition whose total has the type's parity, up to total 2 * rank, it
+    gives a type partition, the one the public ``collapse`` gives."""
+    for letter in pt.LETTERS:
+        for total in range(2 * rank + 1):
+            if total % 2 != (letter == "B"):
+                continue
+            for lam in pt.integer_partitions(total):
+                got = pt._collapse(lam, letter)
+                assert pt.is_type_partition(got, letter), (lam, letter)
+                assert got == pt.collapse(lam, letter)
 
 
 def test_public_constructors_still_refuse():
