@@ -260,6 +260,8 @@ def test_closed_pipe_exits_2(argv, unbuffered):
 
 
 def test_no_twist_control_exits_1():
+    """The verification of the closed-pipe case fails when its output can
+    be written."""
     proc = _python_m("nilorbits", "verify-faithful", "-t", "B", "-n", "6",
                      "--no-twist")
     assert proc.returncode == cli.EXIT_VERIFY

@@ -183,7 +183,11 @@ def test_trusted_marked_orbits_equal_public_ones():
         _same(marked, du.MarkedOrbit(letter, marked.orbit, marked.marking))
 
 
-@pytest.mark.parametrize("rank", [10, pytest.param(16, marks=pytest.mark.slow)])
+# the kernel checks below run through rank 16 under ``-m slow``
+THROUGH_16 = pytest.param(16, marks=pytest.mark.slow)
+
+
+@pytest.mark.parametrize("rank", [10, THROUGH_16])
 def test_d_A_triv_equals_public_steps(rank):
     """The one-transpose kernel of ``d_A_triv`` answers as ``pi_mu``, the
     public ``dual`` and ``reduction`` do, on every dual orbit."""
@@ -203,7 +207,7 @@ def _accepted_pairs(upto):
                         yield mu, nu, letter
 
 
-@pytest.mark.parametrize("rank", [6, pytest.param(16, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("rank", [6, THROUGH_16])
 def test_d_S_equals_public_steps(rank):
     """``d_S`` on its trusted kernels answers, refusals included, as it does
     through the public ``dual`` and ``collapse``."""
@@ -215,13 +219,14 @@ def test_d_S_equals_public_steps(rank):
     assert count > 1000
 
 
-@pytest.mark.parametrize("rank", [10, pytest.param(16, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("rank", [10, THROUGH_16])
 def test_collapse_kernel_gives_type_partitions(rank):
     """The self-check that the trusted ``_collapse`` skips: on every
-    partition whose total has the type's parity, up to total 2 * rank, it
-    gives a type partition, the one the public ``collapse`` gives."""
+    partition whose total has the type's parity, through the totals of
+    ``rank``, it gives a type partition, the one the public ``collapse``
+    gives."""
     for letter in pt.LETTERS:
-        for total in range(2 * rank + 1):
+        for total in range(2 * rank + 2):
             if total % 2 != (letter == "B"):
                 continue
             for lam in pt.integer_partitions(total):
