@@ -13,7 +13,6 @@ orbits skip ``MarkedOrbit``'s check that the marking is reduced.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import zip_longest
 
 from . import partitions as pt
@@ -169,17 +168,19 @@ def d_A_triv(lam, letter: str) -> MarkedOrbit:
     of the transpose.  ``lam`` is a partition of the dual type of
     ``letter``; for a very even type-D input the decoration is dropped and
     the result carries the decoration-undetermined flag."""
-    return _d_A_of_orbit(letter, _orbit(lam, letter))
+    return _d_A_of_orbit(letter, _orbit(lam, letter))[0]
 
 
-@lru_cache(maxsize=None)
-def _d_A_of_orbit(letter: str, bare: Partition) -> MarkedOrbit:
-    # one MarkedOrbit per orbit, so its cached prefix sums are shared too
+@pt._memo
+def _d_A_of_orbit(letter: str,
+                  bare: Partition) -> tuple[MarkedOrbit, Partition]:
+    # one MarkedOrbit per orbit, so its prefix sums are shared, and its mu
+    # for ``faithful._route``: the orbit is transposed and split once
     t = pt.transpose(bare)
-    pi, _ = _pi_mu(t, letter)
+    pi, mu = _pi_mu(t, letter)
     dual_orbit = pt._dual_of_transpose(t, dual_letter(letter))
     return pt._trusted(MarkedOrbit, letter, dual_orbit,
-                       pt._reduction(dual_orbit, pi, letter))
+                       pt._reduction(dual_orbit, pi, letter)), mu
 
 
 def le_A(m1: MarkedOrbit, m2: MarkedOrbit) -> bool:

@@ -11,13 +11,12 @@ Exceptional groups are served from a shipped table.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 
 from . import duality as du
 from . import partitions as pt
 from . import springer as sp
-from .duality import _orbit, _pi_mu
+from .duality import _orbit
 from .partitions import (DecoratedPartition, Partition, PartitionError,
                          dual_letter, format_partition, is_very_even)
 # perfbench/tracer.py's self-test reaches it through this binding
@@ -88,7 +87,7 @@ def _full_pair(lam, letter: str, d: Partition,
     return FaithfulPair(letter, n, shape, (fam1, fam2), ((), d), provenance)
 
 
-@lru_cache(maxsize=None)
+@pt._memo
 def _family_of_orbit(orbit, letter: str) -> sp.FamilyId:
     """Family of the character E(orbit, 1) of a factor of type ``letter``,
     from its Springer rows; one derivation per factor orbit and process."""
@@ -113,21 +112,20 @@ def _matching_dual_decoration(lam, d: Partition) -> int:
     return kappa
 
 
-def _checked(lam, letter: str):
-    """The orbit and its Achar dual, after the orbit's one check, inside
-    ``d_A_triv``: a decorated orbit as given, a bare one in its sorted
-    form."""
-    target = du.d_A_triv(lam, letter)
-    if not isinstance(lam, DecoratedPartition):
-        lam = pt.as_partition(lam)
-    return lam, target
+def _prepared(lam, letter: str):
+    """Both entry points' preamble: the orbit after its one check (a bare
+    one sorted), its Achar dual and the second parity subpartition mu of
+    its transpose (both from the Achar dual's memo), and its dual fibre."""
+    bare = _orbit(lam, letter)
+    lam = lam if isinstance(lam, DecoratedPartition) else bare
+    return lam, *du._d_A_of_orbit(letter, bare), sp._dual_fiber(lam, letter)
 
 
-def _route(lam, letter: str, fiber, target: du.MarkedOrbit) -> FaithfulPair:
-    """Shape and family for a checked orbit whose dual fibre is ``fiber``
-    and whose Achar dual is ``target``: the dual orbit is ``target.orbit``,
-    and the marking of ``target`` is the reduced parity subpartition that
-    decides the single-character route."""
+def _route(lam, letter: str, fiber, target: du.MarkedOrbit,
+           mu: Partition) -> FaithfulPair:
+    """Shape and family for an orbit from ``_prepared``: the dual orbit is
+    ``target.orbit``, and the marking of ``target`` is the reduced parity
+    subpartition that decides the single-character route."""
     bare = pt.bare(lam)
     d = target.orbit
     if letter == "D" and is_very_even(bare):
@@ -138,7 +136,6 @@ def _route(lam, letter: str, fiber, target: du.MarkedOrbit) -> FaithfulPair:
     if target.marking == () and len(fiber) == 1:
         # the full diagram hits the Achar dual only when the marking is empty
         return _full_pair(lam, letter, d, "unique-representation")
-    _, mu = _pi_mu(pt.transpose(bare), letter)
     nu = pt.subtract(d, mu)
     if letter == "D" and is_very_even(nu):
         raise sp.AmbiguousDecorationError(
@@ -157,8 +154,8 @@ def faithful_pair(lam, letter: str) -> FaithfulPair:
     """Shape and family for the orbit, routed by its kind: very even or
     single-character orbits use the full diagram, edge shapes use the full
     diagram, everything else the parity-subpartition product shape."""
-    lam, target = _checked(lam, letter)
-    return _route(lam, letter, sp.dual_fiber(lam, letter), target)
+    lam, target, mu, fiber = _prepared(lam, letter)
+    return _route(lam, letter, fiber, target, mu)
 
 
 @pt._record
@@ -182,7 +179,7 @@ class FaithfulnessReport:
         return [e for e, f in self.witnesses if f is None]
 
 
-@lru_cache(maxsize=None)
+@pt._memo
 def _sorted_members(fid: sp.FamilyId,
                     apply_sgn_twist: bool) -> tuple[sp.WeylIrrep, ...]:
     """The witness pool of one family, built once per process; the members
@@ -208,9 +205,8 @@ def verify_faithful(lam, letter: str, apply_sgn_twist: bool = True) -> Faithfuln
     lies in the family, so no second pool is built.
     ``apply_sgn_twist=False`` drops the twist and serves as a negative
     control."""
-    lam, target = _checked(lam, letter)
-    fiber = sp._dual_fiber(lam, letter)
-    pair = _route(lam, letter, fiber, target)
+    lam, target, mu, fiber = _prepared(lam, letter)
+    pair = _route(lam, letter, fiber, target, mu)
     # every pair from ``_route`` fits its shape: ``pair_shape`` has checked
     # the general one, and a full-diagram pair is ((), Achar dual orbit)
     image = du._image(*pair.orbit_pair, letter)
@@ -322,7 +318,7 @@ def load_exceptional_table(path: str | None = None) -> list[ExceptionalEntry]:
     return _parse_table(text)
 
 
-@lru_cache(maxsize=None)
+@pt._memo
 def _shipped_table() -> tuple[ExceptionalEntry, ...]:
     # imported here, like hashlib below, so that the CLI import skips it
     from importlib import resources

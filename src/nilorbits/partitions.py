@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import os
 import re
+from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import attrgetter, ge, mod
 
@@ -522,6 +523,24 @@ def _trusted(cls, *values):
     for name, value in zip(names, values):
         object.__setattr__(obj, name, value)
     return obj
+
+
+_MEMOS = []
+
+
+def _memo(fn):
+    """``fn`` behind an unbounded ``functools.lru_cache``, registered on
+    ``_MEMOS`` with the library's other per-process memos; the wrapper
+    itself is returned, so a call costs what an ``lru_cache`` call costs."""
+    memo = lru_cache(maxsize=None)(fn)
+    _MEMOS.append(memo)
+    return memo
+
+
+def _clear_memos() -> None:
+    """Empty every registered memo."""
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 def bare(lam) -> Partition:

@@ -17,7 +17,6 @@ rows to characters: none of them builds an intermediate symbol.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import le, sub
 
 from . import partitions as pt
@@ -77,7 +76,7 @@ class WeylIrrep:
         return f"({body})"
 
 
-@lru_cache(maxsize=None)
+@pt._memo
 def _half_text(half: Partition) -> str:
     # ``format_partition`` of a canonical half, once per half and process
     return format_partition(half)
@@ -121,7 +120,7 @@ def irreps(letter: str, rank: int) -> list[WeylIrrep]:
     return list(_irreps(letter, rank))
 
 
-@lru_cache(maxsize=None)
+@pt._memo
 def _irreps(letter: str, rank: int) -> tuple[WeylIrrep, ...]:
     # the first character goes through ``WeylIrrep``'s checks (a bad letter
     # above all); the rest have canonical halves of total ``rank``
@@ -533,7 +532,7 @@ def j_induce(shape: PseudoLeviShape, rep1: WeylIrrep, rep2: WeylIrrep,
     return WeylIrrep(shape.letter, shape.rank, f, s)
 
 
-@lru_cache(maxsize=None)
+@pt._memo
 def lr_coefficient(mu1: Partition, mu2: Partition, mu: Partition) -> int:
     """Littlewood-Richardson coefficient: the number of lattice-word skew
     tableaux of shape mu/mu1 and content mu2, counted directly.  Memoised

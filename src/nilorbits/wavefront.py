@@ -9,8 +9,6 @@ dual, and the algebraic wavefront set is the underlying partition.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import duality as du
 from . import partitions as pt
 from . import springer as sp
@@ -47,14 +45,14 @@ def wf_of_wrep(rep: sp.WeylIrrep) -> MarkedOrbit:
     return _wf_of_class(rep.letter, tuple(sorted(top + bottom)), rep.kappa)
 
 
-@lru_cache(maxsize=None)
+@pt._memo
 def _wf_of_class(letter: str, entries: tuple[int, ...],
                  kappa: int) -> MarkedOrbit:
     # ``springer_support``'s step after the rows has checked the orbit's
     # type, so the orbit goes to the Achar dual without ``d_A_triv``'s
     # second check
     support = sp._support_of_entries(entries, pt.dual_letter(letter), kappa)
-    return du._d_A_of_orbit(letter, pt.bare(support))
+    return du._d_A_of_orbit(letter, pt.bare(support))[0]
 
 
 def wf_iwahori_real(az_dual_orbit, letter: str) -> WavefrontResult:

@@ -442,7 +442,7 @@ def test_full_shape_builds_no_second_pool():
     witness by family membership: no pool is built for the second family
     of a full-shape orbit, unless a pool of the family serves a product
     shape (or the empty first factor)."""
-    _clear_memos()
+    P._clear_memos()
     full, pooled = set(), set()
     for letter in P.LETTERS:
         for rank in range(9):
@@ -476,16 +476,6 @@ def test_family_members_returns_a_fresh_list():
     assert set(pool) == set(expected)
 
 
-# the memos of the faithfulness check and of what it reads
-MEMOS = (F._sorted_members, F._family_of_orbit, F._shipped_table,
-         du._d_A_of_orbit, sp._half_text, sp.lr_coefficient)
-
-
-def _clear_memos():
-    for memo in MEMOS:
-        memo.cache_clear()
-
-
 def _all_pairs(upto):
     return [F.faithful_pair(lam, letter) for letter in P.LETTERS
             for rank in range(upto + 1)
@@ -495,9 +485,9 @@ def _all_pairs(upto):
 def test_memos_do_not_depend_on_call_order():
     """``faithful_pair`` on every orbit through rank 8 answers the same on
     empty memos as after ``verify_all`` has filled them."""
-    _clear_memos()
+    P._clear_memos()
     first = _all_pairs(8)
-    _clear_memos()
+    P._clear_memos()
     for letter in P.LETTERS:
         for rank in range(9):
             F.verify_all(letter, rank)
@@ -505,8 +495,8 @@ def test_memos_do_not_depend_on_call_order():
 
 
 def test_each_orbit_checked_once(monkeypatch):
-    """``verify_faithful`` checks its orbit once, inside ``d_A_triv``, on
-    every route, edge shapes included."""
+    """``verify_faithful`` and ``faithful_pair`` check their orbit once,
+    in their shared preamble, on every route, edge shapes included."""
     calls = []
     real = du._orbit
 
@@ -522,6 +512,9 @@ def test_each_orbit_checked_once(monkeypatch):
             for lam in P.enumerate_orbits(P.dual_letter(letter), rank):
                 calls.clear()
                 report = F.verify_faithful(lam, letter)
+                assert len(calls) == 1, (letter, lam, len(calls))
+                calls.clear()
+                F.faithful_pair(lam, letter)
                 assert len(calls) == 1, (letter, lam, len(calls))
                 routes.add(report.pair.provenance)
     assert routes == {"edge-case", "general-construction",
@@ -635,8 +628,7 @@ def _same_as_symbol_route(letter, rank):
     for lam in P.enumerate_orbits(co, rank, rank):
         want = O.dual_fiber_by_symbols(lam, letter)
         assert repr(sp.dual_fiber(lam, letter)) == repr(want), lam
-        assert repr(sp._dual_fiber(F._checked(lam, letter)[0], letter)) == \
-            repr(want), lam
+        assert repr(F._prepared(lam, letter)[3]) == repr(want), lam
     for lam in P.enumerate_orbits(letter, rank, rank):
         for orbit in {lam, P.bare(lam)}:
             assert sp.springer_bipartition(orbit, letter) == \

@@ -16,7 +16,6 @@ import pytest
 
 import answer_digests
 import oracles as O
-import test_faithful
 from nilorbits import duality as du
 from nilorbits import faithful as fa
 from nilorbits import partitions as pt
@@ -25,23 +24,33 @@ from nilorbits import symbols as sy
 from nilorbits import wavefront as wf
 from test_answer_digests import PINNED
 
-# the memos whose entries are built on the trusted path
-MEMOS = (du._d_A_of_orbit, fa._sorted_members, fa._family_of_orbit,
-         sp._irreps, wf._wf_of_class)
 LIBRARY = (pt, sy, sp, du, fa, wf)
 
 
 def test_memo_lists_name_every_memo():
-    """Every ``functools.lru_cache`` memo of the library modules is on one
-    of the tests' memo lists, so that the tests clear all of them."""
-    memos = {id(value): f"{module.__name__}.{name}" for module in LIBRARY
-             for name, value in vars(module).items()
-             if hasattr(value, "cache_clear") and
-             hasattr(value, "cache_info")}
-    assert "nilorbits.wavefront._wf_of_class" in memos.values()
-    for memo in MEMOS + test_faithful.MEMOS:
-        memos.pop(id(memo), None)
-    assert not memos, sorted(memos.values())
+    """Every ``functools.lru_cache`` memo of the library modules is on the
+    registry ``partitions._MEMOS``, so that ``_clear_memos`` reaches it."""
+    unregistered = [f"{module.__name__}.{name}" for module in LIBRARY
+                    for name, value in vars(module).items()
+                    if hasattr(value, "cache_info") and
+                    value not in pt._MEMOS]
+    assert not unregistered, unregistered
+
+
+def test_clear_memos_empties_every_memo():
+    """A pass that fills every registered memo leaves each with entries,
+    and ``_clear_memos`` empties them all."""
+    for letter in pt.LETTERS:
+        for rank in range(7):
+            fa.verify_all(letter, rank)
+        for rep in sp.irreps(letter, 6):
+            wf.wf_of_wrep(rep)
+    fa.load_exceptional_table()
+    sizes = {memo.__qualname__: memo.cache_info().currsize
+             for memo in pt._MEMOS}
+    assert all(sizes.values()), sizes
+    pt._clear_memos()
+    assert not any(memo.cache_info().currsize for memo in pt._MEMOS)
 
 
 def _checking(module, name, public, calls):
@@ -76,11 +85,9 @@ def checked_paths(monkeypatch):
     for name, public in (("_trusted", build), ("_reduction", pt.reduction)):
         monkeypatch.setattr(pt, name, _checking(pt, name, public, calls))
     monkeypatch.setattr(du, "_image", _checking(du, "_image", du.sbar, calls))
-    for memo in MEMOS:
-        memo.cache_clear()
+    pt._clear_memos()
     yield calls
-    for memo in MEMOS:
-        memo.cache_clear()
+    pt._clear_memos()
 
 
 def test_checking_patch_catches_a_bad_value(checked_paths):
@@ -293,14 +300,12 @@ def test_verify_all_builds_no_symbol(monkeypatch):
     sy.DecoratedSymbol(sy.Symbol((1,), (0,), "a"))
     assert built == Counter(Symbol=3, DecoratedSymbol=1)
     built.clear()
-    for memo in MEMOS:
-        memo.cache_clear()
+    pt._clear_memos()
     try:
         for letter in pt.LETTERS:
             for rank in range(9):
                 assert all(r.ok for r in fa.verify_all(letter, rank))
     finally:
-        for memo in MEMOS:
-            memo.cache_clear()
+        pt._clear_memos()
     assert built["WeylIrrep"]
     assert built["Symbol"] == built["DecoratedSymbol"] == 0, built

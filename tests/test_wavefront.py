@@ -81,7 +81,7 @@ def test_wf_of_wrep_once_per_class():
     reps = [rep for letter in P.LETTERS for rank in range(11)
             for rep in sp.irreps(letter, rank)]
     random.Random(21).shuffle(reps)
-    wf._wf_of_class.cache_clear()
+    P._clear_memos()
     supports = set()
     for rep in reps:
         support = sp.springer_support(rep, "dual")
