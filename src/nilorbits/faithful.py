@@ -121,8 +121,8 @@ def _prepared(lam, letter: str):
     return lam, *du._d_A_of_orbit(letter, bare), sp._dual_fiber(lam, letter)
 
 
-def _route(lam, letter: str, fiber, target: du.MarkedOrbit,
-           mu: Partition) -> FaithfulPair:
+def _route(lam, letter: str, target: du.MarkedOrbit, mu: Partition,
+           fiber) -> FaithfulPair:
     """Shape and family for an orbit from ``_prepared``: the dual orbit is
     ``target.orbit``, and the marking of ``target`` is the reduced parity
     subpartition that decides the single-character route."""
@@ -155,7 +155,7 @@ def faithful_pair(lam, letter: str) -> FaithfulPair:
     single-character orbits use the full diagram, edge shapes use the full
     diagram, everything else the parity-subpartition product shape."""
     lam, target, mu, fiber = _prepared(lam, letter)
-    return _route(lam, letter, fiber, target, mu)
+    return _route(lam, letter, target, mu, fiber)
 
 
 @pt._record
@@ -206,7 +206,7 @@ def verify_faithful(lam, letter: str, apply_sgn_twist: bool = True) -> Faithfuln
     ``apply_sgn_twist=False`` drops the twist and serves as a negative
     control."""
     lam, target, mu, fiber = _prepared(lam, letter)
-    pair = _route(lam, letter, fiber, target, mu)
+    pair = _route(lam, letter, target, mu, fiber)
     # every pair from ``_route`` fits its shape: ``pair_shape`` has checked
     # the general one, and a full-diagram pair is ((), Achar dual orbit)
     image = du._image(*pair.orbit_pair, letter)
