@@ -82,9 +82,17 @@ def _full_pair(lam, letter: str, d: Partition,
     y, _ = shape.factor_letters
     kappa = _matching_dual_decoration(lam, d) \
         if letter == "D" and is_very_even(d) else 0
-    fam1 = sp.family_of(sp.trivial_rep(y, 0))
     fam2 = _family_of_orbit(DecoratedPartition(d, kappa), letter)
-    return FaithfulPair(letter, n, shape, (fam1, fam2), ((), d), provenance)
+    return FaithfulPair(letter, n, shape, (_trivial_family(y), fam2),
+                        ((), d), provenance)
+
+
+@pt._memo
+def _trivial_family(letter: str) -> sp.FamilyId:
+    """Family of the trivial character of the rank-0 factor of type
+    ``letter``, the first family on the full diagram; one per letter and
+    process."""
+    return sp.family_of(sp.trivial_rep(letter, 0))
 
 
 @pt._memo

@@ -532,57 +532,74 @@ def j_induce(shape: PseudoLeviShape, rep1: WeylIrrep, rep2: WeylIrrep,
     return WeylIrrep(shape.letter, shape.rank, f, s)
 
 
+def _inside(nu: Partition, lam: Partition) -> bool:
+    """True if the diagram of nu lies inside the diagram of lam."""
+    return len(nu) <= len(lam) and all(map(le, nu, lam))
+
+
+def _strip(lam: Partition, nu: Partition, row: bool) -> int:
+    """1 if lam/nu, for nu inside lam, is a horizontal strip (``row``: no
+    two cells in a column) or a vertical strip (no two cells in a row)."""
+    if row:
+        return int(len(lam) <= len(nu) + 1 and all(map(le, lam[1:], nu)))
+    return int(max(map(sub, lam, nu + (0,) * (len(lam) - len(nu))),
+                   default=0) <= 1)
+
+
 @pt._memo
 def lr_coefficient(mu1: Partition, mu2: Partition, mu: Partition) -> int:
     """Littlewood-Richardson coefficient: the number of lattice-word skew
-    tableaux of shape mu/mu1 and content mu2, counted directly.  Memoised
-    per process, so the arguments must be hashable (tuples)."""
+    tableaux of shape mu/mu1 and content mu2.  When either factor is empty,
+    one row or one column it is 0 or 1 by Pieri's rule (the coefficient is
+    symmetric in the factors); otherwise it is counted by a depth-first
+    search.  Memoised per process, so the arguments must be hashable
+    (tuples)."""
     mu1, mu2, mu = as_partition(mu1), as_partition(mu2), as_partition(mu)
     if sum(mu1) + sum(mu2) != sum(mu):
         raise PartitionError(
             f"sizes must add up: |{format_partition(mu1)}| + "
             f"|{format_partition(mu2)}| != |{format_partition(mu)}|")
-    if len(mu1) > len(mu) or any(a > b for a, b in zip(mu1, mu)):
+    if not _inside(mu1, mu):
         return 0
-    rows = len(mu)
-    inner = tuple(mu1) + (0,) * (rows - len(mu1))
+    if len(mu2) < 2 or mu2[0] == 1:
+        return _strip(mu, mu1, len(mu2) < 2)
+    if len(mu1) < 2 or mu1[0] == 1:
+        return _strip(mu, mu2, len(mu1) < 2) if _inside(mu2, mu) else 0
+    rows, m = len(mu), len(mu2)
+    inner = mu1 + (0,) * (rows - len(mu1))
     cells = [(r, c) for r in range(rows) for c in range(mu[r] - 1, inner[r] - 1, -1)]
-    content = list(mu2)
-    filling: dict[tuple[int, int], int] = {}
-    counts = [0] * (len(content) + 1)
+    fill = [[0] * part for part in mu]
+    # counts[v] is how often v is placed; counts[0] exceeds every count
+    counts = [len(cells)] + [0] * m
     # depth first over the cells in order, on its own stack so that the
     # recursion limit does not bound the number of cells: ``placed`` holds
-    # the values of the first cells and ``v`` is the next value to try
-    total, placed, v = 0, [], 1
+    # the value and the largest candidate of each cell filled so far, and
+    # ``v`` up to ``hi`` are the candidates left for the next cell; the
+    # first cell read can only hold 1
+    total, placed, v, hi = 0, [], 1, 1
     while True:
-        if len(placed) == len(cells):
-            total += 1
-        elif v <= len(content):
+        # a candidate whose content is used up, or that would stop the
+        # reverse reading word from being a lattice word, is skipped
+        while v <= hi and (counts[v] >= mu2[v - 1] or
+                           counts[v] >= counts[v - 1]):
+            v += 1
+        if v <= hi:
             r, c = cells[len(placed)]
-            if counts[v] >= content[v - 1] or \
-                    v > 1 and counts[v] >= counts[v - 1]:
-                # the content is used up, or the reverse reading word
-                # would stop being a lattice word
-                v += 1
-                continue
-            right = filling.get((r, c + 1))
-            above = filling.get((r - 1, c))
-            if r > 0 and c < inner[r - 1]:
-                above = 0
-            if right is not None and v > right or \
-                    above is not None and v <= above:
-                v += 1
-                continue
-            filling[r, c] = v
+            fill[r][c] = v
             counts[v] += 1
-            placed.append(v)
-            v = 1
-            continue
-        if not placed:
+            placed.append((v, hi))
+            if len(placed) < len(cells):
+                # above the entry over the cell, and at most the entry to
+                # its right, the row number and the number of values
+                r, c = cells[len(placed)]
+                v = fill[r - 1][c] + 1 if r and c >= inner[r - 1] else 1
+                hi = min(fill[r][c + 1] if c + 1 < mu[r] else m, r + 1, m)
+                continue
+            total += 1
+        elif not placed:
             return total
-        v = placed.pop()
+        v, hi = placed.pop()
         counts[v] -= 1
-        del filling[cells[len(placed)]]
         v += 1
 
 

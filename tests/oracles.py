@@ -10,7 +10,8 @@ symbol-class enumerators, the fully sorted product of two families as
 the reference for the witness scan of the faithfulness check, a filter
 over the subsets of the markable parts as the list of reduced markings,
 truncated induction as the reference for the closed form of Sommers
-duality, compositions of checked public steps as the references for the
+duality, the cell-by-cell search as the reference for the Littlewood-Richardson
+coefficients, compositions of checked public steps as the references for the
 trusted kernels of the Achar and Sommers duals, the padded running-total
 loop as the reference for dominance, and the symbol route (Springer
 symbol, class by ``enumerate_class`` or ``similar_symbols``,
@@ -443,6 +444,63 @@ def enumerate_class_by_filter(sym, letter: str, k: int | None = None):
              for deal in product(*orientations))
     return sorted((s for s in deals if sy.has_type_shape(s, letter)),
                   key=lambda s: (s.top, s.bottom))
+
+# ---------------------------------------------------------------------------
+# Littlewood-Richardson coefficients by the cell-by-cell search
+
+def lr_coefficient_by_search(mu1, mu2, mu) -> int:
+    """The number of lattice-word skew tableaux of shape mu/mu1 and content
+    mu2, trying every value in every cell.  The reference for
+    ``springer.lr_coefficient``, its closed forms and its bounded search."""
+    mu1, mu2, mu = (pt.as_partition(mu1), pt.as_partition(mu2),
+                    pt.as_partition(mu))
+    if sum(mu1) + sum(mu2) != sum(mu):
+        raise pt.PartitionError(
+            f"sizes must add up: |{pt.format_partition(mu1)}| + "
+            f"|{pt.format_partition(mu2)}| != |{pt.format_partition(mu)}|")
+    if len(mu1) > len(mu) or any(a > b for a, b in zip(mu1, mu)):
+        return 0
+    rows = len(mu)
+    inner = tuple(mu1) + (0,) * (rows - len(mu1))
+    cells = [(r, c) for r in range(rows) for c in range(mu[r] - 1, inner[r] - 1, -1)]
+    content = list(mu2)
+    filling: dict[tuple[int, int], int] = {}
+    counts = [0] * (len(content) + 1)
+    # depth first over the cells in order, on its own stack so that the
+    # recursion limit does not bound the number of cells: ``placed`` holds
+    # the values of the first cells and ``v`` is the next value to try
+    total, placed, v = 0, [], 1
+    while True:
+        if len(placed) == len(cells):
+            total += 1
+        elif v <= len(content):
+            r, c = cells[len(placed)]
+            if counts[v] >= content[v - 1] or \
+                    v > 1 and counts[v] >= counts[v - 1]:
+                # the content is used up, or the reverse reading word
+                # would stop being a lattice word
+                v += 1
+                continue
+            right = filling.get((r, c + 1))
+            above = filling.get((r - 1, c))
+            if r > 0 and c < inner[r - 1]:
+                above = 0
+            if right is not None and v > right or \
+                    above is not None and v <= above:
+                v += 1
+                continue
+            filling[r, c] = v
+            counts[v] += 1
+            placed.append(v)
+            v = 1
+            continue
+        if not placed:
+            return total
+        v = placed.pop()
+        counts[v] -= 1
+        del filling[cells[len(placed)]]
+        v += 1
+
 
 # ---------------------------------------------------------------------------
 # the witness pool of the faithfulness check, fully built and sorted

@@ -1,4 +1,5 @@
 import logging
+from itertools import product
 
 import pytest
 
@@ -431,6 +432,32 @@ def _z(rho):
         m = rho.count(k)
         out *= k ** m * factorial(m)
     return out
+
+
+def _lr_triples(top: int):
+    """Every triple of partitions of sizes a, b and a + b, for a + b <= top,
+    then triples whose sizes do not add up or that have a negative part."""
+    parts = [list(P.integer_partitions(k)) for k in range(top + 1)]
+    for n in range(top + 1):
+        for a in range(n + 1):
+            yield from product(parts[a], parts[n - a], parts[n])
+    yield from [((2,), (1,), (2,)), ((), (), (1,)), ((3, 1), (2, 1), (3, 3)),
+                ((1, -1), (1,), (1,)), ((2, 1), (2, 1), (3, 2, 1, -1))]
+
+
+@pytest.mark.parametrize("top", [10, pytest.param(12, marks=pytest.mark.slow)])
+def test_lr_matches_search(top):
+    """The closed forms and the bounded search give what the cell-by-cell
+    search gives: the same count, or the same refusal."""
+    for triple in _lr_triples(top):
+        assert O.outcome(sp.lr_coefficient, *triple) == \
+            O.outcome(O.lr_coefficient_by_search, *triple), triple
+
+
+def test_bounded_search_keeps_its_own_stack():
+    """Two two-row factors take the bounded search, not a closed form, and
+    its 1,200 cells are more than the interpreter's recursion limit."""
+    assert sp.lr_coefficient((600, 600), (600, 600), (1200, 1200)) == 1
 
 
 def test_restriction_multiplicity_full_shape():
