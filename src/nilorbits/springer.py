@@ -590,10 +590,11 @@ def lr_coefficient(mu1: Partition, mu2: Partition, mu: Partition) -> int:
             placed.append((v, hi))
             if len(placed) < len(cells):
                 # above the entry over the cell, and at most the entry to
-                # its right, the row number and the number of values
+                # its right (which is at most the number of values) and the
+                # row number
                 r, c = cells[len(placed)]
                 v = fill[r - 1][c] + 1 if r and c >= inner[r - 1] else 1
-                hi = min(fill[r][c + 1] if c + 1 < mu[r] else m, r + 1, m)
+                hi = min(fill[r][c + 1] if c + 1 < mu[r] else m, r + 1)
                 continue
             total += 1
         elif not placed:
