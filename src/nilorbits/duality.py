@@ -210,11 +210,3 @@ def _keep_key(m: MarkedOrbit, name: str, lam: Partition) -> pt.DominanceKey:
     object.__setattr__(m, name, key)
     return key
 
-
-def maximal_marked(items) -> list[MarkedOrbit]:
-    """The maximal elements of a set of marked orbits under the Achar
-    order."""
-    items = list(dict.fromkeys(items))
-    return [m for m in items
-            if not any(other != m and le_A(m, other) and not le_A(other, m)
-                       for other in items)]

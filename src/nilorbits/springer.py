@@ -148,18 +148,9 @@ def sgn_twist(rep: WeylIrrep) -> WeylIrrep:
     return _irrep(rep.letter, rep.rank, a, b, kappa)
 
 
-def rep_asymbol(rep: WeylIrrep, convention: str | None = None,
-                k: int | None = None) -> Symbol:
+def rep_asymbol(rep: WeylIrrep, k: int | None = None) -> Symbol:
     """Ordered a-symbol of the avatar (underlined row order for type D)."""
-    convention = convention or rep.letter
-    return sy.symbol_of_pair(rep.first, rep.second, convention, "a", k)
-
-
-def rep_ssymbol(rep: WeylIrrep, convention: str | None = None,
-                k: int | None = None) -> Symbol:
-    """Ordered s-symbol of the avatar (underlined row order for type D)."""
-    convention = convention or rep.letter
-    return sy.symbol_of_pair(rep.first, rep.second, convention, "s", k)
+    return sy.symbol_of_pair(rep.first, rep.second, rep.letter, "a", k)
 
 
 def _staircase(lam, letter: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -305,17 +296,6 @@ def _support_of_entries(entries, conv: str, kappa: int):
                        kappa if pt.is_very_even(lam) else 0)
 
 
-def collapse_symbol(lam: Partition, kappa: int = 0) -> DecoratedSymbol:
-    """a-symbol class of the Springer character of the D-collapse of the
-    transpose-compatible C-partition ``lam``, read off without computing the
-    collapse: pad to even length, add 0, 1, 2, ... and split by parity."""
-    pt.assert_type_partition(lam, "C")
-    if not is_type_partition(pt.transpose(lam), "D"):
-        raise PartitionError(f"transpose of {format_partition(lam)} is not "
-                             f"a D-partition")
-    return DecoratedSymbol(Symbol(*_staircase(lam, "D"), "a"), kappa)
-
-
 def dual_fiber(lam, letter: str) -> list[WeylIrrep]:
     """All characters of the rank-n type-``letter`` group whose dual-side
     Springer support is ``lam``: the similarity class of its dual-side
@@ -411,15 +391,6 @@ def _twisted_family(fid: FamilyId) -> FamilyId:
                      *sy._pair_of_rows(fid.top, fid.bottom, "a", fid.letter),
                      fid.kappa)
     return family_of(sgn_twist(special))
-
-
-def special_rep(fid: FamilyId) -> WeylIrrep:
-    """The unique special member of the family."""
-    base = Symbol(fid.top, fid.bottom, "a")
-    f, s = sy.pair_of_symbol(base, fid.letter)
-    if fid.letter == "D":
-        return WeylIrrep(fid.letter, fid.rank, f, s, fid.kappa)
-    return WeylIrrep(fid.letter, fid.rank, f, s)
 
 
 @pt._record

@@ -7,7 +7,7 @@ are unordered, with a decoration in {0, 1} when they coincide.
 
 Two equivalences matter: ``shift`` equivalence (written elsewhere with a
 squiggly double tilde) prepends a normalized column to both rows and is the
-identity on the underlying bipartition; ``similar`` symbols share the
+identity on the underlying bipartition; similar symbols share the
 multiset of entries at a common size.  Similarity classes of s-symbols
 collect the characters with a fixed Springer support, similarity classes of
 a-symbols are the families.
@@ -172,13 +172,6 @@ def is_type_symbol(sym: Symbol, letter: str) -> bool:
     return sym.gap_ok() and has_type_shape(sym, letter)
 
 
-def pad_once(sym: Symbol, letter: str) -> Symbol:
-    """One shift-equivalence step up (adds one column)."""
-    step, lead = _stair(sym.kind, letter)
-    return Symbol((0,) + tuple(v + step for v in sym.top),
-                  (lead,) + tuple(v + step for v in sym.bottom), sym.kind)
-
-
 def normalize(sym: Symbol, letter: str) -> Symbol:
     """Minimal representative of the shift class."""
     return Symbol(*_stripped(sym.top, sym.bottom, sym.kind, letter), sym.kind)
@@ -197,34 +190,6 @@ def _stripped(top, bottom, kind: str, letter: str):
         return top, bottom
     return (tuple(v - step * strip for v in top[strip:]),
             tuple(v - step * strip for v in bottom[strip:]))
-
-
-def at_size(sym: Symbol, letter: str, k: int) -> Symbol:
-    """The shift-class representative with bottom row of length k."""
-    sym = normalize(sym, letter)
-    if len(sym.bottom) > k:
-        raise SymbolError(f"no representative with bottom length {k}; "
-                          f"the minimal one has {len(sym.bottom)}")
-    while len(sym.bottom) < k:
-        sym = pad_once(sym, letter)
-    return sym
-
-
-def similar(s1: Symbol, s2: Symbol, letter: str) -> bool:
-    """Equal entry multisets once brought to a common size."""
-    if s1.kind != s2.kind:
-        raise SymbolError("cannot compare symbols of different kinds")
-    k = max(len(normalize(s1, letter).bottom), len(normalize(s2, letter).bottom))
-    return at_size(s1, letter, k).entries() == at_size(s2, letter, k).entries()
-
-
-def similar_decorated(d1: DecoratedSymbol, d2: DecoratedSymbol, letter: str = "D") -> bool:
-    """Type-D similarity: degenerate symbols also need equal decorations."""
-    if d1.degenerate != d2.degenerate:
-        return similar(d1.sym, d2.sym, letter)
-    if d1.degenerate and d1.kappa != d2.kappa:
-        return False
-    return similar(d1.sym, d2.sym, letter)
 
 
 def bar(sym: Symbol) -> tuple[int, ...]:
@@ -384,31 +349,27 @@ def _deals(top, bottom, kind: str, letter: str, unordered: bool = False):
     return [(t + run, b + run) for t, b, _ in deals]
 
 
-def enumerate_class(sym: Symbol, letter: str, k: int | None = None) -> list[Symbol]:
-    """All symbols of the letter and kind of sym similar to it at size k,
+def enumerate_class(sym: Symbol, letter: str) -> list[Symbol]:
+    """All symbols of the letter and kind of sym similar to it at its size,
     sorted by rows, after the refusals of ``monotonic_representative``:
     the entries in both rows stay there, and each block of the other
     entries (a maximal run of consecutive entries for s-symbols, whose rows
     step by 2, a single entry for a-symbols) alternates between the rows,
     in the orientations that keep the defect and the type's shape."""
-    if k is not None:
-        sym = at_size(sym, letter, k)
     _monotonic_rows(sym.entries(), sym.defect, sym.kind, letter)
     return [pt._trusted(Symbol, top, bottom, sym.kind)
             for top, bottom in _deals(sym.top, sym.bottom, sym.kind, letter)]
 
 
-def similar_symbols(sym: Symbol, letter: str, k: int | None = None) -> list[Symbol]:
+def similar_symbols(sym: Symbol, letter: str) -> list[Symbol]:
     """The family of an a-symbol: all a-symbols of the letter with the same
-    entry multiset at size k, sorted by rows, or none when sym lacks the
+    entry multiset at its size, sorted by rows, or none when sym lacks the
     type's shape.  A repeated entry sits in both rows and the single entries
     are dealt between the rows in every way that keeps the row lengths.
     s-symbols are refused; their classes come from ``enumerate_class``."""
     if sym.kind != "a":
         raise SymbolError(f"{sym} is an s-symbol; enumerate its class with "
                           f"enumerate_class")
-    if k is not None:
-        sym = at_size(sym, letter, k)
     if not has_type_shape(sym, letter):
         return []
     return [pt._trusted(Symbol, top, bottom, "a")

@@ -19,9 +19,12 @@ symbol, class by ``enumerate_class`` or ``similar_symbols``,
 for the dual fibres, families and factor families that the library builds
 on rows.  The per-part loops that the partition and symbol primitives
 replaced by single passes are kept here, named ``*_loop``, as their
-references.  Small helpers that only the tests read (the sign character,
-shift equality of symbols, equal families, the closure order) live at the
-end.
+references.  The public API that no runtime path calls lives here, near the
+end, as the tests' own: shift padding and ``at_size``, similarity of whole
+symbols, a character's s-symbol, the collapse symbol, a family's special
+member and the maximal marked orbits.  Small helpers that only the tests
+read (the sign character, shift equality of symbols, equal families, the
+closure order) live at the end.
 
 Only the tests use this module; the library computes multiplicities through
 Littlewood-Richardson products and symbol classes in closed form.
@@ -404,7 +407,7 @@ def similar_symbols_bruteforce(sym, letter: str, k: int | None = None):
     ``symbols.enumerate_class`` (s-symbols) and ``symbols.similar_symbols``
     (a-symbols)."""
     if k is not None:
-        sym = sy.at_size(sym, letter, k)
+        sym = at_size(sym, letter, k)
     values = sym.entries()
     len_top = len(sym.top)
     gap = 2 if sym.kind == "s" else 1
@@ -433,7 +436,7 @@ def enumerate_class_by_filter(sym, letter: str, k: int | None = None):
     each block but a pair in either orientation, filtered by the type's
     shape.  The reference for ``symbols.enumerate_class``."""
     if k is not None:
-        sym = sy.at_size(sym, letter, k)
+        sym = at_size(sym, letter, k)
     mono = sy.monotonic_representative(sym, letter)
     orientations = [((blk.top, blk.bottom),) if blk.tag == "pair" else
                     ((blk.top, blk.bottom), (blk.bottom, blk.top))
@@ -827,7 +830,7 @@ def springer_support_by_round_trip(rep, side: str = "group"):
     """The monotonic s-symbol's bipartition, its minimal a-symbol, then the
     orbit.  The reference for ``springer.springer_support``."""
     conv = rep.letter if side == "group" else pt.dual_letter(rep.letter)
-    ssym = sp.rep_ssymbol(rep, conv)
+    ssym = rep_ssymbol(rep, conv)
     mono = sy.monotonic_representative(ssym, conv)
     first, second = sy.pair_of_symbol(mono, conv)
     alpha = sy.symbol_of_pair(first, second, conv, "a")
@@ -910,6 +913,86 @@ def family_of_orbit_by_symbols(orbit, letter: str):
     rank = sum(first) + sum(second)
     return family_of_by_symbol(sp.WeylIrrep(letter, rank, first, second,
                                             kappa))
+
+
+# ---------------------------------------------------------------------------
+# the symbol API that only the tests read: shift padding, similarity of
+# whole symbols, the s-symbol and special member of a character, the
+# collapse symbol and the maximal marked orbits
+
+def pad_once(sym: sy.Symbol, letter: str) -> sy.Symbol:
+    """One shift-equivalence step up (adds one column)."""
+    step, lead = sy._stair(sym.kind, letter)
+    return sy.Symbol((0,) + tuple(v + step for v in sym.top),
+                     (lead,) + tuple(v + step for v in sym.bottom), sym.kind)
+
+
+def at_size(sym: sy.Symbol, letter: str, k: int) -> sy.Symbol:
+    """The shift-class representative with bottom row of length k."""
+    sym = sy.normalize(sym, letter)
+    if len(sym.bottom) > k:
+        raise sy.SymbolError(f"no representative with bottom length {k}; "
+                             f"the minimal one has {len(sym.bottom)}")
+    while len(sym.bottom) < k:
+        sym = pad_once(sym, letter)
+    return sym
+
+
+def similar(s1: sy.Symbol, s2: sy.Symbol, letter: str) -> bool:
+    """Equal entry multisets once brought to a common size."""
+    if s1.kind != s2.kind:
+        raise sy.SymbolError("cannot compare symbols of different kinds")
+    k = max(len(sy.normalize(s1, letter).bottom),
+            len(sy.normalize(s2, letter).bottom))
+    return at_size(s1, letter, k).entries() == at_size(s2, letter, k).entries()
+
+
+def similar_decorated(d1: sy.DecoratedSymbol, d2: sy.DecoratedSymbol,
+                      letter: str = "D") -> bool:
+    """Type-D similarity: degenerate symbols also need equal decorations."""
+    if d1.degenerate != d2.degenerate:
+        return similar(d1.sym, d2.sym, letter)
+    if d1.degenerate and d1.kappa != d2.kappa:
+        return False
+    return similar(d1.sym, d2.sym, letter)
+
+
+def rep_ssymbol(rep: sp.WeylIrrep, convention: str | None = None,
+                k: int | None = None) -> sy.Symbol:
+    """Ordered s-symbol of the avatar (underlined row order for type D)."""
+    convention = convention or rep.letter
+    return sy.symbol_of_pair(rep.first, rep.second, convention, "s", k)
+
+
+def collapse_symbol(lam: pt.Partition, kappa: int = 0) -> sy.DecoratedSymbol:
+    """a-symbol class of the Springer character of the D-collapse of the
+    transpose-compatible C-partition ``lam``, read off without computing the
+    collapse: pad to even length, add 0, 1, 2, ... and split by parity."""
+    pt.assert_type_partition(lam, "C")
+    if not pt.is_type_partition(pt.transpose(lam), "D"):
+        raise pt.PartitionError(f"transpose of {pt.format_partition(lam)} "
+                                f"is not a D-partition")
+    return sy.DecoratedSymbol(sy.Symbol(*sp._staircase(lam, "D"), "a"),
+                              kappa)
+
+
+def special_rep(fid: sp.FamilyId) -> sp.WeylIrrep:
+    """The unique special member of the family."""
+    base = sy.Symbol(fid.top, fid.bottom, "a")
+    f, s = sy.pair_of_symbol(base, fid.letter)
+    if fid.letter == "D":
+        return sp.WeylIrrep(fid.letter, fid.rank, f, s, fid.kappa)
+    return sp.WeylIrrep(fid.letter, fid.rank, f, s)
+
+
+def maximal_marked(items) -> list[du.MarkedOrbit]:
+    """The maximal elements of a set of marked orbits under the Achar
+    order."""
+    items = list(dict.fromkeys(items))
+    return [m for m in items
+            if not any(other != m and du.le_A(m, other) and
+                       not du.le_A(other, m)
+                       for other in items)]
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def test_acceptance_4_springer_suite():
             for lam in P.enumerate_orbits(letter, rank):
                 rep = sp.rep_of_orbit(lam, letter, letter)
                 ok &= sp.springer_support(rep, "group") == lam
-                ok &= S.is_monotonic(sp.rep_ssymbol(rep))
+                ok &= S.is_monotonic(O.rep_ssymbol(rep))
             for lam in P.enumerate_orbits(co, rank):
                 rep = sp.rep_of_orbit(lam, co, letter)
                 ok &= sp.springer_support(rep, "dual") == lam
@@ -115,8 +115,8 @@ def test_acceptance_4_springer_suite():
             if not (P.is_type_partition(lam, "C") and
                     P.is_type_partition(P.transpose(lam), "D")):
                 continue
-            ok &= S.similar_decorated(
-                sp.collapse_symbol(lam, 0),
+            ok &= O.similar_decorated(
+                O.collapse_symbol(lam, 0),
                 sp.springer_symbol(P.DecoratedPartition(
                     P.collapse(lam, "D"), 0), "D"))
     _report(4, "Springer suite, rank <= 6", ok)
@@ -212,7 +212,7 @@ def test_acceptance_7_faithfulness(tmp_path):
 
 
 def _factor_support(rep):
-    special = sp.special_rep(sp.family_of(sp.sgn_twist(rep)))
+    special = O.special_rep(sp.family_of(sp.sgn_twist(rep)))
     return bare(sp.springer_support(special, "group"))
 
 
@@ -250,7 +250,7 @@ def test_acceptance_8_wavefront_rederivation():
                             values.append(du.sbar(_factor_support(f1),
                                                   _factor_support(f2),
                                                   letter))
-                ok &= du.maximal_marked(values) == [closed]
+                ok &= O.maximal_marked(values) == [closed]
     _report(8, "wavefront re-derivation, rank <= 4", ok)
 
 

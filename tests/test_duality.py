@@ -405,5 +405,5 @@ def test_maximal_marked():
     m1 = du.d_A_triv((6,), "B")       # dual of the regular: minimal
     m2 = du.d_A_triv((2, 2, 1, 1), "B")
     m3 = du.d_A_triv((1,) * 6, "B")   # dual of the zero orbit: maximal
-    assert du.maximal_marked([m1, m2, m3]) == [m3]
-    assert du.maximal_marked([m1]) == [m1]
+    assert O.maximal_marked([m1, m2, m3]) == [m3]
+    assert O.maximal_marked([m1]) == [m1]

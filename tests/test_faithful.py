@@ -238,7 +238,7 @@ def test_dual_factor_symbol_against_springer_path():
                                        "a")
                     assert got == ref, (letter, lam)
                 else:
-                    assert S.similar(got, ref, letter) and \
+                    assert O.similar(got, ref, letter) and \
                         O.shift_equal(got, ref, letter), (letter, lam)
 
 

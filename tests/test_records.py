@@ -10,6 +10,7 @@ from itertools import combinations
 
 import pytest
 
+import oracles as O
 from nilorbits import duality as du
 from nilorbits import faithful as fa
 from nilorbits import partitions as pt
@@ -65,7 +66,7 @@ def _samples():
             out += reps
             out += {sp.family_of(rep) for rep in reps}
             for rep in reps:
-                sym = sp.rep_ssymbol(rep)
+                sym = O.rep_ssymbol(rep)
                 out += [sym, sp.rep_asymbol(rep)]
                 out += sy.refinement(sy.monotonic_representative(sym, letter),
                                      letter)

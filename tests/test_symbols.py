@@ -130,7 +130,7 @@ def test_shift_and_roundtrip():
         for kind in ("s", "a"):
             for lam, mu in bipartitions(3):
                 sym = S.symbol_of_pair(lam, mu, letter, kind)
-                assert S.normalize(S.pad_once(sym, letter), letter) == \
+                assert S.normalize(O.pad_once(sym, letter), letter) == \
                     S.normalize(sym, letter)
                 for k in range(S.min_size_pair(lam, mu, letter), 6):
                     rep = S.symbol_of_pair(lam, mu, letter, kind, k)
@@ -143,10 +143,10 @@ def test_similar():
     s1 = S.symbol_of_pair((1,), (1,), "B", "s")
     s2 = S.symbol_of_pair((1, 1), (), "B", "s")
     s3 = S.symbol_of_pair((), (2,), "B", "s")
-    assert S.similar(s1, s2, "B")
-    assert not S.similar(s1, s3, "B")
+    assert O.similar(s1, s2, "B")
+    assert not O.similar(s1, s3, "B")
     # distinct orbits of B2 have dissimilar symbols
-    assert not S.similar(S.symbol_of_pair((2,), (), "B", "s"), s1, "B")
+    assert not O.similar(S.symbol_of_pair((2,), (), "B", "s"), s1, "B")
 
 
 def test_monotonic_representative():
@@ -332,7 +332,8 @@ def test_similar_symbols_matches_splittings():
             for base in families:
                 k0 = len(base.bottom)
                 for k in (k0, k0 + 1, k0 + 2):
-                    assert S.similar_symbols(base, letter, k) == \
+                    assert S.similar_symbols(O.at_size(base, letter, k),
+                                             letter) == \
                         O.similar_symbols_bruteforce(base, letter, k), \
                         (letter, base, k)
     # a symbol without the shape of the type has no class in either
@@ -510,7 +511,7 @@ def test_decorated_symbol():
     d0 = S.DecoratedSymbol(S.Symbol((1,), (1,), "a"), 0)
     d1 = S.DecoratedSymbol(S.Symbol((1,), (1,), "a"), 1)
     assert d0 != d1 and d0.degenerate
-    assert not S.similar_decorated(d0, d1)
+    assert not O.similar_decorated(d0, d1)
     plain = S.DecoratedSymbol(S.Symbol((2,), (0,), "a"), 1)
     assert plain.kappa == 0
     assert plain.sym.top == (2,)  # underlined

@@ -13,7 +13,7 @@ def factor_support(rep):
     """Group-side support of the special character of the sign-twisted
     family of ``rep``; the orbit a constituent contributes to the local
     wavefront set."""
-    special = sp.special_rep(sp.family_of(sp.sgn_twist(rep)))
+    special = O.special_rep(sp.family_of(sp.sgn_twist(rep)))
     orbit = sp.springer_support(special, "group")
     return orbit.parts if isinstance(orbit, P.DecoratedPartition) else orbit
 
@@ -47,7 +47,7 @@ def definitional_wf(rep):
                     continue
                 values.append(du.sbar(factor_support(f1),
                                       factor_support(f2), rep.letter))
-    return du.maximal_marked(values)
+    return O.maximal_marked(values)
 
 
 def test_wf_examples():
