@@ -75,26 +75,6 @@ class FaithfulPair:
                 f"{format_partition(self.orbit_pair[1])}) ({self.provenance})")
 
 
-def _full_pair(lam, letter: str, d: Partition,
-               provenance: str) -> FaithfulPair:
-    n = pt.rank_of(d, letter)
-    shape = sp.full_shape(letter, n)
-    y, _ = shape.factor_letters
-    kappa = _matching_dual_decoration(lam, d) \
-        if letter == "D" and is_very_even(d) else 0
-    fam2 = _family_of_orbit(DecoratedPartition(d, kappa), letter)
-    return FaithfulPair(letter, n, shape, (_trivial_family(y), fam2),
-                        ((), d), provenance)
-
-
-@pt._memo
-def _trivial_family(letter: str) -> sp.FamilyId:
-    """Family of the trivial character of the rank-0 factor of type
-    ``letter``, the first family on the full diagram; one per letter and
-    process."""
-    return sp.family_of(sp.trivial_rep(letter, 0))
-
-
 @pt._memo
 def _family_of_orbit(orbit, letter: str) -> sp.FamilyId:
     """Family of the character E(orbit, 1) of a factor of type ``letter``,
@@ -133,29 +113,32 @@ def _route(lam, letter: str, target: du.MarkedOrbit, mu: Partition,
            fiber) -> FaithfulPair:
     """Shape and family for an orbit from ``_prepared``: the dual orbit is
     ``target.orbit``, and the marking of ``target`` is the reduced parity
-    subpartition that decides the single-character route."""
+    subpartition that decides the single-character route.  The full
+    diagram is the pair ((), dual orbit) on node 0."""
     bare = pt.bare(lam)
     d = target.orbit
-    if letter == "D" and is_very_even(bare):
-        return _full_pair(lam, letter, d, "unique-representation")
     edge, _reason = _edge_case(bare, letter)
-    if edge:
-        return _full_pair(lam, letter, d, "edge-case")
-    if target.marking == () and len(fiber) == 1:
-        # the full diagram hits the Achar dual only when the marking is empty
-        return _full_pair(lam, letter, d, "unique-representation")
-    nu = pt.subtract(d, mu)
-    if letter == "D" and is_very_even(nu):
-        raise sp.AmbiguousDecorationError(
-            f"second factor {format_partition(nu)} of the construction for "
-            f"{format_partition(bare)} is very even; its family is not "
-            f"determined without decoration transport")
-    shape = du.pair_shape(mu, nu, letter)
+    # the full diagram hits the Achar dual only when the marking is empty
+    if edge or letter == "D" and is_very_even(bare) or \
+            target.marking == () and len(fiber) == 1:
+        kappa = _matching_dual_decoration(lam, d) \
+            if letter == "D" and is_very_even(d) else 0
+        mu, nu = (), DecoratedPartition(d, kappa)
+        provenance = "edge-case" if edge else "unique-representation"
+    else:
+        nu = pt.subtract(d, mu)
+        if letter == "D" and is_very_even(nu):
+            raise sp.AmbiguousDecorationError(
+                f"second factor {format_partition(nu)} of the construction "
+                f"for {format_partition(bare)} is very even; its family is "
+                f"not determined without decoration transport")
+        provenance = "general-construction"
+    bare_nu = pt.bare(nu)
+    shape = du.pair_shape(mu, bare_nu, letter)
     y, x = shape.factor_letters
-    fam1 = _family_of_orbit(mu, y)
-    fam2 = _family_of_orbit(nu, x)
-    return FaithfulPair(letter, shape.rank, shape, (fam1, fam2), (mu, nu),
-                        "general-construction")
+    return FaithfulPair(letter, shape.rank, shape,
+                        (_family_of_orbit(mu, y), _family_of_orbit(nu, x)),
+                        (mu, bare_nu), provenance)
 
 
 def faithful_pair(lam, letter: str) -> FaithfulPair:
@@ -215,8 +198,7 @@ def verify_faithful(lam, letter: str, apply_sgn_twist: bool = True) -> Faithfuln
     control."""
     lam, target, mu, fiber = _prepared(lam, letter)
     pair = _route(lam, letter, target, mu, fiber)
-    # every pair from ``_route`` fits its shape: ``pair_shape`` has checked
-    # the general one, and a full-diagram pair is ((), Achar dual orbit)
+    # every pair from ``_route`` fits its shape: ``pair_shape`` has checked it
     image = du._image(*pair.orbit_pair, letter)
     condition_i = image == target
 

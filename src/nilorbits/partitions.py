@@ -194,13 +194,6 @@ def _check_total(lam: Partition, letter: str) -> None:
         raise PartitionError(f"a {letter}-partition has even total, got {total}")
 
 
-def rank_of(lam: Partition, letter: str) -> int:
-    """Rank n with |lam| = 2n+1 (B) or 2n (C, D)."""
-    _check_letter(letter)
-    _check_total(lam, letter)
-    return sum(lam) // 2
-
-
 def is_type_partition(lam: Partition, letter: str) -> bool:
     """Parity test: B/D need even parts of even multiplicity, C needs odd
     parts of even multiplicity.  The total must have the parity of the type."""
@@ -295,9 +288,9 @@ def _dual_of_transpose(t: Partition, letter: str) -> Partition:
     return _collapse(t, _DUAL_LETTERS[letter])
 
 
-def integer_partitions(total: int, bound: int | None = None):
-    """All partitions of ``total`` with parts at most ``bound``, decreasing."""
-    return _paired_partitions(total, total if bound is None else bound, None)
+def integer_partitions(total: int):
+    """All partitions of ``total``, decreasing."""
+    return _paired_partitions(total, total, None)
 
 
 def type_partitions(letter: str, rank: int) -> tuple[Partition, ...]:
@@ -430,22 +423,11 @@ def _record(cls):
         # names fields or passes the wrong number of values
         if not kwargs and required <= len(args) < count:
             return args + tail[len(args) - required:]
-        title = f"{cls.__name__}()"
-        if len(args) > count:
-            raise TypeError(f"{title} takes {count} arguments but "
-                            f"{len(args)} were given")
-        for name in kwargs:
-            if name not in names:
-                raise TypeError(f"{title} got an unexpected keyword argument "
-                                f"{name!r}")
-            if names.index(name) < len(args):
-                raise TypeError(f"{title} got multiple values for argument "
-                                f"{name!r}")
         bound = {**defaults, **dict(zip(names, args)), **kwargs}
-        missing = [name for name in names if name not in bound]
-        if missing:
-            raise TypeError(f"{title} missing required arguments: "
-                            f"{', '.join(map(repr, missing))}")
+        if len(args) > count or bound.keys() != set(names) or \
+                not kwargs.keys().isdisjoint(names[:len(args)]):
+            raise TypeError(f"{cls.__name__}() takes the fields "
+                            f"{', '.join(names)}, each once")
         return [bound[name] for name in names]
 
     # the fields are set one by one in field order, so instances share

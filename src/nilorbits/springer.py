@@ -136,10 +136,6 @@ def _irreps(letter: str, rank: int) -> tuple[WeylIrrep, ...]:
     return tuple(out)
 
 
-def trivial_rep(letter: str, rank: int) -> WeylIrrep:
-    return WeylIrrep(letter, rank, (rank,) if rank else (), ())
-
-
 def sgn_twist(rep: WeylIrrep) -> WeylIrrep:
     """Tensor with the sign character on the avatar level."""
     a, b, kappa = sy.sgn_twist_pair(rep.first, rep.second, rep.letter,
@@ -453,10 +449,6 @@ def product_shapes(letter: str, rank: int) -> list[PseudoLeviShape]:
     """All maximal shapes with a genuine two-factor product structure."""
     return [s for s in (PseudoLeviShape(letter, k, rank)
                         for k in range(rank + 1)) if not s.degenerate]
-
-
-def full_shape(letter: str, rank: int) -> PseudoLeviShape:
-    return PseudoLeviShape(letter, 0, rank)
 
 
 def _factor_check(shape: PseudoLeviShape, r1: WeylIrrep, r2: WeylIrrep) -> None:

@@ -250,7 +250,7 @@ class Block:
     tag: str  # "pair" or "interval"
 
 
-def refinement(sym: Symbol, letter: str) -> tuple[Block, ...]:
+def refinement(sym: Symbol) -> tuple[Block, ...]:
     """Decompose the interleaving of a monotonic symbol into repeated pairs
     (extracted first) and maximal intervals of consecutive entries."""
     if not is_monotonic(sym):
@@ -269,7 +269,7 @@ def refinement(sym: Symbol, letter: str) -> tuple[Block, ...]:
 def flips(sym: Symbol, letter: str, flip_set) -> Symbol:
     """Swap the top and bottom sub-sequences of the blocks in ``flip_set``
     (1-based indices); the result must remain a symbol of the type."""
-    blocks = refinement(sym, letter)
+    blocks = refinement(sym)
     chosen = set(flip_set)
     bad = [i for i in chosen if not 1 <= i <= len(blocks)]
     if bad:

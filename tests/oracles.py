@@ -20,9 +20,10 @@ for the dual fibres, families and factor families that the library builds
 on rows.  The per-part loops that the partition and symbol primitives
 replaced by single passes are kept here, named ``*_loop``, as their
 references.  The public API that no runtime path calls lives here, near the
-end, as the tests' own: shift padding and ``at_size``, similarity of whole
-symbols, a character's s-symbol, the collapse symbol, a family's special
-member and the maximal marked orbits.  Small helpers that only the tests
+end, as the tests' own: the rank of a partition, the trivial character, the
+full shape, shift padding and ``at_size``, similarity of whole symbols, a
+character's s-symbol, the collapse symbol, a family's special member and
+the maximal marked orbits.  Small helpers that only the tests
 read (the sign character, shift equality of symbols, equal families, the
 closure order) live at the end.
 
@@ -440,7 +441,7 @@ def enumerate_class_by_filter(sym, letter: str, k: int | None = None):
     mono = sy.monotonic_representative(sym, letter)
     orientations = [((blk.top, blk.bottom),) if blk.tag == "pair" else
                     ((blk.top, blk.bottom), (blk.bottom, blk.top))
-                    for blk in sy.refinement(mono, letter)]
+                    for blk in sy.refinement(mono)]
     deals = (sy.Symbol(tuple(v for top, _ in deal for v in top),
                        tuple(v for _, bottom in deal for v in bottom),
                        sym.kind)
@@ -916,9 +917,25 @@ def family_of_orbit_by_symbols(orbit, letter: str):
 
 
 # ---------------------------------------------------------------------------
-# the symbol API that only the tests read: shift padding, similarity of
-# whole symbols, the s-symbol and special member of a character, the
-# collapse symbol and the maximal marked orbits
+# the API that only the tests read: the rank of a partition, the trivial
+# character and the full shape, shift padding, similarity of whole symbols,
+# the s-symbol and special member of a character, the collapse symbol and
+# the maximal marked orbits
+
+def rank_of(lam: pt.Partition, letter: str) -> int:
+    """Rank n with |lam| = 2n+1 (B) or 2n (C, D)."""
+    pt._check_letter(letter)
+    pt._check_total(lam, letter)
+    return sum(lam) // 2
+
+
+def trivial_rep(letter: str, rank: int) -> sp.WeylIrrep:
+    return sp.WeylIrrep(letter, rank, (rank,) if rank else (), ())
+
+
+def full_shape(letter: str, rank: int) -> sp.PseudoLeviShape:
+    return sp.PseudoLeviShape(letter, 0, rank)
+
 
 def pad_once(sym: sy.Symbol, letter: str) -> sy.Symbol:
     """One shift-equivalence step up (adds one column)."""

@@ -31,7 +31,7 @@ def admissible(total):
 
 def brute_collapse(lam, letter):
     best = None
-    for cand in P.type_partitions(letter, P.rank_of(lam, letter)):
+    for cand in P.type_partitions(letter, O.rank_of(lam, letter)):
         if P.dominance_le(cand, lam) and (best is None or
                                           P.dominance_le(best, cand)):
             best = cand
@@ -86,7 +86,7 @@ def test_acceptance_2_achar_order():
 def test_acceptance_3_worked_refinement():
     """The worked refinement example, character for character."""
     sym = S.Symbol((0, 2, 3, 7, 10, 13), (1, 3, 6, 8, 11), "s")
-    blocks = S.refinement(sym, "B")
+    blocks = S.refinement(sym)
     ok = S.bar(sym) == (0, 1, 2, 3, 3, 6, 7, 8, 10, 11, 13)
     ok &= [b.values for b in blocks] == [(0, 1, 2), (3, 3), (6, 7, 8),
                                          (10, 11), (13,)]

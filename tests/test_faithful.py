@@ -269,7 +269,7 @@ def test_interval_positions():
                 assert S.is_monotonic(sym)
                 full_bar = S.bar(S.underline(sym) if sym.defect == 0 else sym)
                 length = len(full_bar)
-                intervals = [b for b in S.refinement(sym, co)
+                intervals = [b for b in S.refinement(sym)
                              if b.tag == "interval"]
                 values = [0] + sorted(set(lam))
                 b_idx = [i for i, v in enumerate(values)

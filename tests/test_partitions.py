@@ -8,7 +8,7 @@ from nilorbits import partitions as P
 def brute_collapse(lam, letter):
     """Independent oracle: maximum X-partition dominated by lam, found by
     scanning the full list of X-partitions of the same total."""
-    n = P.rank_of(lam, letter)
+    n = O.rank_of(lam, letter)
     best = None
     for cand in P.type_partitions(letter, n):
         if P.dominance_le(cand, lam):

@@ -68,9 +68,8 @@ def _samples():
             for rep in reps:
                 sym = O.rep_ssymbol(rep)
                 out += [sym, sp.rep_asymbol(rep)]
-                out += sy.refinement(sy.monotonic_representative(sym, letter),
-                                     letter)
-            out += sp.product_shapes(letter, n) + [sp.full_shape(letter, n)]
+                out += sy.refinement(sy.monotonic_representative(sym, letter))
+            out += sp.product_shapes(letter, n) + [O.full_shape(letter, n)]
             for lam in pt.enumerate_orbits(letter, n):
                 orbit = pt.bare(lam)
                 out += [pt.DecoratedPartition(orbit, getattr(lam, "kappa", 0)),
@@ -180,9 +179,10 @@ def test_defaults_come_last():
     (("B", 2, (1,), (1,), 0, 0), {}),           # one value too many
     (("B", 2, (1,), (1,)), {"colour": 1}),      # a field it lacks
     (("B", 2, (1,), (1,)), {"rank": 2}),        # a field given twice
+    (("B", 2, (1,)), {"colour": 1}),            # one missing, one it lacks
 ])
 def test_bad_arguments_are_type_errors(args, kwargs):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="WeylIrrep"):
         sp.WeylIrrep(*args, **kwargs)
     with pytest.raises(TypeError):
         TWINS[sp.WeylIrrep](*args, **kwargs)

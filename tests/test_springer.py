@@ -111,7 +111,7 @@ def test_dual_fibres_partition_irreps_rank_24(letter):
 
 def test_support_examples():
     for n in (2, 3):
-        triv = sp.trivial_rep("B", n)
+        triv = O.trivial_rep("B", n)
         sgn = O.sign_rep("B", n)
         assert sp.springer_support(triv, "dual") == (2 * n,)
         assert sp.springer_support(sgn, "dual") == (1,) * (2 * n)
@@ -274,6 +274,34 @@ def test_family_size_stable_across_k():
                     len(S.similar_symbols(base, letter))
 
 
+ORTHOGONALITY_RANKS = [*range(7), pytest.param(7, marks=pytest.mark.slow),
+                       pytest.param(8, marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("n", ORTHOGONALITY_RANKS)
+def test_character_oracle_is_orthogonal(n):
+    """The oracle's character tables of the signed and the even-signed
+    permutation groups satisfy the row orthogonality relations."""
+    O.verify_b_table(n)
+    O.verify_d_table(n)
+
+
+def test_orthogonality_checks_catch_a_wrong_value(monkeypatch):
+    """One wrong value in either table breaks an orthogonality relation."""
+    hyperoct_char, d_char = O.hyperoct_char, O.d_char
+    monkeypatch.setattr(O, "hyperoct_char", lambda lam, mu, pos, neg: (
+        hyperoct_char(lam, mu, pos, neg)
+        + ((lam, mu, pos, neg) == ((1,), (1,), (2,), ()))))
+    with pytest.raises(AssertionError, match="orthogonality fails"):
+        O.verify_b_table(2)
+    monkeypatch.setattr(O, "hyperoct_char", hyperoct_char)
+    monkeypatch.setattr(O, "d_char", lambda lam, mu, kappa, pos, neg, eps: (
+        -1 if (lam, mu, kappa, eps) == ((1, 1), (1, 1), 1, 1) else 1)
+        * d_char(lam, mu, kappa, pos, neg, eps))
+    with pytest.raises(AssertionError, match="orthogonality fails"):
+        O.verify_d_table(4)
+
+
 def test_sgn_twist_matches_characters():
     """The avatar-level twist is the tensor with the reflection determinant:
     checked against the wreath character oracle for n <= 3."""
@@ -301,9 +329,9 @@ def test_twist_of_family_is_family():
 
 def test_j_induce_identity_on_full_shape():
     for letter in P.LETTERS:
-        shape = sp.full_shape(letter, 3)
+        shape = O.full_shape(letter, 3)
         y, _ = shape.factor_letters
-        unit = sp.trivial_rep(y, 0)
+        unit = O.trivial_rep(y, 0)
         for lam in P.enumerate_orbits(letter, 3):
             if not P.is_special(bare(lam), letter):
                 continue
@@ -312,8 +340,8 @@ def test_j_induce_identity_on_full_shape():
 
 
 def test_j_induce_requires_special():
-    shape = sp.full_shape("B", 2)
-    unit = sp.trivial_rep("D", 0)
+    shape = O.full_shape("B", 2)
+    unit = O.trivial_rep("D", 0)
     nonspecial = sp.WeylIrrep("B", 2, (), (2,))
     assert not sp.is_special_rep(nonspecial)
     with pytest.raises(P.PartitionError):
@@ -476,8 +504,8 @@ def test_bounded_search_keeps_its_own_stack():
 
 
 def test_restriction_multiplicity_full_shape():
-    shape = sp.full_shape("B", 3)
-    unit = sp.trivial_rep("D", 0)
+    shape = O.full_shape("B", 3)
+    unit = O.trivial_rep("D", 0)
     reps = sp.irreps("B", 3)
     for e in reps[:4]:
         for f in reps[:4]:
@@ -499,7 +527,7 @@ def test_restriction_degenerate_factors_are_exact():
     """Both halves of a degenerate factor pair get the same multiplicity in
     restrictions from a non-degenerate character, the single-lift product."""
     shape = sp.PseudoLeviShape("B", 2, 3)
-    f2 = sp.trivial_rep("B", 1)
+    f2 = O.trivial_rep("B", 1)
     e = sp.WeylIrrep("B", 3, (1,), (2,))
     for kappa in (0, 1):
         half = sp.WeylIrrep("D", 2, (1,), (1,), kappa)

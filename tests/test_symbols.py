@@ -31,7 +31,7 @@ def test_symbol_validation():
 
 
 def test_refinement_reproduces_worked_example():
-    blocks = S.refinement(PAPER_EXAMPLE, "B")
+    blocks = S.refinement(PAPER_EXAMPLE)
     assert S.bar(PAPER_EXAMPLE) == (0, 1, 2, 3, 3, 6, 7, 8, 10, 11, 13)
     assert [b.values for b in blocks] == [(0, 1, 2), (3, 3), (6, 7, 8),
                                           (10, 11), (13,)]
@@ -45,15 +45,15 @@ def test_refinement_rejects_non_monotonic():
     crooked = S.Symbol((1, 3), (0,), "s")
     assert not S.is_monotonic(crooked)
     with pytest.raises(S.SymbolError):
-        S.refinement(crooked, "B")
+        S.refinement(crooked)
 
 
 def test_refinement_all_pairs_and_tail():
     sym = S.Symbol((1, 3), (1, 3), "s")
-    blocks = S.refinement(sym, "D")
+    blocks = S.refinement(sym)
     assert all(b.tag == "pair" for b in blocks)
     tail = S.Symbol((0, 2, 9), (1, 3), "s")
-    blocks = S.refinement(tail, "B")
+    blocks = S.refinement(tail)
     assert blocks[-1].values == (9,) and len(blocks[-1].values) == 1
 
 
@@ -71,7 +71,7 @@ def test_refinement_blocks_of_character_symbols():
                         rep.first, rep.second, letter, kind), letter)
                     order = S.underline(sym) if sym.defect == 0 else sym
                     top, bottom = set(order.top), set(order.bottom)
-                    blocks = S.refinement(sym, letter)
+                    blocks = S.refinement(sym)
                     assert [v for b in blocks for v in b.values] == \
                         sorted(order.top + order.bottom), sym
                     pairs = [b.values for b in blocks if b.tag == "pair"]
@@ -316,7 +316,7 @@ def test_family_flip_gap():
     family = S.similar_symbols(tri, "B")
     assert len(family) == 3
     mono = S.monotonic_representative(tri, "B")
-    blocks = S.refinement(mono, "B")
+    blocks = S.refinement(mono)
     assert len(blocks) == 1  # a single interval, no defect-preserving flip
 
 

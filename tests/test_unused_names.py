@@ -1,6 +1,6 @@
-"""Every module-level name the library defines is read somewhere else, and
-every public one by the library or the benchmark, unless it is documented
-API that only the tests read."""
+"""Every module-level name the library and the test helpers define is read
+somewhere else, and every public one of the library by the library or the
+benchmark, unless it is documented API that only the tests read."""
 
 import ast
 import re
@@ -100,9 +100,12 @@ def sources(tops):
 
 
 def test_every_library_name_is_used():
+    """Names of the library and of the test helpers (the modules under
+    ``tests`` that are not test files)."""
     readers = sources(READERS)
     library = {path: text for path, text in readers.items()
-               if path.parent == LIBRARY}
+               if path.parent == LIBRARY or path.parent == ROOT / "tests"
+               and not path.name.startswith("test_")}
     assert list(unused_names(library, readers)) == []
 
 

@@ -53,7 +53,7 @@ def definitional_wf(rep):
 def test_wf_examples():
     for letter in P.LETTERS:
         n = 3
-        triv = sp.trivial_rep(letter, n)
+        triv = O.trivial_rep(letter, n)
         zero = (1,) * (2 * n + 1) if letter == "B" else (1,) * (2 * n)
         assert wf.wf_of_wrep(triv).orbit == zero
         assert wf.wf_of_wrep(triv).marking == ()
