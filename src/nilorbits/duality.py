@@ -45,9 +45,9 @@ class MarkedOrbit:
                 f"{format_partition(self.orbit)} (its reduction is "
                 f"{format_partition(reduced)})")
 
-    # the dominance keys of ``le_A``, filled on first use outside the fields
+    # the keys of ``le_A``, filled on first use outside the fields
     _orbit_key = None
-    _sommers_key = None
+    _achar_key = None
 
     @property
     def decoration_undetermined(self) -> bool:
@@ -187,26 +187,38 @@ def le_A(m1: MarkedOrbit, m2: MarkedOrbit) -> bool:
     """Achar's order: the orbits compare in the closure order and the
     Sommers duals compare the other way.
 
-    Each dominance test is one subtraction of packed prefix sums
-    (``partitions.key_le``): a field is one bit wider than the total needs,
-    so with its top bit set it stays non-negative after any subtraction of
-    a prefix sum, and no field borrows from the next.  The Sommers duals
-    are only read when the orbits compare, the second one first, so a
-    marking with no lift raises only then."""
-    if m1.letter != m2.letter:
-        raise PartitionError(f"cannot compare types {m1.letter} and "
-                             f"{m2.letter}")
-    if not pt.key_le(m1._orbit_key or _keep_key(m1, "_orbit_key", m1.orbit),
-                     m2._orbit_key or _keep_key(m2, "_orbit_key", m2.orbit)):
-        return False
-    return pt.key_le(
-        m2._sommers_key or _keep_key(m2, "_sommers_key", d_S_marked(m2)),
-        m1._sommers_key or _keep_key(m1, "_sommers_key", d_S_marked(m1)))
+    ``_achar_key``, tagged (letter, orbit total), packs the orbit's prefix
+    sums, then ``2**(w-1) - 1 - s`` for each prefix sum ``s`` of the Sommers
+    dual, in fields ``w`` bits wide, one more than the larger total needs.
+    The complement turns the second test around: one guarded subtraction
+    decides when both keys are filled and their tags agree.  Otherwise the
+    orbits are compared first, and only if they compare are the Sommers
+    duals read, m2's first, so a marking with no lift raises only then."""
+    k1, k2 = m1._achar_key, m2._achar_key
+    if k1 is None or k2 is None or k1[0] != k2[0]:
+        if m1.letter != m2.letter:
+            raise PartitionError(f"cannot compare types {m1.letter} and {m2.letter}")
+        if not pt.key_le(m1._orbit_key or _keep_key(m1),
+                         m2._orbit_key or _keep_key(m2)):
+            return False
+        k2 = k2 or _keep_achar_key(m2)
+        k1 = m1._achar_key or _keep_achar_key(m1)  # m1 may be m2
+    guard = k1[1]
+    return ((k2[2] | guard) - k1[2]) & guard == guard
 
 
-def _keep_key(m: MarkedOrbit, name: str, lam: Partition) -> pt.DominanceKey:
-    # the dominance key of ``lam``, kept as the attribute ``name`` of ``m``
-    key = pt.dominance_key(lam)
-    object.__setattr__(m, name, key)
+def _keep_key(m: MarkedOrbit) -> pt.DominanceKey:
+    # the dominance key of m's orbit, kept on m
+    object.__setattr__(m, "_orbit_key", key := pt.dominance_key(m.orbit))
     return key
 
+
+def _keep_achar_key(m: MarkedOrbit) -> tuple:
+    # the Achar key of m, kept on m
+    dual = d_S_marked(m)
+    n, d = sum(m.orbit), sum(dual)
+    top = (1 << max(n, d).bit_length()) - 1
+    fields = pt._sums(m.orbit, n) + [top - s for s in pt._sums(dual, d)]
+    key = ((m.letter, n), *pt._packed(fields, top.bit_length() + 1))
+    object.__setattr__(m, "_achar_key", key)
+    return key

@@ -146,20 +146,23 @@ DominanceKey = tuple[int, int, int]
 
 
 def dominance_key(lam: Partition) -> DominanceKey:
-    """The packed form of lam's prefix sums, for ``key_le``: (total, guard,
-    packed).  ``packed`` holds the prefix sums, padded with the total up to
-    ``total`` fields (no partition of the total has more parts), each field
-    ``total.bit_length() + 1`` bits wide; ``guard`` has the top bit of every
-    field set.  A field holds at most the total, so its top bit is clear."""
+    """The packed form of lam's prefix sums, for ``key_le``: the total, then
+    the guard and packed sums of ``_packed``, with fields one bit wider than
+    the total needs, so a field's top bit is clear."""
     total = sum(lam)
-    width = total.bit_length() + 1
-    sums = list(accumulate(lam))
-    sums += [total] * (total - len(sums))
-    packed = 0
-    for value in reversed(sums):
-        packed = packed << width | value
-    ones = ((1 << width * total) - 1) // ((1 << width) - 1)
-    return total, ones << (width - 1), packed
+    return (total, *_packed(_sums(lam, total), total.bit_length() + 1))
+
+
+def _sums(lam: Partition, total: int) -> list[int]:
+    # lam's prefix sums padded to ``total`` fields, the most parts it can have
+    return [*accumulate(lam), *repeat(total, total - len(lam))]
+
+
+def _packed(fields: list[int], width: int) -> tuple[int, int]:
+    # (the top bit of each ``width``-bit field, ``fields`` packed, first lowest)
+    ones = ((1 << width * len(fields)) - 1) // ((1 << width) - 1)
+    return ones << (width - 1), sum(value << width * i
+                                    for i, value in enumerate(fields))
 
 
 def key_le(low: DominanceKey, high: DominanceKey) -> bool:

@@ -336,21 +336,89 @@ def test_le_a_matches_definition():
                     raise sommers[m].kind(sommers[m].message)
             return O.dominance_le_loop(sommers[m2], sommers[m1])
 
-        outcomes = collections.Counter()
-        for m1 in marked:
-            for m2 in marked:
-                got = _outcome(du.le_A, m1, m2)
-                assert got == _outcome(definition, m1, m2), (m1, m2)
-                outcomes[got.message.split()[0] if isinstance(got, Raised)
-                         else got] += 1
-        # both answers, unequal totals and markings with no lift all occur
-        # (type C has no marking without a lift)
-        assert outcomes[True] and outcomes[False]
-        assert outcomes["dominance"]
-        assert bool(outcomes["no"]) == (letter != "C")
+        want = {(m1, m2): _outcome(definition, m1, m2)
+                for m1 in marked for m2 in marked}
+        # the first pass fills the keys; the second one finds every marking
+        # with a lift keyed, and so takes the one-subtraction path
+        for warm in (False, True):
+            outcomes = collections.Counter()
+            for m1 in marked:
+                for m2 in marked:
+                    got = _outcome(du.le_A, m1, m2)
+                    assert got == want[m1, m2], (m1, m2, warm)
+                    outcomes[got.message.split()[0]
+                             if isinstance(got, Raised) else got] += 1
+            # both answers, unequal totals and markings with no lift all
+            # occur (type C has no marking without a lift)
+            assert outcomes[True] and outcomes[False]
+            assert outcomes["dominance"]
+            assert bool(outcomes["no"]) == (letter != "C")
+            for m in marked:
+                assert (m._achar_key is None) == \
+                    isinstance(sommers[m], Raised), m
     b, c = du.MarkedOrbit("B", (3,), ()), du.MarkedOrbit("C", (2,), ())
     assert _outcome(du.le_A, b, c) == Raised(P.PartitionError,
                                              "cannot compare types B and C")
+
+
+def test_warm_keys_still_refuse():
+    """Keys that are filled never let a comparison of two types or of two
+    ranks through: a C and a D orbit of equal total, and two orbits of
+    unequal rank, raise as they do cold."""
+    c = du.MarkedOrbit("C", (2, 2), ())
+    d = du.MarkedOrbit("D", (3, 1), ())
+    small = du.MarkedOrbit("C", (2,), ())
+    for m in (c, d, small):
+        assert du.le_A(m, m) and m._achar_key is not None
+    for m1, m2 in ((c, d), (d, c)):
+        assert _outcome(du.le_A, m1, m2) == Raised(
+            P.PartitionError,
+            f"cannot compare types {m1.letter} and {m2.letter}")
+    assert _outcome(du.le_A, small, c) == Raised(
+        P.PartitionError, "dominance compares equal totals, got 2 != 4")
+    assert _outcome(du.le_A, c, small) == Raised(
+        P.PartitionError, "dominance compares equal totals, got 4 != 2")
+
+
+def test_le_a_matches_definition_on_the_rank_10_matrix(monkeypatch):
+    """The Achar-order matrix of the benchmark: every ordered pair of
+    ``d_A_triv`` images at rank 10 (232 of B, 196 of C, 161 of D), compared
+    with their keys cold and then warm, against orbit dominance and the
+    reversed dominance of the Sommers duals by truncated induction.  Each
+    marked orbit has its Sommers dual and its orbit key computed once."""
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for module, name in ((du, "d_S_marked"), (P, "dominance_key")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    sizes, true = {}, 0
+    for letter in P.LETTERS:
+        images = [du.d_A_triv(lam, letter) for lam in
+                  P.type_partitions(P.dual_letter(letter), 10)]
+        # fresh copies, since other tests may have filled the keys of the
+        # memoised images
+        marked = [du.MarkedOrbit(m.letter, m.orbit, m.marking)
+                  for m in images]
+        sizes[letter] = len(marked)
+        sommers = [O.d_S_marked_by_shape(m, O.d_S_by_induction)
+                   for m in marked]
+        want = [[O.dominance_le_loop(m1.orbit, m2.orbit)
+                 and O.dominance_le_loop(s2, s1)
+                 for m2, s2 in zip(marked, sommers)]
+                for m1, s1 in zip(marked, sommers)]
+        for _ in ("cold", "warm"):
+            assert [[du.le_A(m1, m2) for m2 in marked]
+                    for m1 in marked] == want
+        true += sum(map(sum, want))
+    assert sizes == {"B": 232, "C": 196, "D": 161}
+    assert calls == {"d_S_marked": 589, "dominance_key": 589}
+    assert sum(n * n for n in sizes.values()) == 118161
+    assert true == 48355
 
 
 def test_no_lift_checks_the_shape_once_per_attempt(monkeypatch):
