@@ -32,10 +32,10 @@ class MarkedOrbit:
     def __post_init__(self):
         object.__setattr__(self, "orbit", pt.as_partition(self.orbit))
         object.__setattr__(self, "marking", pt.as_partition(self.marking))
-        pt.assert_type_partition(self.orbit, self.letter)
         # a marking is its own reduction exactly when its parts are
-        # distinct markable parts of the orbit; ``reduction`` refuses one
-        # that is not a subpartition
+        # distinct markable parts of the orbit; ``markable_parts`` and
+        # ``reduction`` each check the orbit first, and ``reduction``
+        # refuses a marking that is not a subpartition
         parts = set(self.marking)
         if len(parts) != len(self.marking) or not parts <= set(
                 pt.markable_parts(self.orbit, self.letter)):

@@ -38,7 +38,7 @@ def is_edge_case(lam, letter: str) -> tuple[bool, str]:
 
 
 def _edge_case(bare: Partition, letter: str) -> tuple[bool, str]:
-    # ``is_edge_case`` of an orbit that ``_orbit`` has already checked
+    # ``is_edge_case`` of an orbit that has already been checked
     if letter == "C":
         return False, "type C has no edge shapes"
     if letter == "D" and bare in ((1, 1), (3, 1)):
@@ -100,22 +100,17 @@ def _matching_dual_decoration(lam, d: Partition) -> int:
     return kappa
 
 
-def _prepared(lam, letter: str):
-    """Both entry points' preamble: the orbit after its one check (a bare
-    one sorted), its Achar dual and the second parity subpartition mu of
-    its transpose (both from the Achar dual's memo), and its dual fibre."""
-    bare = _orbit(lam, letter)
+def _route(lam, letter: str):
+    """Both entry points' one path: the pair for an orbit, the orbit (a
+    bare one sorted), its Achar dual and its dual fibre.  The fibre is read
+    first, and its check is the orbit's only one; the Achar dual and the
+    second parity subpartition mu of the transpose, whose reduction marks
+    it and decides the single-character route, come from the Achar dual's
+    memo.  The full diagram is the pair ((), Achar dual) on node 0."""
+    bare = pt.as_partition(pt.bare(lam))
     lam = lam if isinstance(lam, DecoratedPartition) else bare
-    return lam, *du._d_A_of_orbit(letter, bare), sp._dual_fiber(lam, letter)
-
-
-def _route(lam, letter: str, target: du.MarkedOrbit, mu: Partition,
-           fiber) -> FaithfulPair:
-    """Shape and family for an orbit from ``_prepared``: the dual orbit is
-    ``target.orbit``, and the marking of ``target`` is the reduced parity
-    subpartition that decides the single-character route.  The full
-    diagram is the pair ((), dual orbit) on node 0."""
-    bare = pt.bare(lam)
+    fiber = sp.dual_fiber(lam, letter)
+    target, mu = du._d_A_of_orbit(letter, bare)
     d = target.orbit
     edge, _reason = _edge_case(bare, letter)
     # the full diagram hits the Achar dual only when the marking is empty
@@ -136,17 +131,17 @@ def _route(lam, letter: str, target: du.MarkedOrbit, mu: Partition,
     bare_nu = pt.bare(nu)
     shape = du.pair_shape(mu, bare_nu, letter)
     y, x = shape.factor_letters
-    return FaithfulPair(letter, shape.rank, shape,
+    pair = FaithfulPair(letter, shape.rank, shape,
                         (_family_of_orbit(mu, y), _family_of_orbit(nu, x)),
                         (mu, bare_nu), provenance)
+    return pair, lam, target, fiber
 
 
 def faithful_pair(lam, letter: str) -> FaithfulPair:
     """Shape and family for the orbit, routed by its kind: very even or
     single-character orbits use the full diagram, edge shapes use the full
     diagram, everything else the parity-subpartition product shape."""
-    lam, target, mu, fiber = _prepared(lam, letter)
-    return _route(lam, letter, target, mu, fiber)
+    return _route(lam, letter)[0]
 
 
 @pt._record
@@ -196,8 +191,7 @@ def verify_faithful(lam, letter: str, apply_sgn_twist: bool = True) -> Faithfuln
     lies in the family, so no second pool is built.
     ``apply_sgn_twist=False`` drops the twist and serves as a negative
     control."""
-    lam, target, mu, fiber = _prepared(lam, letter)
-    pair = _route(lam, letter, target, mu, fiber)
+    pair, lam, target, fiber = _route(lam, letter)
     # every pair from ``_route`` fits its shape: ``pair_shape`` has checked it
     image = du._image(*pair.orbit_pair, letter)
     condition_i = image == target

@@ -181,14 +181,9 @@ def springer_symbol(lam, letter: str):
 
 def springer_bipartition(lam, letter: str) -> tuple[Partition, Partition, int]:
     """Bipartition avatar of the Springer character of ``lam``, read from
-    the rows of ``springer_symbol`` after its refusals."""
+    the rows of ``springer_symbol`` after its refusals: the rows are
+    underlined in type D, where the decoration stays only on equal rows."""
     pt.assert_type_partition(pt.bare(lam), letter)
-    return _springer_pair(lam, letter)
-
-
-def _springer_pair(lam, letter: str) -> tuple[Partition, Partition, int]:
-    # ``springer_bipartition`` of a checked orbit: its rows, underlined in
-    # type D, where the decoration stays only on equal rows
     top, bottom = _staircase(pt.bare(lam), letter)
     if letter == "D" and sum(top) < sum(bottom):
         top, bottom = bottom, top
@@ -295,17 +290,12 @@ def _support_of_entries(entries, conv: str, kappa: int):
 def dual_fiber(lam, letter: str) -> list[WeylIrrep]:
     """All characters of the rank-n type-``letter`` group whose dual-side
     Springer support is ``lam``: the similarity class of its dual-side
-    s-symbol, refused and dealt as by ``enumerate_class``, on rows."""
-    pt.assert_type_partition(pt.bare(lam), dual_letter(letter))
-    return _dual_fiber(lam, letter)
-
-
-def _dual_fiber(lam, letter: str) -> list[WeylIrrep]:
-    # ``dual_fiber`` of a checked orbit: the s-rows of its Springer pair at
-    # the size that holds the whole class, each unordered type-D pair dealt
-    # once; the characters share the orbit's total
+    s-symbol, refused and dealt as by ``enumerate_class``, on rows.  The
+    orbit's one check is its Springer pair's; the s-rows of that pair, at
+    the size that holds the whole class, are dealt once per unordered
+    type-D pair, and the characters share the orbit's total."""
     conv = dual_letter(letter)
-    first, second, kappa = _springer_pair(lam, conv)
+    first, second, kappa = springer_bipartition(lam, conv)
     k = max(sy.min_size_pair(first, second, conv),
             len(pt.bare(lam)) // 2 + 1)
     top, bottom = sy._rows_of_pair(first, second, conv, "s", k)

@@ -577,6 +577,24 @@ def d_A_triv_by_public_steps(lam, letter: str):
     return du.MarkedOrbit(letter, orbit, pt.reduction(orbit, pi, letter))
 
 
+def marked_orbit_by_steps(letter: str, orbit, marking):
+    """``duality.MarkedOrbit`` through its checks as separate steps: the
+    orbit's type first, then the marking's parts against the markable
+    parts, with the reduction only for a refusal.  The reference for the
+    order of its refusals."""
+    orbit, marking = pt.as_partition(orbit), pt.as_partition(marking)
+    pt.assert_type_partition(orbit, letter)
+    parts = set(marking)
+    if len(parts) != len(marking) or not parts <= set(
+            pt.markable_parts(orbit, letter)):
+        reduced = pt.reduction(orbit, marking, letter)
+        raise pt.PartitionError(
+            f"marking {pt.format_partition(marking)} is not reduced on "
+            f"{pt.format_partition(orbit)} (its reduction is "
+            f"{pt.format_partition(reduced)})")
+    return pt._trusted(du.MarkedOrbit, letter, orbit, marking)
+
+
 def d_S_marked_by_shape(marked, image=du.d_S):
     """Sommers dual of a marked orbit through (marking, orbit - marking),
     checked on its pseudo-Levi shape first and refused when that pair sits

@@ -94,6 +94,24 @@ def test_marking_validation_matches_reduction():
     assert kinds[True] and kinds[False]
 
 
+def test_marked_orbit_refusals_keep_their_order():
+    """``MarkedOrbit`` accepts and refuses, with the same error and message,
+    as its checks taken one step at a time: letters B, C, D and a bad one,
+    every partition of 0 to 6, a few markings in and outside each."""
+    kinds = collections.Counter()
+    for letter in (*P.LETTERS, "X"):
+        for total in range(7):
+            for lam in P.integer_partitions(total):
+                for marking in {(), lam[:1], lam[:2], lam[-1:], (1, 1),
+                                (2,), (3, 1)}:
+                    got = O.outcome(du.MarkedOrbit, letter, lam, marking)
+                    assert got == O.outcome(O.marked_orbit_by_steps, letter,
+                                            lam, marking), \
+                        (letter, lam, marking)
+                    kinds[got[0]] += 1
+    assert kinds["returns"] and kinds["raises"]
+
+
 def test_pair_shape_validation():
     with pytest.raises(P.PartitionError):
         du.pair_shape((1, 1), (3, 1, 1), "B")  # first factor of rank one

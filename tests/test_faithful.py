@@ -495,27 +495,31 @@ def test_memos_do_not_depend_on_call_order():
 
 
 def test_each_orbit_checked_once(monkeypatch):
-    """``verify_faithful`` and ``faithful_pair`` check their orbit once,
-    in their shared preamble, on every route, edge shapes included."""
+    """``verify_faithful`` and ``faithful_pair`` check their orbit once, on
+    every route, edge shapes included: through the one ``dual_fiber`` call
+    of their shared path, and never through ``duality._orbit``."""
     calls = []
-    real = du._orbit
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
 
-    monkeypatch.setattr(du, "_orbit", counted)
-    monkeypatch.setattr(F, "_orbit", counted)
+    monkeypatch.setattr(du, "_orbit", counted("_orbit", du._orbit))
+    monkeypatch.setattr(F, "_orbit", counted("_orbit", F._orbit))
+    monkeypatch.setattr(sp, "dual_fiber",
+                        counted("dual_fiber", sp.dual_fiber))
     routes = set()
     for letter in P.LETTERS:
         for rank in range(1, 8):
             for lam in P.enumerate_orbits(P.dual_letter(letter), rank):
                 calls.clear()
                 report = F.verify_faithful(lam, letter)
-                assert len(calls) == 1, (letter, lam, len(calls))
+                assert calls == ["dual_fiber"], (letter, lam, calls)
                 calls.clear()
                 F.faithful_pair(lam, letter)
-                assert len(calls) == 1, (letter, lam, len(calls))
+                assert calls == ["dual_fiber"], (letter, lam, calls)
                 routes.add(report.pair.provenance)
     assert routes == {"edge-case", "general-construction",
                       "unique-representation"}
@@ -628,7 +632,7 @@ def _same_as_symbol_route(letter, rank):
     for lam in P.enumerate_orbits(co, rank, rank):
         want = O.dual_fiber_by_symbols(lam, letter)
         assert repr(sp.dual_fiber(lam, letter)) == repr(want), lam
-        assert repr(F._prepared(lam, letter)[3]) == repr(want), lam
+        assert repr(F._route(lam, letter)[3]) == repr(want), lam
     for lam in P.enumerate_orbits(letter, rank, rank):
         for orbit in {lam, P.bare(lam)}:
             assert sp.springer_bipartition(orbit, letter) == \

@@ -105,8 +105,9 @@ def test_dual_fibres_partition_irreps(letter):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("letter", P.LETTERS)
-def test_dual_fibres_partition_irreps_rank_24(letter):
-    check_fibres_partition(letter, [24])
+@pytest.mark.parametrize("rank", (24, 28))
+def test_dual_fibres_partition_irreps_large_ranks(rank, letter):
+    check_fibres_partition(letter, [rank])
 
 
 def test_support_examples():
