@@ -171,11 +171,10 @@ def d_A_triv(lam, letter: str) -> MarkedOrbit:
     return _d_A_of_orbit(letter, _orbit(lam, letter))[0]
 
 
-@pt._memo
 def _d_A_of_orbit(letter: str,
                   bare: Partition) -> tuple[MarkedOrbit, Partition]:
-    # one MarkedOrbit per orbit, so its prefix sums are shared, and its mu
-    # for ``faithful._route``: the orbit is transposed and split once
+    # the Achar dual of a checked orbit and the mu ``faithful._route`` reads,
+    # from one transpose; not memoised, as callers that ask again keep it
     t = pt.transpose(bare)
     pi, mu = _pi_mu(t, letter)
     dual_orbit = pt._dual_of_transpose(t, dual_letter(letter))

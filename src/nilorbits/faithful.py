@@ -105,8 +105,8 @@ def _route(lam, letter: str):
     bare one sorted), its Achar dual and its dual fibre.  The fibre is read
     first, and its check is the orbit's only one; the Achar dual and the
     second parity subpartition mu of the transpose, whose reduction marks
-    it and decides the single-character route, come from the Achar dual's
-    memo.  The full diagram is the pair ((), Achar dual) on node 0."""
+    it and decides the single-character route, come from one Achar-dual
+    kernel call.  The full diagram is the pair ((), Achar dual) on node 0."""
     bare = pt.as_partition(pt.bare(lam))
     lam = lam if isinstance(lam, DecoratedPartition) else bare
     fiber = sp.dual_fiber(lam, letter)
@@ -173,7 +173,7 @@ def _sorted_members(fid: sp.FamilyId,
     pool is dealt as the family of the twists."""
     if apply_sgn_twist:
         fid = sp._twisted_family(fid)
-    return tuple(sorted(sp._family_members(fid),
+    return tuple(sorted(sp.family_members(fid),
                         key=lambda m: (m.first, m.second, m.kappa)))
 
 

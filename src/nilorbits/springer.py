@@ -163,7 +163,7 @@ def _staircase(lam, letter: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     even = tuple([e // 2 for e in entries if e % 2 == 0])
     rows = (even, odd) if letter == "C" else (odd, even)
     if min(lam, default=0) < 0:
-        Symbol(*rows, "a")
+        sy._check_rows(*rows)
     return rows
 
 
@@ -351,22 +351,18 @@ def _family_of_rows(top, bottom, letter: str, rank: int,
 def family_members(fid: FamilyId) -> list[WeylIrrep]:
     """The complete family: the characters of all a-symbols similar to the
     family's monotonic a-symbol, refused and dealt as by
-    ``similar_symbols`` (plus the decoration rule in type D), on rows."""
-    Symbol(fid.top, fid.bottom, "a")  # the rows' checks
-    members = _family_members(fid)
+    ``similar_symbols`` (plus the decoration rule in type D), on rows.
+    Each unordered type-D pair is dealt once; a deal keeps the defect, so
+    rows not of the type's shape have no member."""
+    sy._check_rows(fid.top, fid.bottom)
+    members = [_irrep(fid.letter, fid.rank,
+                      *sy._pair_of_rows(t, b, "a", fid.letter), fid.kappa)
+               for t, b in sy._deals(fid.top, fid.bottom, "a", fid.letter,
+                                     unordered=True)]
     if members:  # the checks of a character, of the type and the total
         WeylIrrep(fid.letter, fid.rank, members[0].first, members[0].second,
                   fid.kappa)
     return members
-
-
-def _family_members(fid: FamilyId) -> list[WeylIrrep]:
-    # ``family_members`` of checked rows, each unordered type-D pair dealt
-    # once; a deal keeps the defect: rows not of the type's shape have none
-    return [_irrep(fid.letter, fid.rank,
-                   *sy._pair_of_rows(t, b, "a", fid.letter), fid.kappa)
-            for t, b in sy._deals(fid.top, fid.bottom, "a", fid.letter,
-                                  unordered=True)]
 
 
 def _twisted_family(fid: FamilyId) -> FamilyId:

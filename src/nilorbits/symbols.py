@@ -53,6 +53,15 @@ class SymbolError(ValueError):
     """Raised when an argument violates a symbol-level precondition."""
 
 
+def _check_rows(top, bottom) -> None:
+    # ``Symbol``'s row checks, top row first, building no symbol
+    for row in (top, bottom):
+        if row and row[0] < 0:
+            raise SymbolError(f"negative entry in {row}")
+        if not all(map(lt, row, row[1:])):
+            raise SymbolError(f"row {row} is not strictly increasing")
+
+
 @pt._record
 class Symbol:
     """An ordered two-row symbol; ``kind`` is "s" (gap 2) or "a" (gap 1)."""
@@ -64,11 +73,7 @@ class Symbol:
     def __post_init__(self):
         if self.kind not in ("s", "a"):
             raise SymbolError(f"kind must be 's' or 'a', got {self.kind!r}")
-        for row in (self.top, self.bottom):
-            if row and row[0] < 0:
-                raise SymbolError(f"negative entry in {row}")
-            if not all(map(lt, row, row[1:])):
-                raise SymbolError(f"row {row} is not strictly increasing")
+        _check_rows(self.top, self.bottom)
 
     def gap_ok(self) -> bool:
         """Rows increase in steps of at least 2 (automatic for a-symbols)."""

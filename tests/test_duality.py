@@ -470,10 +470,10 @@ def test_order_caches_leave_identity_alone():
         ("B", (3, 1, 1), (3, 1))
 
 
-def test_d_a_triv_returns_one_object_per_orbit():
+def test_d_a_triv_sorts_the_orbit_and_drops_its_decoration():
     a = du.d_A_triv((2, 1, 1), "B")
-    assert du.d_A_triv([1, 2, 1], "B") is a
-    assert du.d_A_triv(P.DecoratedPartition((2, 2), 1), "D") is \
+    assert du.d_A_triv([1, 2, 1], "B") == a
+    assert du.d_A_triv(P.DecoratedPartition((2, 2), 1), "D") == \
         du.d_A_triv((2, 2), "D")
 
 

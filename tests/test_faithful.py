@@ -461,6 +461,29 @@ def test_full_shape_builds_no_second_pool():
         assert F._sorted_members.cache_info().misses == misses + 1, fid
 
 
+def test_witness_pools_run_the_public_family_members(monkeypatch):
+    """On empty memos, ``verify_all`` of B, C and D through rank 6 deals
+    each witness pool through the checked ``springer.family_members``, once
+    per pool built."""
+    calls = []
+    members = sp.family_members
+
+    def counted(fid):
+        calls.append(fid)
+        return members(fid)
+
+    monkeypatch.setattr(sp, "family_members", counted)
+    P._clear_memos()
+    try:
+        for letter in P.LETTERS:
+            for rank in range(7):
+                assert all(r.ok for r in F.verify_all(letter, rank))
+        built = F._sorted_members.cache_info().misses
+    finally:
+        P._clear_memos()
+    assert len(calls) == built > 0
+
+
 def test_family_members_returns_a_fresh_list():
     """Mutating a returned family touches neither the next call nor the
     memoised pool."""
@@ -683,7 +706,10 @@ def test_public_row_paths_refuse_as_the_symbol_route(letter, lam):
     sp.FamilyId("C", 2, (2, 0), (1,)), sp.FamilyId("D", 2, (0, 2), (1,)),
     sp.FamilyId("B", 2, (0, 1), (1, 2)), sp.FamilyId("X", 1, (1,), ()),
     sp.FamilyId("D", 4, (1, 2), (1, 2), 1), sp.FamilyId("B", 5, (0, 2), (1,)),
-    sp.FamilyId("B", 2, (0, 2), (1,), 3)])
+    sp.FamilyId("B", 2, (0, 2), (1,), 3),
+    # the bottom row's checks, and the top row's message first
+    sp.FamilyId("B", 2, (0, 2), (-1,)), sp.FamilyId("B", 3, (0, 2, 4), (2, 1)),
+    sp.FamilyId("B", 3, (2, 0), (-1,))])
 def test_family_members_refuse_as_the_symbol_route(fid):
     assert O.outcome(sp.family_members, fid) == \
         O.outcome(O.family_members_by_symbols, fid)
