@@ -13,7 +13,7 @@ orbits skip ``MarkedOrbit``'s check that the marking is reduced.
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import accumulate, repeat, zip_longest
 
 from . import partitions as pt
 from . import springer as sp
@@ -32,21 +32,16 @@ class MarkedOrbit:
     def __post_init__(self):
         object.__setattr__(self, "orbit", pt.as_partition(self.orbit))
         object.__setattr__(self, "marking", pt.as_partition(self.marking))
-        # a marking is its own reduction exactly when its parts are
-        # distinct markable parts of the orbit; ``markable_parts`` and
-        # ``reduction`` each check the orbit first, and ``reduction``
-        # refuses a marking that is not a subpartition
-        parts = set(self.marking)
-        if len(parts) != len(self.marking) or not parts <= set(
-                pt.markable_parts(self.orbit, self.letter)):
-            reduced = pt.reduction(self.orbit, self.marking, self.letter)
+        # reduced by definition: the marking is its own reduction, which
+        # checks the orbit first and then that the marking is a subpartition
+        reduced = pt.reduction(self.orbit, self.marking, self.letter)
+        if reduced != self.marking:
             raise PartitionError(
                 f"marking {format_partition(self.marking)} is not reduced on "
                 f"{format_partition(self.orbit)} (its reduction is "
                 f"{format_partition(reduced)})")
 
-    # the keys of ``le_A``, filled on first use outside the fields
-    _orbit_key = None
+    # the key of ``le_A``, filled on first use outside the fields
     _achar_key = None
 
     @property
@@ -190,15 +185,14 @@ def le_A(m1: MarkedOrbit, m2: MarkedOrbit) -> bool:
     sums, then ``2**(w-1) - 1 - s`` for each prefix sum ``s`` of the Sommers
     dual, in fields ``w`` bits wide, one more than the larger total needs.
     The complement turns the second test around: one guarded subtraction
-    decides when both keys are filled and their tags agree.  Otherwise the
-    orbits are compared first, and only if they compare are the Sommers
-    duals read, m2's first, so a marking with no lift raises only then."""
+    decides when both keys are filled and their tags agree.  Otherwise
+    ``dominance_le`` compares the orbits, and only if they compare are the
+    Sommers duals read, m2's first: a marking with no lift raises only then."""
     k1, k2 = m1._achar_key, m2._achar_key
     if k1 is None or k2 is None or k1[0] != k2[0]:
         if m1.letter != m2.letter:
             raise PartitionError(f"cannot compare types {m1.letter} and {m2.letter}")
-        if not pt.key_le(m1._orbit_key or _keep_key(m1),
-                         m2._orbit_key or _keep_key(m2)):
+        if not pt.dominance_le(m1.orbit, m2.orbit):
             return False
         k2 = k2 or _keep_achar_key(m2)
         k1 = m1._achar_key or _keep_achar_key(m1)  # m1 may be m2
@@ -206,18 +200,24 @@ def le_A(m1: MarkedOrbit, m2: MarkedOrbit) -> bool:
     return ((k2[2] | guard) - k1[2]) & guard == guard
 
 
-def _keep_key(m: MarkedOrbit) -> pt.DominanceKey:
-    # the dominance key of m's orbit, kept on m
-    object.__setattr__(m, "_orbit_key", key := pt.dominance_key(m.orbit))
-    return key
-
-
 def _keep_achar_key(m: MarkedOrbit) -> tuple:
     # the Achar key of m, kept on m
     dual = d_S_marked(m)
     n, d = sum(m.orbit), sum(dual)
     top = (1 << max(n, d).bit_length()) - 1
-    fields = pt._sums(m.orbit, n) + [top - s for s in pt._sums(dual, d)]
-    key = ((m.letter, n), *pt._packed(fields, top.bit_length() + 1))
+    fields = _sums(m.orbit, n) + [top - s for s in _sums(dual, d)]
+    key = ((m.letter, n), *_packed(fields, top.bit_length() + 1))
     object.__setattr__(m, "_achar_key", key)
     return key
+
+
+def _sums(lam: Partition, total: int) -> list[int]:
+    # lam's prefix sums padded to ``total`` fields, the most parts it can have
+    return [*accumulate(lam), *repeat(total, total - len(lam))]
+
+
+def _packed(fields: list[int], width: int) -> tuple[int, int]:
+    # (the top bit of each ``width``-bit field, ``fields`` packed, first lowest)
+    ones = ((1 << width * len(fields)) - 1) // ((1 << width) - 1)
+    return ones << (width - 1), sum(value << width * i
+                                    for i, value in enumerate(fields))

@@ -24,9 +24,9 @@ What they assume of their input:
   and ``reduction`` refuse a second argument that ``contains`` rejects);
 * ``transpose`` takes a tuple or list in any order and reads ``lam[0]``
   as the number of columns;
-* the rest (``dominance_le``, ``dominance_key``, ``raise_first``,
-  ``lower_last``, ``collapse``, ``is_special``, ``dual``) expect a
-  canonical partition: a decreasing tuple without zeros.
+* the rest (``dominance_le``, ``raise_first``, ``lower_last``,
+  ``collapse``, ``is_special``, ``dual``) expect a canonical partition: a
+  decreasing tuple without zeros.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import os
 import re
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import attrgetter, ge, mod
+from operator import attrgetter, ge, le, mod
 
 Partition = tuple[int, ...]
 
@@ -138,44 +138,13 @@ def lower_last(lam: Partition) -> Partition:
 
 def dominance_le(lam: Partition, mu: Partition) -> bool:
     """True iff lam <= mu in the dominance order (equal totals required):
-    ``key_le`` on the two ``dominance_key`` values."""
-    return key_le(dominance_key(lam), dominance_key(mu))
-
-
-DominanceKey = tuple[int, int, int]
-
-
-def dominance_key(lam: Partition) -> DominanceKey:
-    """The packed form of lam's prefix sums, for ``key_le``: the total, then
-    the guard and packed sums of ``_packed``, with fields one bit wider than
-    the total needs, so a field's top bit is clear."""
-    total = sum(lam)
-    return (total, *_packed(_sums(lam, total), total.bit_length() + 1))
-
-
-def _sums(lam: Partition, total: int) -> list[int]:
-    # lam's prefix sums padded to ``total`` fields, the most parts it can have
-    return [*accumulate(lam), *repeat(total, total - len(lam))]
-
-
-def _packed(fields: list[int], width: int) -> tuple[int, int]:
-    # (the top bit of each ``width``-bit field, ``fields`` packed, first lowest)
-    ones = ((1 << width * len(fields)) - 1) // ((1 << width) - 1)
-    return ones << (width - 1), sum(value << width * i
-                                    for i, value in enumerate(fields))
-
-
-def key_le(low: DominanceKey, high: DominanceKey) -> bool:
-    """``dominance_le`` on two ``dominance_key`` values, in one subtraction.
-    Setting the guard bits of ``high`` and subtracting ``low`` leaves the
-    guard bit of a field set exactly when that field of ``high`` is at least
-    the one of ``low``; no field borrows from the next, since each field of
-    ``low`` is below its guard bit."""
-    total, guard, packed = low
-    if total != high[0]:
+    every running total of lam is at most mu's.  Stopping at the shorter
+    partition is exact: past mu's end its running totals are the common
+    total, and at lam's end lam's already exceeds a longer mu's."""
+    if (total := sum(lam)) != sum(mu):
         raise PartitionError(
-            f"dominance compares equal totals, got {total} != {high[0]}")
-    return ((high[2] | guard) - packed) & guard == guard
+            f"dominance compares equal totals, got {total} != {sum(mu)}")
+    return all(map(le, accumulate(lam), accumulate(mu)))
 
 
 def dual_letter(letter: str) -> str:

@@ -13,11 +13,13 @@ truncated induction as the reference for the closed form of Sommers
 duality, the cell-by-cell search as the reference for the Littlewood-Richardson
 coefficients, compositions of checked public steps as the references for the
 trusted kernels of the Achar and Sommers duals, the padded running-total
-loop as the reference for dominance, and the symbol route (Springer
-symbol, class by ``enumerate_class`` or ``similar_symbols``,
-``pair_of_symbol`` per member, stepwise normalization) as the reference
-for the dual fibres, families and factor families that the library builds
-on rows.  The per-part loops that the partition and symbol primitives
+loop as the reference for dominance, partition formulas for the
+b-invariant, the centralizer dimension, Levi saturation and induction as
+theorem-level references for the Springer and duality layers, and the
+symbol route (Springer symbol, class by ``enumerate_class`` or
+``similar_symbols``, ``pair_of_symbol`` per member, stepwise normalization)
+as the reference for the dual fibres, families and factor families that
+the library builds on rows.  The per-part loops that the partition and symbol primitives
 replaced by single passes are kept here, named ``*_loop``, as their
 references.  The public API that no runtime path calls lives here, near the
 end, as the tests' own: the rank of a partition, the trivial character, the
@@ -622,6 +624,45 @@ def dominance_le_loop(lam, mu) -> bool:
         if total_l > total_m:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# theorem-level references: orbit geometry from partition formulas alone
+
+def b_invariant(alpha, beta) -> int:
+    """Lusztig's b-invariant of the character (alpha; beta) of a signed
+    permutation group, 2n(alpha) + 2n(beta) + |beta| with
+    n(lam) = sum (i - 1) lam_i (Geck-Pfeiffer, *Characters of finite Coxeter
+    groups*, 2000): the lowest degree of the character in the coinvariant
+    algebra, which for E(O, 1) is dim B_e, the Springer fibre's dimension."""
+    def n(lam):
+        return sum(i * part for i, part in enumerate(lam))
+    return 2 * n(alpha) + 2 * n(beta) + sum(beta)
+
+
+def dim_centralizer(lam, letter: str) -> int:
+    """dim Z_G(e) for e in the orbit lam: half the sum of the squared column
+    lengths, plus half the number of odd parts for C and minus it for B and
+    D (Collingwood-McGovern, *Nilpotent orbits in semisimple Lie algebras*,
+    1993, section 6.1)."""
+    odd = sum(part % 2 for part in lam)
+    squares = sum(c * c for c in transpose_loop(lam))
+    return (squares + (odd if letter == "C" else -odd)) // 2
+
+
+def saturate(lam, orbit):
+    """Sat(lam, orbit): the G-saturation of the orbit lam x orbit of the
+    Levi GL_k x G', lam a partition of k and orbit one of G', of G's type:
+    lam's parts twice, and orbit's."""
+    return tuple(sorted((*lam, *lam, *orbit), reverse=True))
+
+
+def induce(lam, orbit, letter: str):
+    """Ind(lam, orbit): the orbit of G, of type ``letter``, induced from
+    lam x orbit of the Levi GL_k x G': the rows orbit_i + 2 lam_i collapsed
+    to the type (Collingwood-McGovern 1993, Thm 7.3.3)."""
+    rows = [a + 2 * b for a, b in zip_longest(orbit, lam, fillvalue=0)]
+    return pt.collapse(tuple(rows), letter)
 
 
 # ---------------------------------------------------------------------------

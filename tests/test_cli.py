@@ -3,8 +3,11 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +35,22 @@ VERBS = ("collapse", "dual", "special", "markable", "reduce", "springer",
 def run_json(*argv):
     code, text = run(*argv, "--mode", "structured")
     return code, [json.loads(line) for line in text.splitlines()]
+
+
+# a README command line whose comment is its answer: a truth value, or a
+# partition, marked orbit or number in the text syntax
+README_ANSWER = re.compile(r"(nilorbits .+?)\s+# (true|false|[-0-9^,| ]+)")
+
+
+def test_readme_answers_are_the_cli_output():
+    """Each README command line whose comment is its answer prints exactly
+    that answer, run in process."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [m.groups() for m in map(README_ANSWER.fullmatch,
+                                     readme.read_text().splitlines()) if m]
+    assert len(lines) == 11
+    for command, answer in lines:
+        assert run(*shlex.split(command)[1:]) == (0, answer + "\n"), command
 
 
 def test_dual():

@@ -398,12 +398,12 @@ def test_warm_keys_still_refuse():
         P.PartitionError, "dominance compares equal totals, got 4 != 2")
 
 
-def test_le_a_matches_definition_on_the_rank_10_matrix(monkeypatch):
-    """The Achar-order matrix of the benchmark: every ordered pair of
-    ``d_A_triv`` images at rank 10 (232 of B, 196 of C, 161 of D), compared
-    with their keys cold and then warm, against orbit dominance and the
-    reversed dominance of the Sommers duals by truncated induction.  Each
-    marked orbit has its Sommers dual and its orbit key computed once."""
+def le_a_matrix(rank, monkeypatch):
+    """Every ordered pair of ``d_A_triv`` images at ``rank``, compared with
+    their keys cold and then warm, against orbit dominance and the reversed
+    dominance of the Sommers duals by truncated induction.  Returns the
+    images per letter, the calls of ``d_S_marked`` and ``dominance_le``,
+    and the number of pairs in the order."""
     calls = collections.Counter()
 
     def counted(name, real):
@@ -412,12 +412,12 @@ def test_le_a_matches_definition_on_the_rank_10_matrix(monkeypatch):
             return real(*args)
         return call
 
-    for module, name in ((du, "d_S_marked"), (P, "dominance_key")):
+    for module, name in ((du, "d_S_marked"), (P, "dominance_le")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     sizes, true = {}, 0
     for letter in P.LETTERS:
         images = [du.d_A_triv(lam, letter) for lam in
-                  P.type_partitions(P.dual_letter(letter), 10)]
+                  P.type_partitions(P.dual_letter(letter), rank)]
         # fresh copies, since other tests may have filled the keys of the
         # memoised images
         marked = [du.MarkedOrbit(m.letter, m.orbit, m.marking)
@@ -433,9 +433,29 @@ def test_le_a_matches_definition_on_the_rank_10_matrix(monkeypatch):
             assert [[du.le_A(m1, m2) for m2 in marked]
                     for m1 in marked] == want
         true += sum(map(sum, want))
-    assert sizes == {"B": 232, "C": 196, "D": 161}
-    assert calls == {"d_S_marked": 589, "dominance_key": 589}
-    assert true == 48355
+    return sizes, dict(calls), true
+
+
+def test_le_a_matches_definition_on_the_rank_10_matrix(monkeypatch):
+    """The Achar-order matrix of the benchmark (232 images of B, 196 of C,
+    161 of D).  Each marked orbit has its Sommers dual computed once, and
+    the orbits are compared once per cold pair."""
+    assert le_a_matrix(10, monkeypatch) == (
+        {"B": 232, "C": 196, "D": 161},
+        {"d_S_marked": 589, "dominance_le": 589}, 48355)
+
+
+@pytest.mark.parametrize("rank", [7, 8])
+def test_le_a_matches_definition_where_the_key_field_widens(rank, monkeypatch):
+    """The Achar key's fields are ``max(n, d).bit_length() + 1`` bits wide,
+    n and d being the orbit's and its Sommers dual's totals: 5 bits at rank
+    7 (totals 14 or 15) and 6 at rank 8 (16 or 17), so a key one bit too
+    narrow, at either width, fails the matrix check."""
+    sizes, true = {7: ({"B": 64, "C": 55, "D": 43}, 4016),
+                   8: ({"B": 100, "C": 86, "D": 70}, 9632)}[rank]
+    count = sum(sizes.values())
+    assert le_a_matrix(rank, monkeypatch) == (
+        sizes, {"d_S_marked": count, "dominance_le": count}, true)
 
 
 def test_no_lift_checks_the_shape_once_per_attempt(monkeypatch):
