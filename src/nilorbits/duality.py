@@ -41,8 +41,8 @@ class MarkedOrbit:
                 f"{format_partition(self.orbit)} (its reduction is "
                 f"{format_partition(reduced)})")
 
-    # the key of ``le_A``, filled on first use outside the fields
-    _achar_key = None
+    # outside the fields: ``le_A``'s key, and an Achar dual's Sommers dual
+    _achar_key = _sommers = None
 
     @property
     def decoration_undetermined(self) -> bool:
@@ -115,7 +115,10 @@ def d_S(mu: Partition, nu: Partition, letter: str) -> Partition:
 def d_S_marked(marked: MarkedOrbit) -> Partition:
     """Sommers dual of a marked orbit, through any realizing pair.  The pair
     (marking, orbit - marking) lifts the marked orbit whenever any pair
-    does, so when it sits on no shape, no pair does."""
+    does, so when it sits on no shape, no pair does.  An Achar dual carries
+    its own, as d_S(d_A(O, 1)) = O."""
+    if marked._sommers is not None:
+        return marked._sommers
     rest = pt.subtract(marked.orbit, marked.marking)
     try:
         return d_S(marked.marking, rest, marked.letter)
@@ -168,13 +171,16 @@ def d_A_triv(lam, letter: str) -> MarkedOrbit:
 
 def _d_A_of_orbit(letter: str,
                   bare: Partition) -> tuple[MarkedOrbit, Partition]:
-    # the Achar dual of a checked orbit and the mu ``faithful._route`` reads,
-    # from one transpose; not memoised, as callers that ask again keep it
+    # the Achar dual of a checked orbit, keeping ``bare`` as its Sommers dual
+    # (set ahead of any Achar key, for one attribute order), and ``_route``'s
+    # mu, from one transpose; not memoised, as callers that ask again keep it
     t = pt.transpose(bare)
     pi, mu = _pi_mu(t, letter)
     dual_orbit = pt._dual_of_transpose(t, dual_letter(letter))
-    return pt._trusted(MarkedOrbit, letter, dual_orbit,
-                       pt._reduction(dual_orbit, pi, letter)), mu
+    marked = pt._trusted(MarkedOrbit, letter, dual_orbit,
+                         pt._reduction(dual_orbit, pi, letter))
+    object.__setattr__(marked, "_sommers", bare)
+    return marked, mu
 
 
 def le_A(m1: MarkedOrbit, m2: MarkedOrbit) -> bool:
@@ -186,8 +192,8 @@ def le_A(m1: MarkedOrbit, m2: MarkedOrbit) -> bool:
     dual, in fields ``w`` bits wide, one more than the larger total needs.
     The complement turns the second test around: one guarded subtraction
     decides when both keys are filled and their tags agree.  Otherwise
-    ``dominance_le`` compares the orbits, and only if they compare are the
-    Sommers duals read, m2's first: a marking with no lift raises only then."""
+    ``dominance_le`` compares the orbits; if they compare, the Sommers duals
+    are read, m2's first (a checked marking with no lift raises only then)."""
     k1, k2 = m1._achar_key, m2._achar_key
     if k1 is None or k2 is None or k1[0] != k2[0]:
         if m1.letter != m2.letter:

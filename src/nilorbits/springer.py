@@ -124,15 +124,17 @@ def irreps(letter: str, rank: int) -> list[WeylIrrep]:
 def _irreps(letter: str, rank: int) -> tuple[WeylIrrep, ...]:
     # the first character goes through ``WeylIrrep``'s checks (a bad letter
     # above all); the rest have canonical halves of total ``rank``
-    out: dict[WeylIrrep, None] = {}
+    out: list[WeylIrrep] = []
     parts = [tuple(pt.integer_partitions(a)) for a in range(rank + 1)]
     for a in range(rank + 1):
-        for lam in parts[a]:
-            for mu in parts[rank - a]:
+        for i, lam in enumerate(parts[a]):
+            for j, mu in enumerate(parts[rank - a]):
+                if letter == "D" and (2 * a - rank, i) > (0, j):
+                    continue  # type D has dealt it as (mu, lam)
                 degenerate = letter == "D" and lam == mu and lam
                 for kappa in (0, 1) if degenerate else (0,):
                     make = _irrep if out else WeylIrrep
-                    out.setdefault(make(letter, rank, lam, mu, kappa))
+                    out.append(make(letter, rank, lam, mu, kappa))
     return tuple(out)
 
 
