@@ -458,6 +458,83 @@ def test_le_a_matches_definition_where_the_key_field_widens(rank, monkeypatch):
         sizes, {"d_S_marked": count, "dominance_le": count}, true)
 
 
+def check_achar_identity(ranks, induction_upto=8):
+    """d_S(d_A(O, 1)) = O on every dual orbit O of B, C and D at ``ranks``:
+    the Achar dual keeps O as its Sommers dual, set right after the fields,
+    and a fresh checked copy, which keeps none, computes O; through rank
+    ``induction_upto`` truncated induction computes O too.  Returns the
+    number of orbits."""
+    count = 0
+    for letter in P.LETTERS:
+        for rank in ranks:
+            for lam in P.type_partitions(P.dual_letter(letter), rank):
+                m = du.d_A_triv(lam, letter)
+                fresh = du.MarkedOrbit(m.letter, m.orbit, m.marking)
+                assert m._sommers == lam and fresh._sommers is None
+                assert list(vars(m)) == [*m.__match_args__, "_sommers"]
+                assert du.d_S_marked(m) is m._sommers
+                assert du.d_S_marked(fresh) == lam, (letter, lam)
+                if rank <= induction_upto:
+                    assert O.d_S_marked_by_shape(
+                        fresh, O.d_S_by_induction) == lam, (letter, lam)
+                count += 1
+    return count
+
+
+def test_achar_duals_keep_their_sommers_dual():
+    assert check_achar_identity(range(13)) == 3777
+
+
+@pytest.mark.slow
+def test_achar_duals_keep_their_sommers_dual_through_rank_20():
+    assert check_achar_identity(range(13, 21)) == 62258
+
+
+@pytest.mark.parametrize("rank", [7, 8, 10])
+def test_le_a_on_kept_sommers_duals(rank, monkeypatch):
+    """Achar's order on the ``d_A_triv`` images themselves, which keep their
+    Sommers duals, cold and then warm, against its definition: orbit
+    dominance, then the reversed dominance of the Sommers duals by
+    truncated induction of fresh checked copies.  No ``d_S`` call is made
+    until the images meet their fresh copies, whose keys are computed, one
+    ``d_S`` call each."""
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in ("d_S", "d_S_marked"):
+        monkeypatch.setattr(du, name, counted(name, getattr(du, name)))
+    for letter in P.LETTERS:
+        images = [du.d_A_triv(lam, letter) for lam in
+                  P.type_partitions(P.dual_letter(letter), rank)]
+        fresh = [du.MarkedOrbit(m.letter, m.orbit, m.marking)
+                 for m in images]
+        sommers = [O.d_S_marked_by_shape(m, O.d_S_by_induction)
+                   for m in fresh]
+        want = [[O.dominance_le_loop(m1.orbit, m2.orbit)
+                 and O.dominance_le_loop(s2, s1)
+                 for m2, s2 in zip(images, sommers)]
+                for m1, s1 in zip(images, sommers)]
+        calls.clear()
+        for _ in ("cold", "warm"):
+            assert [[du.le_A(m1, m2) for m2 in images]
+                    for m1 in images] == want
+        assert calls == {"d_S_marked": len(images)}
+        # every image has its attributes in one order, the key last
+        assert {tuple(vars(m)) for m in images} == \
+            {(*du.MarkedOrbit.__match_args__, "_sommers", "_achar_key")}
+        # one key kept and one computed, both ways round
+        assert [[du.le_A(m1, f2) for f2 in fresh]
+                for m1 in images] == want
+        assert [[du.le_A(f1, m2) for m2 in images]
+                for f1 in fresh] == want
+        assert calls == {"d_S_marked": 2 * len(images), "d_S": len(images)}
+
+
 def test_no_lift_checks_the_shape_once_per_attempt(monkeypatch):
     """Two comparisons that reach a marking with no lift raise the same
     error, and each attempt at the lift checks its shape once."""

@@ -26,6 +26,22 @@ def test_irrep_counts():
     assert len(sp.irreps("D", 4)) == 13
 
 
+@pytest.mark.parametrize("letter", P.LETTERS)
+def test_irreps_in_nested_loop_order(letter):
+    """``irreps`` at ranks 0-10 lists each character once, in the order of
+    the nested loop over (first, second) by the first half's total: type D
+    as ``oracles.d_irreps`` lists it, each unordered pair where the loop
+    first meets it, so a pair dealt twice fails."""
+    for rank in range(11):
+        got = [(rep.first, rep.second, rep.kappa)
+               for rep in sp.irreps(letter, rank)]
+        want = O.d_irreps(rank) if letter == "D" else \
+            [(lam, mu, 0) for a in range(rank + 1)
+             for lam in P.integer_partitions(a)
+             for mu in P.integer_partitions(rank - a)]
+        assert got == want, (letter, rank)
+
+
 def test_irrep_validation():
     with pytest.raises(P.PartitionError):
         sp.WeylIrrep("B", 3, (1,), (1,))

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -140,6 +141,50 @@ def test_lower_bound():
                                        "B")
     with pytest.raises(P.PartitionError):
         wf.wf_lower_bound_holds((3, 1, 1), du.d_A_triv((2, 2), "B"), "C")
+
+
+@pytest.mark.parametrize("letter,counts", [("B", (1155, 1301)),
+                                           ("C", (917, 987)),
+                                           ("D", (577, 598))])
+def test_lower_bound_matches_definition(letter, counts):
+    """``wf_lower_bound_holds(h, d_A(O, 1))`` for every pair (h, O) of dual
+    orbits at ranks 1-6, against Achar's order by its definition: the
+    orbits of the two Achar duals compare in dominance, and their Sommers
+    duals, by truncated induction of fresh checked copies, the other way.
+    Both truth values occur; ``counts`` pins how often each does."""
+    outcomes = collections.Counter()
+    for rank in range(1, 7):
+        orbits = P.type_partitions(P.dual_letter(letter), rank)
+        images = [du.d_A_triv(lam, letter) for lam in orbits]
+        sommers = [O.d_S_marked_by_shape(
+            du.MarkedOrbit(m.letter, m.orbit, m.marking), O.d_S_by_induction)
+            for m in images]
+        for h, bound, s_bound in zip(orbits, images, sommers):
+            for lam, image, s_image in zip(orbits, images, sommers):
+                want = O.dominance_le_loop(bound.orbit, image.orbit) and \
+                    O.dominance_le_loop(s_image, s_bound)
+                got = wf.wf_lower_bound_holds(h, du.d_A_triv(lam, letter),
+                                              letter)
+                assert got == want, (h, lam)
+                outcomes[got] += 1
+    assert (outcomes[True], outcomes[False]) == counts
+
+
+@pytest.mark.parametrize("letter", P.LETTERS)
+def test_wavefront_sets_keep_their_sommers_dual(letter):
+    """The wavefront set of a character, ranks 0-6, keeps the character's
+    dual-side support as its Sommers dual, which a fresh checked copy
+    computes the same; so does the Iwahori-spherical one of each orbit."""
+    for rank in range(7):
+        for rep in sp.irreps(letter, rank):
+            closed = wf.wf_of_wrep(rep)
+            fresh = du.MarkedOrbit(closed.letter, closed.orbit,
+                                   closed.marking)
+            support = P.bare(sp.springer_support(rep, "dual"))
+            assert closed._sommers == support == du.d_S_marked(fresh), rep
+        for lam in P.type_partitions(P.dual_letter(letter), rank):
+            assert wf.wf_iwahori_real(lam, letter) \
+                .canonical_unramified._sommers == lam
 
 
 @pytest.mark.parametrize("letter", P.LETTERS)
