@@ -161,9 +161,6 @@ class FaithfulnessReport:
     def ok(self) -> bool:
         return self.condition_i and self.condition_ii
 
-    def failing(self) -> list[str]:
-        return [e for e, f in self.witnesses if f is None]
-
 
 @pt._memo
 def _sorted_members(fid: sp.FamilyId,

@@ -17,7 +17,7 @@ What they assume of their input:
 
 * ``as_partition`` canonicalises any iterable (sorted decreasing, zeros
   dropped, negative parts refused), and so do ``union``,
-  ``canonical_pair``, ``parse_partition`` and ``DecoratedPartition``;
+  ``parse_partition`` and ``DecoratedPartition``;
 * ``height``, ``is_type_partition``, ``is_very_even``, ``format_partition``,
   ``contains``, ``subtract``, ``markable_parts`` and ``reduction`` take a
   tuple or list in any order, zeros and negative parts included (``subtract``
@@ -384,7 +384,6 @@ def _record(cls):
     required = count - len(defaults)
     if tuple(defaults) != names[required:]:
         raise TypeError(f"{cls.__name__}: fields with defaults must come last")
-    tail = tuple(defaults.values())
     values = attrgetter(*names)
     positions = tuple(enumerate(names))
     post_init = hasattr(cls, "__post_init__")
@@ -393,8 +392,6 @@ def _record(cls):
     def bind(args, kwargs):
         # the field values of a call that leaves defaulted fields out,
         # names fields or passes the wrong number of values
-        if not kwargs and required <= len(args) < count:
-            return args + tail[len(args) - required:]
         bound = {**defaults, **dict(zip(names, args)), **kwargs}
         if len(args) > count or bound.keys() != set(names) or \
                 not kwargs.keys().isdisjoint(names[:len(args)]):
@@ -502,14 +499,8 @@ def bare(lam) -> Partition:
     return lam.parts if isinstance(lam, DecoratedPartition) else lam
 
 
-def canonical_pair(first, second) -> tuple[Partition, Partition]:
-    """Canonical order for an unordered pair: larger total first, ties broken
-    lexicographically (largest first)."""
-    return _ordered_pair(as_partition(first), as_partition(second))
-
-
 def _ordered_pair(a: Partition, b: Partition) -> tuple[Partition, Partition]:
-    # ``canonical_pair`` of two canonical partitions
+    # two canonical partitions, larger total first, then the larger one
     return (b, a) if (sum(a), a) < (sum(b), b) else (a, b)
 
 

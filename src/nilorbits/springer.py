@@ -85,7 +85,7 @@ def _half_text(half: Partition) -> str:
 def _canonical_halves(letter: str, first: Partition, second: Partition,
                       kappa: int) -> tuple[Partition, Partition, int]:
     # ``WeylIrrep``'s fields from canonical halves: in type D the halves in
-    # ``canonical_pair`` order, a decoration only when degenerate
+    # ``_ordered_pair`` order, a decoration only when degenerate
     if letter != "D":
         return first, second, 0
     first, second = pt._ordered_pair(first, second)
@@ -217,8 +217,8 @@ def _orbit_from_rows(xi, eta, letter: str):
 
 
 def _orbit_of_rows(top, bottom, letter: str) -> Partition:
-    # ``orbit_of_symbol`` on the rows of an undecorated a-symbol: the bare
-    # orbit, refused with the symbol (top;bottom) in the message
+    # the Springer recipe inverted on the rows of an undecorated a-symbol:
+    # the bare orbit, refused with the symbol (top;bottom) in the message
     if letter == "D":
         options = {_orbit_from_rows(top, bottom, "D"),
                    _orbit_from_rows(bottom, top, "D")}
@@ -234,17 +234,6 @@ def _orbit_of_rows(top, bottom, letter: str) -> Partition:
         raise SymbolError(f"{pt._trusted(Symbol, top, bottom, 'a')} is not "
                           f"a Springer-recipe symbol of type {letter}")
     return lam
-
-
-def orbit_of_symbol(alpha, letter: str):
-    """Invert the Springer recipe on an a-symbol class representative."""
-    if letter != "D":
-        return _orbit_of_rows(alpha.top, alpha.bottom, letter)
-    kappa = 0
-    if isinstance(alpha, DecoratedSymbol):
-        kappa, alpha = alpha.kappa, alpha.sym
-    return DecoratedPartition(_orbit_of_rows(alpha.top, alpha.bottom, "D"),
-                              kappa)
 
 
 def springer_support(rep: WeylIrrep, side: str = "group"):

@@ -13,11 +13,11 @@ collect the characters with a fixed Springer support, similarity classes of
 a-symbols are the families.
 
 Public entry points check their arguments; internal producers use the
-trusted path: the class and family members and monotonic representatives
-dealt here from checked symbols skip ``Symbol``'s row check.  The row
-helpers (the class kernel, the monotonic deal, shift normalization and the
-inverse of the staircase) also serve the springer layer, which goes from
-rows to characters with no intermediate symbol.
+trusted path: the class and family members dealt here from checked
+symbols skip ``Symbol``'s row check.  The row helpers (the class kernel,
+the monotonic deal, shift normalization and the inverse of the staircase)
+also serve the springer layer, which goes from rows to characters with no
+intermediate symbol.
 """
 
 from __future__ import annotations
@@ -177,14 +177,9 @@ def is_type_symbol(sym: Symbol, letter: str) -> bool:
     return sym.gap_ok() and has_type_shape(sym, letter)
 
 
-def normalize(sym: Symbol, letter: str) -> Symbol:
-    """Minimal representative of the shift class."""
-    return Symbol(*_stripped(sym.top, sym.bottom, sym.kind, letter), sym.kind)
-
-
 def _stripped(top, bottom, kind: str, letter: str):
-    # ``normalize`` on rows: the leading columns on the staircase, (0; lead),
-    # (step; lead + step), ..., taken off, and the rest shifted down
+    # shift normalization on rows: the leading columns on the staircase,
+    # (0; lead), (step; lead + step), ..., taken off, the rest shifted down
     step, lead = _stair(kind, letter)
     strip = 0
     for column in zip(top, bottom):
@@ -218,16 +213,9 @@ def is_monotonic(sym: Symbol) -> bool:
     return all(b[i] <= b[i + 1] for i in range(len(b) - 1))
 
 
-def monotonic_representative(sym: Symbol, letter: str) -> Symbol:
-    """The monotonic member of the similarity class at the same size:
-    sort all entries and deal them alternately into the two rows."""
-    return pt._trusted(Symbol, *_monotonic_rows(sym.entries(), sym.defect,
-                                                sym.kind, letter), sym.kind)
-
-
 def _monotonic_rows(entries, defect: int, kind: str, letter: str):
-    # ``monotonic_representative`` on the sorted entries of a symbol of the
-    # defect: the dealt (top, bottom), checked as a type-``letter`` symbol
+    # the monotonic member of a similarity class: the sorted entries of the
+    # defect dealt alternately into (top, bottom), checked for ``letter``
     if defect == 1:
         top, bottom = entries[0::2], entries[1::2]
     elif defect == 0:
@@ -356,7 +344,7 @@ def _deals(top, bottom, kind: str, letter: str, unordered: bool = False):
 
 def enumerate_class(sym: Symbol, letter: str) -> list[Symbol]:
     """All symbols of the letter and kind of sym similar to it at its size,
-    sorted by rows, after the refusals of ``monotonic_representative``:
+    sorted by rows, after the refusals of the monotonic deal:
     the entries in both rows stay there, and each block of the other
     entries (a maximal run of consecutive entries for s-symbols, whose rows
     step by 2, a single entry for a-symbols) alternates between the rows,

@@ -274,7 +274,8 @@ def d_irreps(n: int):
     for a in range(n + 1):
         for lam in pt.integer_partitions(a):
             for mu in pt.integer_partitions(n - a):
-                c1, c2 = pt.canonical_pair(lam, mu)
+                # the larger total first, then the larger partition
+                c1, c2 = (lam, mu) if (a, lam) >= (n - a, mu) else (mu, lam)
                 if (c1, c2) in seen:
                     continue
                 seen.add((c1, c2))
@@ -440,7 +441,7 @@ def enumerate_class_by_filter(sym, letter: str, k: int | None = None):
     shape.  The reference for ``symbols.enumerate_class``."""
     if k is not None:
         sym = at_size(sym, letter, k)
-    mono = sy.monotonic_representative(sym, letter)
+    mono = monotonic_representative_by_symbol(sym, letter)
     orientations = [((blk.top, blk.bottom),) if blk.tag == "pair" else
                     ((blk.top, blk.bottom), (blk.bottom, blk.top))
                     for blk in sy.refinement(mono)]
@@ -834,7 +835,8 @@ def type_partitions_by_filter(letter: str, rank: int):
 
 def monotonic_representative_by_symbol(sym, letter: str):
     """Deal the sorted entries into a checked ``Symbol``, then check its
-    type.  The reference for ``symbols.monotonic_representative``."""
+    type.  The reference for the monotonic deal, ``symbols._monotonic_rows``
+    on the symbol's entries."""
     values = sym.entries()
     if sym.defect == 1:
         top, bottom = values[0::2], values[1::2]
@@ -864,7 +866,7 @@ def _orbit_from_rows_loop(xi, eta, letter: str):
 
 def orbit_of_symbol_by_symbol(alpha, letter: str):
     """Per-index checks on a whole symbol, decorated in type D.  The
-    reference for ``springer.orbit_of_symbol``."""
+    reference for the row inverter ``springer._orbit_of_rows``."""
     if letter == "D":
         kappa = 0
         if isinstance(alpha, sy.DecoratedSymbol):
@@ -891,13 +893,14 @@ def springer_support_by_round_trip(rep, side: str = "group"):
     orbit.  The reference for ``springer.springer_support``."""
     conv = rep.letter if side == "group" else pt.dual_letter(rep.letter)
     ssym = rep_ssymbol(rep, conv)
-    mono = sy.monotonic_representative(ssym, conv)
+    mono = pt._trusted(sy.Symbol, *sy._monotonic_rows(
+        ssym.entries(), ssym.defect, ssym.kind, conv), ssym.kind)
     first, second = sy.pair_of_symbol(mono, conv)
     alpha = sy.symbol_of_pair(first, second, conv, "a")
     if conv == "D":
         kappa = rep.kappa if rep.degenerate else 0
-        return sp.orbit_of_symbol(sy.DecoratedSymbol(alpha, kappa), "D")
-    return sp.orbit_of_symbol(alpha, conv)
+        alpha = sy.DecoratedSymbol(alpha, kappa)
+    return orbit_of_symbol_by_symbol(alpha, conv)
 
 
 # ---------------------------------------------------------------------------
@@ -936,8 +939,8 @@ def dual_fiber_by_symbols(lam, letter: str):
 
 def normalize_by_steps(sym, letter: str):
     """Strip one column on the staircase at a time into a checked
-    ``Symbol``, until none is left.  The reference for
-    ``symbols.normalize``."""
+    ``Symbol``, until none is left.  The reference for the shift
+    normalization ``symbols._stripped``."""
     step, lead = sy._stair(sym.kind, letter)
     while sym.top and sym.bottom and \
             (sym.top[0], sym.bottom[0]) == (0, lead):
@@ -949,7 +952,8 @@ def normalize_by_steps(sym, letter: str):
 def family_of_by_symbol(rep):
     """The minimal a-symbol, its monotonic representative, normalized and
     underlined in type D.  The reference for ``springer.family_of``."""
-    mono = sy.monotonic_representative(sp.rep_asymbol(rep), rep.letter)
+    mono = monotonic_representative_by_symbol(sp.rep_asymbol(rep),
+                                              rep.letter)
     mono = normalize_by_steps(mono, rep.letter)
     if rep.letter == "D":
         mono = sy.underline(mono)
@@ -1005,7 +1009,7 @@ def pad_once(sym: sy.Symbol, letter: str) -> sy.Symbol:
 
 def at_size(sym: sy.Symbol, letter: str, k: int) -> sy.Symbol:
     """The shift-class representative with bottom row of length k."""
-    sym = sy.normalize(sym, letter)
+    sym = normalize_by_steps(sym, letter)
     if len(sym.bottom) > k:
         raise sy.SymbolError(f"no representative with bottom length {k}; "
                              f"the minimal one has {len(sym.bottom)}")
@@ -1018,8 +1022,8 @@ def similar(s1: sy.Symbol, s2: sy.Symbol, letter: str) -> bool:
     """Equal entry multisets once brought to a common size."""
     if s1.kind != s2.kind:
         raise sy.SymbolError("cannot compare symbols of different kinds")
-    k = max(len(sy.normalize(s1, letter).bottom),
-            len(sy.normalize(s2, letter).bottom))
+    k = max(len(normalize_by_steps(s1, letter).bottom),
+            len(normalize_by_steps(s2, letter).bottom))
     return at_size(s1, letter, k).entries() == at_size(s2, letter, k).entries()
 
 
@@ -1081,7 +1085,7 @@ def sign_rep(letter: str, rank: int):
 
 
 def shift_equal(s1, s2, letter: str) -> bool:
-    return sy.normalize(s1, letter) == sy.normalize(s2, letter)
+    return normalize_by_steps(s1, letter) == normalize_by_steps(s2, letter)
 
 
 def same_family(r1, r2) -> bool:

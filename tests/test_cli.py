@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -7,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -51,6 +53,40 @@ def test_readme_answers_are_the_cli_output():
     assert len(lines) == 11
     for command, answer in lines:
         assert run(*shlex.split(command)[1:]) == (0, answer + "\n"), command
+
+
+def test_readme_tour_runs():
+    """README's Python block runs in a fresh namespace, and each trailing
+    comment that is an answer is the value of its line: a Python literal is
+    equal to it, ``MarkedOrbit <text>`` names its class and its text; any
+    other comment is prose."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {tok.start[0]: tok.string[1:].strip() for tok in
+                tokenize.generate_tokens(io.StringIO(block).readline)
+                if tok.type == tokenize.COMMENT}
+    namespace, checked = {}, 0
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md",
+                                 "eval"), namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"),
+                 namespace)
+        comment = comments.get(node.end_lineno, "")
+        try:
+            expected = ast.literal_eval(comment)
+        except (ValueError, SyntaxError):
+            name, _, text = comment.partition(" ")
+            if name != "MarkedOrbit":
+                continue
+            assert isinstance(node, ast.Expr), comment
+            assert (type(value).__name__, str(value)) == (name, text)
+        else:
+            assert isinstance(node, ast.Expr), comment
+            assert value == expected, comment
+        checked += 1
+    assert checked == 5
 
 
 def test_dual():

@@ -418,8 +418,8 @@ def le_a_matrix(rank, monkeypatch):
     for letter in P.LETTERS:
         images = [du.d_A_triv(lam, letter) for lam in
                   P.type_partitions(P.dual_letter(letter), rank)]
-        # fresh copies, since other tests may have filled the keys of the
-        # memoised images
+        # checked copies keep no Sommers dual, so this runs the computed
+        # path; test_le_a_on_kept_sommers_duals covers the kept one
         marked = [du.MarkedOrbit(m.letter, m.orbit, m.marking)
                   for m in images]
         sizes[letter] = len(marked)

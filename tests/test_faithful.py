@@ -554,7 +554,7 @@ def test_negative_control_rank3():
         for report in F.verify_all(letter, 3, apply_sgn_twist=False):
             if not report.condition_ii:
                 failures += 1
-                assert report.failing()
+                assert any(found is None for _, found in report.witnesses)
     assert failures > 0
 
 

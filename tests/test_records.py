@@ -56,6 +56,12 @@ def _twin(value):
     return TWINS[cls](*(getattr(value, name) for name in FIELDS[cls]))
 
 
+def _monotonic(sym, letter):
+    # the monotonic deal ``_monotonic_rows`` as a checked ``Symbol``
+    return sy.Symbol(*sy._monotonic_rows(sym.entries(), sym.defect, sym.kind,
+                                         letter), sym.kind)
+
+
 def _samples():
     """Values of every class: characters, families, marked orbits, symbols
     and what is built from them, through rank 5."""
@@ -68,7 +74,7 @@ def _samples():
             for rep in reps:
                 sym = O.rep_ssymbol(rep)
                 out += [sym, sp.rep_asymbol(rep)]
-                out += sy.refinement(sy.monotonic_representative(sym, letter))
+                out += sy.refinement(_monotonic(sym, letter))
             out += sp.product_shapes(letter, n) + [O.full_shape(letter, n)]
             for lam in pt.enumerate_orbits(letter, n):
                 orbit = pt.bare(lam)

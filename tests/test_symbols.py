@@ -21,6 +21,18 @@ def bipartitions(total):
     return out
 
 
+def stripped(sym, letter):
+    """The shift normalization ``_stripped`` as a checked ``Symbol``."""
+    return S.Symbol(*S._stripped(sym.top, sym.bottom, sym.kind, letter),
+                    sym.kind)
+
+
+def monotonic(sym, letter):
+    """The monotonic deal ``_monotonic_rows`` as a checked ``Symbol``."""
+    return S.Symbol(*S._monotonic_rows(sym.entries(), sym.defect, sym.kind,
+                                       letter), sym.kind)
+
+
 def test_symbol_validation():
     with pytest.raises(S.SymbolError):
         S.Symbol((2, 1), (0,), "s")
@@ -67,7 +79,7 @@ def test_refinement_blocks_of_character_symbols():
         for rank in range(9):
             for rep in sp.irreps(letter, rank):
                 for kind in ("s", "a"):
-                    sym = S.monotonic_representative(S.symbol_of_pair(
+                    sym = monotonic(S.symbol_of_pair(
                         rep.first, rep.second, letter, kind), letter)
                     order = S.underline(sym) if sym.defect == 0 else sym
                     top, bottom = set(order.top), set(order.bottom)
@@ -130,8 +142,8 @@ def test_shift_and_roundtrip():
         for kind in ("s", "a"):
             for lam, mu in bipartitions(3):
                 sym = S.symbol_of_pair(lam, mu, letter, kind)
-                assert S.normalize(O.pad_once(sym, letter), letter) == \
-                    S.normalize(sym, letter)
+                assert stripped(O.pad_once(sym, letter), letter) == \
+                    stripped(sym, letter)
                 for k in range(S.min_size_pair(lam, mu, letter), 6):
                     rep = S.symbol_of_pair(lam, mu, letter, kind, k)
                     assert O.shift_equal(rep, sym, letter)
@@ -151,7 +163,7 @@ def test_similar():
 
 def test_monotonic_representative():
     s2 = S.symbol_of_pair((1, 1), (), "B", "s")
-    mono = S.monotonic_representative(s2, "B")
+    mono = monotonic(s2, "B")
     assert S.is_monotonic(mono)
     assert mono == S.Symbol((0, 3), (1,), "s")
     assert S.is_monotonic(S.symbol_of_pair((), (), "B", "s"))
@@ -171,7 +183,7 @@ def test_normalize_matches_stepwise_strip():
     for kind in ("s", "a"):
         for sym in small_symbols(kind):
             for letter in P.LETTERS:
-                got = O.outcome(S.normalize, sym, letter)
+                got = O.outcome(stripped, sym, letter)
                 assert got == O.outcome(O.normalize_by_steps, sym, letter), \
                     (sym, letter)
                 kinds.add(got[0] if got[0] == "raises" else
@@ -181,11 +193,13 @@ def test_normalize_matches_stepwise_strip():
 
 def test_sgn_twist_pair_orders_type_d_pairs_canonically():
     for rank in range(7):
+        canonical = {(first, second) for first, second, _ in O.d_irreps(rank)}
         for rep in sp.irreps("D", rank):
             a, b, kappa = S.sgn_twist_pair(rep.first, rep.second, "D",
                                            rep.kappa)
-            assert (a, b) == P.canonical_pair(P.transpose(rep.first),
-                                              P.transpose(rep.second))
+            assert (a, b) in canonical
+            assert sorted((a, b)) == sorted((P.transpose(rep.first),
+                                             P.transpose(rep.second)))
             assert kappa == (rep.kappa if a == b else 0)
 
 
@@ -197,7 +211,7 @@ def test_monotonic_representative_matches_symbol_deal():
     for kind in ("s", "a"):
         for sym in small_symbols(kind):
             for letter in P.LETTERS:
-                got = O.outcome(S.monotonic_representative, sym, letter)
+                got = O.outcome(monotonic, sym, letter)
                 assert got == O.outcome(O.monotonic_representative_by_symbol,
                                         sym, letter), (sym, letter)
                 if got[0] == "raises":
@@ -315,7 +329,7 @@ def test_family_flip_gap():
     tri = S.symbol_of_pair((1,), (1,), "B", "a")
     family = S.similar_symbols(tri, "B")
     assert len(family) == 3
-    mono = S.monotonic_representative(tri, "B")
+    mono = monotonic(tri, "B")
     blocks = S.refinement(mono)
     assert len(blocks) == 1  # a single interval, no defect-preserving flip
 
@@ -326,7 +340,7 @@ def test_similar_symbols_matches_splittings():
     and D through rank 8, at the minimal size and two padded sizes."""
     for letter in ("B", "C", "D"):
         for n in range(0, 9):
-            families = {S.normalize(S.monotonic_representative(
+            families = {stripped(monotonic(
                 S.symbol_of_pair(lam, mu, letter, "a"), letter), letter)
                 for lam, mu in bipartitions(n)}
             for base in families:
@@ -415,12 +429,12 @@ def test_symbol_bijectivity_small():
                 seen = {}
                 for lam, mu in bipartitions(n):
                     if letter == "D":
-                        key = S.normalize(S.underline(
+                        key = stripped(S.underline(
                             S.symbol_of_pair(lam, mu, letter, kind)), letter)
                         seen.setdefault(key, set()).add(
                             frozenset([(lam, mu), (mu, lam)]))
                     else:
-                        key = S.normalize(
+                        key = stripped(
                             S.symbol_of_pair(lam, mu, letter, kind), letter)
                         seen.setdefault(key, set()).add((lam, mu))
                 for key, sources in seen.items():

@@ -1,6 +1,7 @@
 """Every module-level name the library and the test helpers define is read
-somewhere else, and every public one of the library by the library or the
-benchmark, unless it is documented API that only the tests read."""
+somewhere else, and every public one of the library, or public method of
+one of its classes with no base class, by the library or the benchmark,
+unless it is documented API that only the tests read."""
 
 import ast
 import re
@@ -19,19 +20,6 @@ DOCUMENTED_API = {
     "faithful.is_edge_case": "the paper's edge cases of the construction",
     "wavefront.wf_lower_bound_holds": "the paper's lower bound for the "
                                       "wavefront set",
-    "springer.orbit_of_symbol": "the checked public form of the kernel "
-                                "_orbit_of_rows, compared with "
-                                "oracles.orbit_of_symbol_by_symbol",
-    "symbols.monotonic_representative": "the checked public form of the "
-                                        "kernel _monotonic_rows, compared "
-                                        "with oracles.monotonic_"
-                                        "representative_by_symbol",
-    "symbols.normalize": "the checked public form of the kernel _stripped, "
-                         "compared with oracles.normalize_by_steps",
-    "partitions.canonical_pair": "the checked public form of the kernel "
-                                 "_ordered_pair, the order of type-D pairs "
-                                 "in oracles.d_irreps and the sign-twist "
-                                 "test",
 }
 
 
@@ -57,6 +45,21 @@ def definitions(text):
                 yield name, first, node.end_lineno
 
 
+def methods(text):
+    """The methods and properties, other than dunder names, of the
+    module-level classes of ``text`` that have no base class, each as
+    ``Class.name`` with the first and last line of its definition."""
+    for cls in ast.parse(text).body:
+        if not isinstance(cls, ast.ClassDef) or cls.bases:
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and not (
+                    node.name.startswith("__") and node.name.endswith("__")):
+                first = min([node.lineno] + [d.lineno
+                                             for d in node.decorator_list])
+                yield f"{cls.name}.{node.name}", first, node.end_lineno
+
+
 def uses(text):
     """Each name that the code of ``text`` reads, with the lines that read
     it: a name, an attribute, an imported name, or a string that is the name
@@ -79,15 +82,16 @@ def uses(text):
     return out
 
 
-def unused_names(library, readers):
-    """The (module, name) pairs of the ``library`` files' definitions that
-    no reader file names outside the definition itself; both arguments map
-    a path to its text."""
+def unused_names(library, readers, define=definitions):
+    """The (module, name) pairs of the ``library`` files' definitions, as
+    ``define`` lists them, that no reader file names outside the definition
+    itself; both mappings map a path to its text.  A ``Class.name`` counts
+    as read where ``name`` is."""
     read = {path: uses(text) for path, text in readers.items()}
     for path, text in library.items():
-        for name, first, last in definitions(text):
+        for name, first, last in define(text):
             lines = [line for reader, words in read.items()
-                     for line in words.get(name, ())
+                     for line in words.get(name.rpartition(".")[2], ())
                      if reader != path or not first <= line <= last]
             if not lines:
                 yield Path(path).stem, name
@@ -112,13 +116,15 @@ def test_every_library_name_is_used():
 def test_public_names_are_read_by_the_runtime_or_documented():
     """A public name that neither the library nor the benchmark reads is
     documented API, or it belongs with the tests; and a documented name
-    still exists and is still read only by the tests."""
+    still exists and is still read only by the tests.  Public names are the
+    module-level ones and the methods and properties of the classes with no
+    base class (the value types and ``cli._Out``)."""
     runtime = sources(RUNTIME)
     library = {path: text for path, text in runtime.items()
                if path.parent == LIBRARY}
-    test_only = {f"{module}.{name}"
-                 for module, name in unused_names(library, runtime)
-                 if not name.startswith("_")}
+    test_only = {f"{module}.{name}" for define in (definitions, methods)
+                 for module, name in unused_names(library, runtime, define)
+                 if not name.rpartition(".")[2].startswith("_")}
     assert sorted(test_only - DOCUMENTED_API.keys()) == []
     assert sorted(DOCUMENTED_API.keys() - test_only) == []
 
@@ -144,3 +150,23 @@ def test_guard_flags_unnamed_and_skips_named():
     readers = {"lib.py": lib, "user.py": user}
     assert list(unused_names({"lib.py": lib}, readers)) == \
         [("lib", "TABLE"), ("lib", "f"), ("lib", "h")]
+
+
+def test_guard_sees_methods_of_classes_without_bases():
+    lib = ("class K:\n"
+           "    size: int = 0\n"
+           "    def used(self):\n"
+           "        pass\n"
+           "    def unused(self):\n"
+           "        return self.unused()\n"
+           "    @property\n"
+           "    def prop(self):\n"
+           "        pass\n"
+           "    def __repr__(self):\n"
+           "        pass\n"
+           "class E(Exception):\n"
+           "    def hidden(self):\n"
+           "        pass\n")
+    readers = {"lib.py": lib, "user.py": "K().used()\n"}
+    assert list(unused_names({"lib.py": lib}, readers, methods)) == \
+        [("lib", "K.unused"), ("lib", "K.prop")]
