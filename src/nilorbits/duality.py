@@ -13,7 +13,7 @@ orbits skip ``MarkedOrbit``'s check that the marking is reduced.
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat, zip_longest
+from itertools import accumulate, groupby, repeat, zip_longest
 
 from . import partitions as pt
 from . import springer as sp
@@ -146,18 +146,18 @@ def pi_mu(lam, letter: str) -> tuple[Partition, Partition]:
 
 
 def _pi_mu(t: Partition, letter: str) -> tuple[Partition, Partition]:
-    # ``pi_mu`` of a checked orbit whose transpose is ``t``
+    # ``pi_mu`` of a checked orbit whose transpose is ``t``, run by run of
+    # equal parts, largest first, so both outputs come out sorted
     keep = 0 if letter == "C" else 1
     pi, mu = [], []
-    for x in set(t):
-        if x % 2 != keep:
-            continue
-        if t.count(x) % 2:
-            pi.append(x)
-            mu.append(x)
-        else:
-            mu.extend([x, x])
-    return pt.as_partition(pi), pt.as_partition(mu)
+    for x, run in groupby(t):
+        if x % 2 == keep:
+            if len(tuple(run)) % 2:
+                pi.append(x)
+                mu.append(x)
+            else:
+                mu += (x, x)
+    return tuple(pi), tuple(mu)
 
 
 def d_A_triv(lam, letter: str) -> MarkedOrbit:

@@ -203,8 +203,10 @@ def verify_faithful(lam, letter: str, apply_sgn_twist: bool = True) -> Faithfuln
     for rep in fiber:
         found = None
         if pair.shape.full:
-            twin = sp.sgn_twist(rep) if apply_sgn_twist else rep
-            if sp.family_of(twin) == pair.families[1]:
+            fid = sp._family_of_twist(rep.letter, rep.rank, rep.first,
+                                      rep.second, rep.kappa) \
+                if apply_sgn_twist else sp.family_of(rep)
+            if fid == pair.families[1]:
                 found = f"{empty} x {rep}"
         else:
             # a fresh product per character: the scan stops at the first hit

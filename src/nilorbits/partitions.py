@@ -340,11 +340,11 @@ def reduction(lam: Partition, mu: Partition, letter: str) -> Partition:
     if not contains(lam, mu):
         raise PartitionError(f"{format_partition(mu)} is not a subpartition "
                              f"of {format_partition(lam)}")
-    return _reduction(lam, mu, letter)
+    return as_partition(_reduction(lam, mu, letter))
 
 
 def _reduction(lam: Partition, mu: Partition, letter: str) -> Partition:
-    # ``reduction`` on a checked ``letter``-partition, of any ``mu``
+    # ``reduction`` on a checked canonical ``letter``-partition, of any ``mu``
     kept = []
     upper = 0
     for x in _markable_parts(lam, letter):  # decreasing
@@ -352,7 +352,7 @@ def _reduction(lam: Partition, mu: Partition, letter: str) -> Partition:
         if (ht - upper) % 2 == 1:
             kept.append(x)
         upper = ht
-    return as_partition(kept)
+    return tuple(kept)
 
 
 class FrozenFieldError(AttributeError):

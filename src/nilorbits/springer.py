@@ -17,7 +17,8 @@ rows to characters: none of them builds an intermediate symbol.
 
 from __future__ import annotations
 
-from operator import le, sub
+from itertools import count
+from operator import add, le, sub
 
 from . import partitions as pt
 from . import symbols as sy
@@ -159,11 +160,16 @@ def _staircase(lam, letter: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     rows."""
     padded = sorted(lam)
     if len(padded) % 2 != (letter != "D"):
-        padded = [0] + padded
-    entries = [v + i for i, v in enumerate(padded)]
-    odd = tuple([(e - 1) // 2 for e in entries if e % 2])
-    even = tuple([e // 2 for e in entries if e % 2 == 0])
-    rows = (even, odd) if letter == "C" else (odd, even)
+        padded.insert(0, 0)
+    odd, even = [], []
+    for i, v in enumerate(padded):
+        entry = v + i
+        if entry & 1:
+            odd.append(entry >> 1)
+        else:
+            even.append(entry >> 1)
+    rows = (tuple(even), tuple(odd)) if letter == "C" else \
+        (tuple(odd), tuple(even))
     if min(lam, default=0) < 0:
         sy._check_rows(*rows)
     return rows
@@ -185,13 +191,18 @@ def springer_bipartition(lam, letter: str) -> tuple[Partition, Partition, int]:
     """Bipartition avatar of the Springer character of ``lam``, read from
     the rows of ``springer_symbol`` after its refusals: the rows are
     underlined in type D, where the decoration stays only on equal rows."""
+    top, bottom, kappa = _springer_rows(lam, letter)
+    return (*sy._pair_of_rows(top, bottom, "a", letter), kappa)
+
+
+def _springer_rows(lam, letter: str):
+    # ``springer_bipartition``'s checks, its a-rows and its decoration
     pt.assert_type_partition(pt.bare(lam), letter)
     top, bottom = _staircase(pt.bare(lam), letter)
     if letter == "D" and sum(top) < sum(bottom):
         top, bottom = bottom, top
-    return (*sy._pair_of_rows(top, bottom, "a", letter),
-            lam.kappa if isinstance(lam, DecoratedPartition) and
-            top == bottom else 0)
+    return top, bottom, lam.kappa if isinstance(lam, DecoratedPartition) \
+        and top == bottom else 0
 
 
 def rep_of_orbit(lam, conv_letter: str, ambient_letter: str) -> WeylIrrep:
@@ -282,17 +293,20 @@ def dual_fiber(lam, letter: str) -> list[WeylIrrep]:
     """All characters of the rank-n type-``letter`` group whose dual-side
     Springer support is ``lam``: the similarity class of its dual-side
     s-symbol, refused and dealt as by ``enumerate_class``, on rows.  The
-    orbit's one check is its Springer pair's; the s-rows of that pair, at
-    the size that holds the whole class, are dealt once per unordered
-    type-D pair, and the characters share the orbit's total."""
+    orbit is checked as by ``springer_bipartition``, and its staircase is
+    shifted once into s-rows that hold the whole class, dealt once per
+    unordered type-D pair; the characters share the orbit's rank."""
     conv = dual_letter(letter)
-    first, second, kappa = springer_bipartition(lam, conv)
-    k = max(sy.min_size_pair(first, second, conv),
-            len(pt.bare(lam)) // 2 + 1)
-    top, bottom = sy._rows_of_pair(first, second, conv, "s", k)
+    top, bottom, kappa = _springer_rows(lam, conv)
+    # the class size is len(bare) // 2 + 1, one column more than a checked
+    # orbit's staircase (B-partitions have odd length, D-partitions even):
+    # a zero column goes ahead, then column j gains j, and the C lead below
+    _, lead = sy._stair("s", conv)
+    top = (0, *map(add, top, count(2)))
+    bottom = (lead, *map(add, bottom, count(lead + 2)))
     sy._monotonic_rows(sorted(top + bottom), len(top) - len(bottom), "s",
                        conv)
-    rank = sum(first) + sum(second)
+    rank = sum(pt.bare(lam)) // 2
     return [_irrep(letter, rank, *sy._pair_of_rows(t, b, "s", conv), kappa)
             for t, b in sy._deals(top, bottom, "s", conv, unordered=True)]
 
@@ -350,7 +364,10 @@ def family_members(fid: FamilyId) -> list[WeylIrrep]:
                       *sy._pair_of_rows(t, b, "a", fid.letter), fid.kappa)
                for t, b in sy._deals(fid.top, fid.bottom, "a", fid.letter,
                                      unordered=True)]
-    if members:  # the checks of a character, of the type and the total
+    # a character's checks, of the type, the decoration and the total, read
+    # off the first member: only a failing one builds it, to raise its error
+    if members and (fid.letter not in pt.LETTERS or fid.kappa not in (0, 1)
+                    or sum(members[0].first + members[0].second) != fid.rank):
         WeylIrrep(fid.letter, fid.rank, members[0].first, members[0].second,
                   fid.kappa)
     return members
@@ -360,10 +377,18 @@ def _twisted_family(fid: FamilyId) -> FamilyId:
     # the family of the sign twists of a checked family's members: the twist
     # permutes the families (Lusztig, *Characters of reductive groups over a
     # finite field*, 1984), so it is the family of the special member's twist
-    special = _irrep(fid.letter, fid.rank,
-                     *sy._pair_of_rows(fid.top, fid.bottom, "a", fid.letter),
-                     fid.kappa)
-    return family_of(sgn_twist(special))
+    return _family_of_twist(
+        fid.letter, fid.rank,
+        *sy._pair_of_rows(fid.top, fid.bottom, "a", fid.letter), fid.kappa)
+
+
+def _family_of_twist(letter: str, rank: int, first: Partition,
+                     second: Partition, kappa: int) -> FamilyId:
+    # ``family_of(sgn_twist(rep))`` for the character of the halves, building
+    # no character: the halves need not be in type D's canonical order
+    first, second, kappa = sy.sgn_twist_pair(first, second, letter, kappa)
+    return _family_of_rows(*sy._rows_of_pair(first, second, letter, "a"),
+                           letter, rank, kappa)
 
 
 @pt._record

@@ -690,7 +690,11 @@ def test_rows_match_symbol_route_through_rank_12(letter):
     ("C", (-3, -3)), ("C", (-2,)),
     ("D", (3, -1)), ("D", P.DecoratedPartition((2, 2), 1)), ("B", (2, 1)),
     ("C", P.DecoratedPartition((2, 2), 1)),
-    ("X", (3,)), ("C", [1, 3, 0, 0, 1, 3])])
+    ("X", (3,)), ("C", [1, 3, 0, 0, 1, 3]),
+    # negative parts at the lengths the staircase pads in B and D: no B-
+    # partition has even length and no D-partition odd length, so the type
+    # check refuses them first
+    ("B", (5, 1, -1, -2)), ("D", (5, -1, -2))])
 def test_public_row_paths_refuse_as_the_symbol_route(letter, lam):
     """Outside orbits, negative parts among them, are refused with the
     symbol route's errors and messages, and what it accepts agrees."""

@@ -213,7 +213,8 @@ def test_support_keeps_the_negative_part_refusal(monkeypatch):
 
 def test_support_keeps_the_recipe_refusals(monkeypatch):
     """a-rows that invert to no orbit of the type are refused with the
-    a-symbol (underlined in type D) that ``orbit_of_symbol`` is given."""
+    a-symbol (underlined in type D) that the row inverter
+    ``springer._orbit_of_rows`` is given."""
     for letter, shown in (("B", "(0,1;3)"), ("C", "(0,1;2)")):
         _refused_alike(monkeypatch, ((0, 2), (3,)),
                        sp.WeylIrrep(letter, 1, (1,), ()), "group",

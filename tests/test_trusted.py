@@ -309,3 +309,48 @@ def test_verify_all_builds_no_symbol(monkeypatch):
         pt._clear_memos()
     assert built["WeylIrrep"]
     assert built["Symbol"] == built["DecoratedSymbol"] == 0, built
+
+
+def test_verify_all_builds_no_twist_character(monkeypatch):
+    """On empty memos, ``verify_all`` of B, C and D through rank 8 builds
+    one character per fibre member, one per member of each witness pool
+    built, and the three of ``_matching_dual_decoration`` (two checked, one
+    trusted) per very even type-D full-diagram route: no character only to
+    read its family, and no checked one to check a pool."""
+    built = Counter()
+    trusted = pt._trusted
+
+    def counted_trusted(cls, *values):
+        built["trusted"] += cls is sp.WeylIrrep
+        return trusted(cls, *values)
+
+    def counted(obj, post_init=sp.WeylIrrep.__post_init__):
+        built["checked"] += 1
+        post_init(obj)
+
+    monkeypatch.setattr(pt, "_trusted", counted_trusted)
+    monkeypatch.setattr(sp.WeylIrrep, "__post_init__", counted)
+    # the counters see what they are meant to count
+    sp.WeylIrrep("B", 1, (1,), ())
+    pt._trusted(sp.WeylIrrep, "B", 1, (1,), (), 0)
+    assert built == Counter(trusted=1, checked=1)
+    built.clear()
+    pt._clear_memos()
+    try:
+        reports = [report for letter in pt.LETTERS for rank in range(9)
+                   for report in fa.verify_all(letter, rank)]
+    finally:
+        pt._clear_memos()
+    counts = dict(built)
+    fibre = sum(len(report.witnesses) for report in reports)
+    # the full diagram's second family is read, not pooled
+    pooled = {fid for report in reports for fid in
+              report.pair.families[:1 if report.pair.shape.full else 2]}
+    pool = sum(len(sp.family_members(sp._twisted_family(fid)))
+               for fid in pooled)
+    very_even = sum(report.letter == "D" and report.pair.shape.full and
+                    pt.is_very_even(report.pair.orbit_pair[1])
+                    for report in reports)
+    assert (fibre, pool, very_even) == (1103, 256, 24)
+    assert counts == {"trusted": fibre + pool + very_even,
+                      "checked": 2 * very_even}, counts
