@@ -196,7 +196,7 @@ def springer_bipartition(lam, letter: str) -> tuple[Partition, Partition, int]:
 
 
 def _springer_rows(lam, letter: str):
-    # ``springer_bipartition``'s checks, its a-rows and its decoration
+    # ``springer_bipartition``'s checks, a-rows (underlined in D), decoration
     pt.assert_type_partition(pt.bare(lam), letter)
     top, bottom = _staircase(pt.bare(lam), letter)
     if letter == "D" and sum(top) < sum(bottom):
