@@ -187,11 +187,12 @@ def le_A(m1: MarkedOrbit, m2: MarkedOrbit) -> bool:
     """Achar's order: the orbits compare in the closure order and the
     Sommers duals compare the other way.
 
-    ``_achar_key``, tagged (letter, orbit total), packs the orbit's prefix
-    sums, then ``2**(w-1) - 1 - s`` for each prefix sum ``s`` of the Sommers
-    dual, in fields ``w`` bits wide, one more than the larger total needs.
-    The complement turns the second test around: one guarded subtraction
-    decides when both keys are filled and their tags agree.  Otherwise
+    ``_achar_key`` packs the orbit's prefix sums, then ``2**(w-1) - 1 - s``
+    for each prefix sum ``s`` of the Sommers dual, in fields ``w`` bits
+    wide, one more than the larger total needs.  Its int tag tells each
+    (letter, orbit total) apart, and so fixes the fields and their guard.
+    The complement turns the second test around: when both keys are filled
+    and their tags agree, one subtraction and one AND decide.  Otherwise
     ``dominance_le`` compares the orbits; if they compare, the Sommers duals
     are read, m2's first (a checked marking with no lift raises only then)."""
     k1, k2 = m1._achar_key, m2._achar_key
@@ -203,16 +204,17 @@ def le_A(m1: MarkedOrbit, m2: MarkedOrbit) -> bool:
         k2 = k2 or _keep_achar_key(m2)
         k1 = m1._achar_key or _keep_achar_key(m1)  # m1 may be m2
     guard = k1[1]
-    return ((k2[2] | guard) - k1[2]) & guard == guard
+    return (k2[3] - k1[2]) & guard == guard
 
 
 def _keep_achar_key(m: MarkedOrbit) -> tuple:
-    # the Achar key of m, kept on m
+    # the Achar key of m, kept on m: (tag, guard, packed, packed | guard)
     dual = d_S_marked(m)
     n, d = sum(m.orbit), sum(dual)
     top = (1 << max(n, d).bit_length()) - 1
     fields = _sums(m.orbit, n) + [top - s for s in _sums(dual, d)]
-    key = ((m.letter, n), *_packed(fields, top.bit_length() + 1))
+    guard, packed = _packed(fields, top.bit_length() + 1)
+    key = (3 * n + "BCD".index(m.letter), guard, packed, packed | guard)
     object.__setattr__(m, "_achar_key", key)
     return key
 

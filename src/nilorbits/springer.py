@@ -260,8 +260,8 @@ def springer_support(rep: WeylIrrep, side: str = "group"):
     if side not in ("group", "dual"):
         raise PartitionError(f"side must be 'group' or 'dual', got {side!r}")
     conv = rep.letter if side == "group" else dual_letter(rep.letter)
-    top, bottom = sy._rows_of_pair(rep.first, rep.second, conv, "s")
-    return _support_of_entries(tuple(sorted(top + bottom)), conv, rep.kappa)
+    return _support_of_entries(sy._s_entries(rep.first, rep.second, conv),
+                               conv, rep.kappa)
 
 
 def _support_of_entries(entries, conv: str, kappa: int):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import operator
 import sys
 from bisect import bisect
+from itertools import count
 from operator import le, lt, sub
 
 from . import partitions as pt
@@ -386,12 +387,6 @@ def shriek(sym: Symbol) -> Symbol:
                   tuple(v + 1 for v in sym.bottom), "a")
 
 
-def _padded_ascending(lam: Partition, length: int) -> tuple[int, ...]:
-    if len(lam) > length:
-        raise SymbolError(f"partition {lam} has more than {length} parts")
-    return tuple([0] * (length - len(lam)) + sorted(lam))
-
-
 def min_size_pair(first: Partition, second: Partition, letter: str) -> int:
     """Smallest bottom length k admitting a symbol of the pair."""
     if letter == "D":
@@ -417,10 +412,25 @@ def _rows_of_pair(first: Partition, second: Partition, letter: str,
         raise SymbolError(f"bottom length {k} below the minimum {kmin}")
     step, lead = _stair(kind, letter)
     top_len = k if letter == "D" else k + 1
-    lam = _padded_ascending(first, top_len)
-    mu = _padded_ascending(second, k)
+    lam = [0] * (top_len - len(first)) + sorted(first)
+    mu = [0] * (k - len(second)) + sorted(second)
     return (tuple(map(operator.add, lam, range(0, step * top_len, step))),
             tuple(map(operator.add, mu, range(lead, lead + step * k, step))))
+
+
+def _s_entries(first: Partition, second: Partition, letter: str):
+    # ``_rows_of_pair``'s minimal s-rows as one sorted tuple, in one pass:
+    # each half's zero padding, then its parts ascending, column j adding
+    # 2j, and the bottom row starting at the type-C lead
+    k = min_size_pair(first, second, letter)
+    lead, pad = int(letter == "C"), k + (letter != "D") - len(first)
+    low = lead + 2 * (k - len(second))
+    entries = [*range(0, 2 * pad, 2),
+               *map(operator.add, reversed(first), count(2 * pad, 2)),
+               *range(lead, low, 2),
+               *map(operator.add, reversed(second), count(low, 2))]
+    entries.sort()
+    return tuple(entries)
 
 
 def pair_of_symbol(sym: Symbol, letter: str) -> tuple[Partition, Partition]:

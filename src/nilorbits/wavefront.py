@@ -40,9 +40,9 @@ def wf_of_wrep(rep: sp.WeylIrrep) -> MarkedOrbit:
     dual-side Springer support, trivially marked.  The support is constant
     on a similarity class of s-symbols, so it is read once per class, from
     the entries of the character's minimal dual-side s-symbol."""
-    conv = pt.dual_letter(rep.letter)
-    top, bottom = sy._rows_of_pair(rep.first, rep.second, conv, "s")
-    return _wf_of_class(rep.letter, tuple(sorted(top + bottom)), rep.kappa)
+    entries = sy._s_entries(rep.first, rep.second,
+                            pt._DUAL_LETTERS[rep.letter])  # letter checked
+    return _wf_of_class(rep.letter, entries, rep.kappa)
 
 
 @pt._memo

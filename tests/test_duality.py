@@ -398,6 +398,29 @@ def test_warm_keys_still_refuse():
         P.PartitionError, "dominance compares equal totals, got 4 != 2")
 
 
+def test_warm_keys_across_types_and_ranks():
+    """Every ordered pair of ``d_A_triv`` images of B, C and D at ranks 1-6,
+    with every key filled, gives what fresh checked copies give cold: the
+    answer, or the error of two types or of two ranks.  A key's tag tells
+    each (letter, orbit total) apart; a tag of the total alone lets a C and
+    a D orbit of one total through, a tag of the letter alone two ranks."""
+    images = [du.d_A_triv(lam, letter) for letter in P.LETTERS
+              for rank in range(1, 7)
+              for lam in P.type_partitions(P.dual_letter(letter), rank)]
+    for m in images:
+        assert du.le_A(m, m) and m._achar_key is not None
+    fresh = lambda m: du.MarkedOrbit(m.letter, m.orbit, m.marking)
+    outcomes = collections.Counter()
+    for m1 in images:
+        for m2 in images:
+            want = _outcome(du.le_A, fresh(m1), fresh(m2))
+            assert _outcome(du.le_A, m1, m2) == want, (m1, m2)
+            outcomes[want.message.split()[0]
+                     if isinstance(want, Raised) else want] += 1
+    assert len(images) == 237 and outcomes[True] and outcomes[False]
+    assert outcomes["cannot"] and outcomes["dominance"]
+
+
 def le_a_matrix(rank, monkeypatch):
     """Every ordered pair of ``d_A_triv`` images at ``rank``, compared with
     their keys cold and then warm, against orbit dominance and the reversed

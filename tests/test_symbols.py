@@ -629,3 +629,19 @@ def test_pair_of_symbol_matches_loop():
     assert S.pair_of_symbol(S.Symbol((1, 2), (), "s"), "B") == ((1,), ())
     with pytest.raises(S.SymbolError):
         S.pair_of_symbol(S.Symbol((0, 1), (), "s"), "B")
+
+
+def test_s_entries_match_the_rows():
+    """The one-pass class key of every character of B, C and D through rank
+    12, in both conventions, is the sorted entries of its minimal s-rows."""
+    count = 0
+    for letter in P.LETTERS:
+        for rank in range(13):
+            for rep in sp.irreps(letter, rank):
+                for conv in (letter, P.dual_letter(letter)):
+                    top, bottom = S._rows_of_pair(rep.first, rep.second,
+                                                  conv, "s")
+                    assert S._s_entries(rep.first, rep.second, conv) == \
+                        tuple(sorted(top + bottom)), (str(rep), conv)
+                count += 1
+    assert count == 7874
