@@ -419,9 +419,9 @@ def _rows_of_pair(first: Partition, second: Partition, letter: str,
 
 
 def _s_entries(first: Partition, second: Partition, letter: str):
-    # ``_rows_of_pair``'s minimal s-rows as one sorted tuple, in one pass:
-    # each half's zero padding, then its parts ascending, column j adding
-    # 2j, and the bottom row starting at the type-C lead
+    # ``_rows_of_pair``'s minimal s-rows of decreasing halves as one sorted
+    # tuple, in one pass: each half's zero padding, then its parts ascending,
+    # column j adding 2j, and the bottom row starting at the type-C lead
     k = min_size_pair(first, second, letter)
     lead, pad = int(letter == "C"), k + (letter != "D") - len(first)
     low = lead + 2 * (k - len(second))
