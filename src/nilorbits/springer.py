@@ -180,10 +180,8 @@ def springer_symbol(lam, letter: str):
     over the orbit ``lam``: pad the parts to the type's length parity, add
     0, 1, 2, ... and split by parity.  Returns an ordered symbol for B and C
     and a decorated symbol for D."""
-    kappa = lam.kappa if isinstance(lam, DecoratedPartition) else 0
-    lam = pt.bare(lam)
-    pt.assert_type_partition(lam, letter)
-    sym = Symbol(*_staircase(lam, letter), "a")
+    top, bottom, kappa = _springer_rows(lam, letter)
+    sym = Symbol(top, bottom, "a")
     return DecoratedSymbol(sym, kappa) if letter == "D" else sym
 
 
@@ -343,12 +341,12 @@ def family_of(rep: WeylIrrep) -> FamilyId:
 
 def _family_of_rows(top, bottom, letter: str, rank: int,
                     kappa: int) -> FamilyId:
-    # the family of a-symbol rows at any size: the normalized monotonic
-    # deal of the sorted entries.  In type D the deal puts the larger entry
-    # of each column on top, so it is underlined
-    top, bottom = sy._stripped(*sy._monotonic_rows(
-        tuple(sorted(top + bottom)), len(top) - len(bottom), "a", letter),
-        "a", letter)
+    # the family of a-symbol rows at the minimal size or of the Springer
+    # staircase: the monotonic deal of the sorted entries, with no column
+    # to strip, as neither kind has 0 in both rows.  In type D the deal
+    # puts the larger entry of each column on top, so it is underlined
+    top, bottom = sy._monotonic_rows(
+        tuple(sorted(top + bottom)), len(top) - len(bottom), "a", letter)
     return FamilyId(letter, rank, top, bottom,
                     kappa if top == bottom and top else 0)
 
@@ -480,16 +478,16 @@ def j_induce(shape: PseudoLeviShape, rep1: WeylIrrep, rep2: WeylIrrep,
     elif k < k_min:
         raise PartitionError(f"size {k} is below the minimal common "
                              f"size {k_min}")
-    a1 = rep_asymbol(rep1, k=k)
-    a2 = rep_asymbol(rep2, k=k)
-    if shape.letter == "B":
-        a1 = sy.shriek(a1)
-    total = sy.add(a1, a2)
-    if not (sy.is_type_symbol(total, conv_out) and
-            sy.symbol_size(total, conv_out) == shape.rank):
-        raise PartitionError(f"the sum {total} of the symbols of {rep1} and "
-                             f"{rep2} at size {k} is not a {conv_out}"
-                             f"{shape.rank} symbol")
+    (top1, bottom1), (top2, bottom2) = [
+        sy._rows_of_pair(r.first, r.second, r.letter, "a", k)
+        for r in (rep1, rep2)]
+    if shape.letter == "B":  # the shriek: defect 0 to defect 1
+        top1, bottom1 = (0, *[v + 1 for v in top1]), [v + 1 for v in bottom1]
+    # a dual-type symbol of the shape's rank, unchecked: the factors' rows
+    # have equal lengths, increasing rows add up to rows stepping by 2, a
+    # shrieked bottom row starts at 1 or more, and the sizes add up
+    total = pt._trusted(Symbol, tuple(map(add, top1, top2)),
+                        tuple(map(add, bottom1, bottom2)), "s")
     f, s = sy.pair_of_symbol(total, conv_out)
     if conv_out == "D" and f == s and f:
         sy._log(__name__, "DEBUG", "induced symbol %s has equal rows; "

@@ -15,7 +15,7 @@ a-symbols are the families.
 Public entry points check their arguments; internal producers use the
 trusted path: the class and family members dealt here from checked
 symbols skip ``Symbol``'s row check.  The row helpers (the class kernel,
-the monotonic deal, shift normalization and the inverse of the staircase)
+the monotonic deal, the rows of a pair and the inverse of the staircase)
 also serve the springer layer, which goes from rows to characters with no
 intermediate symbol.
 """
@@ -75,15 +75,6 @@ class Symbol:
         if self.kind not in ("s", "a"):
             raise SymbolError(f"kind must be 's' or 'a', got {self.kind!r}")
         _check_rows(self.top, self.bottom)
-
-    def gap_ok(self) -> bool:
-        """Rows increase in steps of at least 2 (automatic for a-symbols)."""
-        gap = 2 if self.kind == "s" else 1
-        for row in (self.top, self.bottom):
-            for x, y in zip(row, row[1:]):
-                if y - x < gap:
-                    return False
-        return True
 
     @property
     def defect(self) -> int:
@@ -154,11 +145,6 @@ def _pair_of_rows(top, bottom, kind: str, letter: str):
             tuple(filter(None, reversed(second))))
 
 
-def symbol_size(sym: Symbol, letter: str) -> int:
-    """The integer n with sym attached to a rank-n group of the given type."""
-    return sum(map(sum, _pair_of_rows(sym.top, sym.bottom, sym.kind, letter)))
-
-
 def has_type_shape(sym: Symbol, letter: str) -> bool:
     """Defect 1 for B and C (s-symbols of type C also need a positive first
     bottom entry), defect 0 for D; row gaps are not checked."""
@@ -171,26 +157,6 @@ def _has_type_shape(top, bottom, kind: str, letter: str) -> bool:
         return len(top) == len(bottom) + 1 and not (
             letter == "C" and kind == "s" and bottom and bottom[0] == 0)
     return len(top) == len(bottom)
-
-
-def is_type_symbol(sym: Symbol, letter: str) -> bool:
-    """Type shape plus the row-gap rule of the kind."""
-    return sym.gap_ok() and has_type_shape(sym, letter)
-
-
-def _stripped(top, bottom, kind: str, letter: str):
-    # shift normalization on rows: the leading columns on the staircase,
-    # (0; lead), (step; lead + step), ..., taken off, the rest shifted down
-    step, lead = _stair(kind, letter)
-    strip = 0
-    for column in zip(top, bottom):
-        if column != (step * strip, lead + step * strip):
-            break
-        strip += 1
-    if not strip:  # no new rows: fewer short-lived tuples, less peak memory
-        return top, bottom
-    return (tuple(v - step * strip for v in top[strip:]),
-            tuple(v - step * strip for v in bottom[strip:]))
 
 
 def bar(sym: Symbol) -> tuple[int, ...]:
@@ -368,23 +334,6 @@ def similar_symbols(sym: Symbol, letter: str) -> list[Symbol]:
         return []
     return [pt._trusted(Symbol, top, bottom, "a")
             for top, bottom in _deals(sym.top, sym.bottom, "a", letter)]
-
-
-def add(s1: Symbol, s2: Symbol) -> Symbol:
-    """Entrywise sum of rows; shapes must match."""
-    if len(s1.top) != len(s2.top) or len(s1.bottom) != len(s2.bottom):
-        raise SymbolError(f"shape mismatch: {s1} + {s2}")
-    return Symbol(tuple(a + b for a, b in zip(s1.top, s2.top)),
-                  tuple(a + b for a, b in zip(s1.bottom, s2.bottom)), "s")
-
-
-def shriek(sym: Symbol) -> Symbol:
-    """Defect-0 a-symbol to defect-1 a-symbol: prepend 0 on top and shift
-    every entry up by one."""
-    if sym.kind != "a" or sym.defect != 0:
-        raise SymbolError(f"shriek needs a defect-0 a-symbol, got {sym}")
-    return Symbol((0,) + tuple(v + 1 for v in sym.top),
-                  tuple(v + 1 for v in sym.bottom), "a")
 
 
 def min_size_pair(first: Partition, second: Partition, letter: str) -> int:

@@ -15,9 +15,11 @@ coefficients, compositions of checked public steps as the references for the
 trusted kernels of the Achar and Sommers duals, the padded running-total
 loop as the reference for dominance, partition formulas for the
 b-invariant, the centralizer dimension, Levi saturation and induction as
-theorem-level references for the Springer and duality layers, and the
-symbol route (Springer symbol, class by ``enumerate_class`` or
-``similar_symbols``, ``pair_of_symbol`` per member, stepwise normalization)
+theorem-level references for the Springer and duality layers, the
+lowest-b constituent of the induced character as the reference for
+truncated induction, and the symbol route (Springer symbol, class by
+``enumerate_class`` or ``similar_symbols``, ``pair_of_symbol`` per member,
+stepwise normalization)
 as the reference for the dual fibres, families and factor families that
 the library builds on rows.  The per-part loops that the partition and symbol primitives
 replaced by single passes are kept here, named ``*_loop``, as their
@@ -422,7 +424,7 @@ def similar_symbols_bruteforce(sym, letter: str, k: int | None = None):
             return
         if i == len(values):
             cand = sy.Symbol(tuple(top), tuple(bottom), sym.kind)
-            if sy.is_type_symbol(cand, letter):
+            if gap_ok_loop(cand) and sy.has_type_shape(cand, letter):
                 out.append(cand)
             return
         v = values[i]
@@ -641,6 +643,45 @@ def b_invariant(alpha, beta) -> int:
     return 2 * n(alpha) + 2 * n(beta) + sum(beta)
 
 
+def j_induce_by_definition(shape, rep1, rep2):
+    """Truncated induction of rep1 (x) rep2 from the shape's reflection
+    subgroup by its definition (Macdonald-Lusztig-Spaltenstein; Geck-
+    Pfeiffer 2000), with no symbols: the constituents of the induced
+    character come by Frobenius reciprocity from ``mult_b/c/d_restriction``.
+    b is ``b_invariant`` for B and C and 2n(alpha) + 2n(beta) +
+    min(|alpha|, |beta|) for D.  Exactly one constituent E has
+    b(E) = b(rep1) + b(rep2), it occurs once, and none has a smaller b; its
+    halves are returned, so a degenerate type-D E is compared by its halves
+    only.  The reference for ``springer.j_induce`` on special factors."""
+    def b(letter, alpha, beta):
+        if letter == "D":
+            return b_invariant(alpha, beta) - sum(beta) + \
+                min(sum(alpha), sum(beta))
+        return b_invariant(alpha, beta)
+
+    def avatar(rep):
+        halves = (rep.first, rep.second)
+        return halves + (rep.kappa,) if rep.letter == "D" else halves
+
+    n, letter = shape.rank, shape.letter
+    (y, x) = shape.factor_letters
+    want = b(y, rep1.first, rep1.second) + b(x, rep2.first, rep2.second)
+    mult = {"B": mult_b_restriction, "C": mult_c_restriction,
+            "D": mult_d_restriction}[letter]
+    ambient = d_irreps(n) if letter == "D" else \
+        [(lam, mu) for a in range(n + 1) for lam in pt.integer_partitions(a)
+         for mu in pt.integer_partitions(n - a)]
+    lowest = []
+    for e in ambient:
+        times = mult(n, e, shape.k, avatar(rep1), avatar(rep2))
+        if times:
+            assert b(letter, e[0], e[1]) >= want, (shape, rep1, rep2, e)
+            if b(letter, e[0], e[1]) == want:
+                lowest.append((e, times))
+    assert len(lowest) == 1 and lowest[0][1] == 1, (shape, rep1, rep2, lowest)
+    return lowest[0][0][:2]
+
+
 def dim_centralizer(lam, letter: str) -> int:
     """dim Z_G(e) for e in the orbit lam: half the sum of the squared column
     lengths, plus half the number of odd parts for C and minus it for B and
@@ -794,8 +835,9 @@ def symbol_loop(top, bottom, kind: str):
 
 
 def gap_ok_loop(sym) -> bool:
-    """One generator step per index over both rows.  The reference for
-    ``symbols.Symbol.gap_ok``."""
+    """The row-gap rule of the symbol's kind (steps of at least 2 for
+    s-symbols), one generator step per index over both rows; with
+    ``symbols.has_type_shape`` it tells the symbols of a type."""
     gap = 2 if sym.kind == "s" else 1
     return all(row[i + 1] - row[i] >= gap
                for row in (sym.top, sym.bottom)
@@ -938,9 +980,8 @@ def dual_fiber_by_symbols(lam, letter: str):
 
 
 def normalize_by_steps(sym, letter: str):
-    """Strip one column on the staircase at a time into a checked
-    ``Symbol``, until none is left.  The reference for the shift
-    normalization ``symbols._stripped``."""
+    """Shift normalization: strip one column on the staircase at a time
+    into a checked ``Symbol``, until none is left."""
     step, lead = sy._stair(sym.kind, letter)
     while sym.top and sym.bottom and \
             (sym.top[0], sym.bottom[0]) == (0, lead):

@@ -406,6 +406,26 @@ def test_j_induce_independent_of_size():
         sp.j_induce(shape, rep1, rep2, k=k0 - 1)
 
 
+@pytest.mark.parametrize("top, counts", [
+    (5, {"B": 124, "C": 195, "D": 80}),
+    pytest.param(6, {"B": 270, "C": 407, "D": 175}, marks=pytest.mark.slow)])
+def test_j_induce_matches_definition(top, counts):
+    """On every special factor pair with no degenerate factor, on every
+    product shape of ranks 2 to ``top``, ``j_induce`` is the one lowest-b
+    constituent of the induced character, by the character tables alone.
+    No induced character here is degenerate, so the halves name it."""
+    seen = dict.fromkeys(counts, 0)
+    for shape, rep1, rep2, _ in special_factor_pairs(top):
+        if shape.rank < 2 or rep1.degenerate or rep2.degenerate:
+            continue
+        got = sp.j_induce(shape, rep1, rep2)
+        assert not got.degenerate
+        assert (got.first, got.second) == \
+            O.j_induce_by_definition(shape, rep1, rep2), (shape, rep1, rep2)
+        seen[shape.letter] += 1
+    assert seen == counts
+
+
 def test_j_induce_logs_equal_rows_at_debug(caplog):
     """A type-D induced character with equal halves gets decoration 0 and
     a debug record saying so, from ``j_induce``; none at the default
@@ -427,14 +447,20 @@ def test_j_induce_logs_equal_rows_at_debug(caplog):
 
 def test_j_induce_shriek_path_worked_instance():
     """Shape D2 x B1 inside rank 3: the induced symbol is the shrieked first
-    factor plus the second, added by hand at size 2."""
+    factor plus the second, added by hand on rows at size 2."""
     shape = sp.PseudoLeviShape("B", 2, 3)
     rep1 = sp.rep_of_orbit(P.DecoratedPartition((3, 1), 0), "D", "D")
     rep2 = sp.rep_of_orbit((3,), "B", "B")
     a1 = sp.rep_asymbol(rep1, k=2)
     a2 = sp.rep_asymbol(rep2, k=2)
-    total = S.add(S.shriek(a1), a2)
-    assert S.is_type_symbol(total, "C")
+    # the shriek: 0 ahead of the top row, and every entry up by one
+    top = (0, *[v + 1 for v in a1.top])
+    bottom = tuple(v + 1 for v in a1.bottom)
+    assert (len(top), len(bottom)) == (len(a2.top), len(a2.bottom))
+    total = S.Symbol(tuple(a + b for a, b in zip(top, a2.top)),
+                     tuple(a + b for a, b in zip(bottom, a2.bottom)), "s")
+    assert total == S.Symbol((0, 2, 7), (1, 3), "s")
+    assert O.gap_ok_loop(total) and S.has_type_shape(total, "C")
     first, second = S.pair_of_symbol(total, "C")
     assert sp.j_induce(shape, rep1, rep2) == \
         sp.WeylIrrep("B", 3, first, second)

@@ -21,12 +21,6 @@ def bipartitions(total):
     return out
 
 
-def stripped(sym, letter):
-    """The shift normalization ``_stripped`` as a checked ``Symbol``."""
-    return S.Symbol(*S._stripped(sym.top, sym.bottom, sym.kind, letter),
-                    sym.kind)
-
-
 def monotonic(sym, letter):
     """The monotonic deal ``_monotonic_rows`` as a checked ``Symbol``."""
     return S.Symbol(*S._monotonic_rows(sym.entries(), sym.defect, sym.kind,
@@ -38,8 +32,6 @@ def test_symbol_validation():
         S.Symbol((2, 1), (0,), "s")
     with pytest.raises(S.SymbolError):
         S.Symbol((1, 1), (), "a")
-    assert S.Symbol((0, 1), (2,), "s").gap_ok() is False
-    assert S.Symbol((0, 2), (1,), "s").gap_ok() is True
 
 
 def test_refinement_reproduces_worked_example():
@@ -128,13 +120,13 @@ def test_symbol_size():
         for kind in ("s", "a"):
             for lam, mu in bipartitions(4):
                 sym = S.symbol_of_pair(lam, mu, letter, kind)
-                assert S.symbol_size(sym, letter) == 4
-                assert S.is_type_symbol(sym, letter)
+                assert sum(map(sum, S.pair_of_symbol(sym, letter))) == 4
+                assert O.gap_ok_loop(sym) and S.has_type_shape(sym, letter)
     for kind in ("s", "a"):
         for lam, mu in bipartitions(3):
             sym = S.symbol_of_pair(lam, mu, "D", kind)
-            assert S.symbol_size(sym, "D") == 3
-            assert S.is_type_symbol(sym, "D")
+            assert sum(map(sum, S.pair_of_symbol(sym, "D"))) == 3
+            assert O.gap_ok_loop(sym) and S.has_type_shape(sym, "D")
 
 
 def test_shift_and_roundtrip():
@@ -142,8 +134,9 @@ def test_shift_and_roundtrip():
         for kind in ("s", "a"):
             for lam, mu in bipartitions(3):
                 sym = S.symbol_of_pair(lam, mu, letter, kind)
-                assert stripped(O.pad_once(sym, letter), letter) == \
-                    stripped(sym, letter)
+                padded = O.pad_once(sym, letter)
+                assert O.normalize_by_steps(padded, letter) == \
+                    O.normalize_by_steps(sym, letter)
                 for k in range(S.min_size_pair(lam, mu, letter), 6):
                     rep = S.symbol_of_pair(lam, mu, letter, kind, k)
                     assert O.shift_equal(rep, sym, letter)
@@ -173,22 +166,6 @@ def small_symbols(kind):
     """Every ``kind``-symbol with rows of at most three entries below 6."""
     rows = [row for n in range(4) for row in combinations(range(6), n)]
     return [S.Symbol(top, bottom, kind) for top in rows for bottom in rows]
-
-
-def test_normalize_matches_stepwise_strip():
-    """All leading staircase columns stripped at once against one at a
-    time into a checked ``Symbol``: the same value, or the same error (a
-    row gap below 2 leaves a negative entry)."""
-    kinds = set()
-    for kind in ("s", "a"):
-        for sym in small_symbols(kind):
-            for letter in P.LETTERS:
-                got = O.outcome(stripped, sym, letter)
-                assert got == O.outcome(O.normalize_by_steps, sym, letter), \
-                    (sym, letter)
-                kinds.add(got[0] if got[0] == "raises" else
-                          got[2] == sym)
-    assert kinds == {"raises", True, False}
 
 
 def test_sgn_twist_pair_orders_type_d_pairs_canonically():
@@ -340,7 +317,7 @@ def test_similar_symbols_matches_splittings():
     and D through rank 8, at the minimal size and two padded sizes."""
     for letter in ("B", "C", "D"):
         for n in range(0, 9):
-            families = {stripped(monotonic(
+            families = {O.normalize_by_steps(monotonic(
                 S.symbol_of_pair(lam, mu, letter, "a"), letter), letter)
                 for lam, mu in bipartitions(n)}
             for base in families:
@@ -397,8 +374,8 @@ def _all_symbols(letter, kind, n, k):
     for top in rows(top_len, 0):
         for bottom in rows(k, lead):
             sym = S.Symbol(top, bottom, kind)
-            if S.is_type_symbol(sym, letter) and \
-                    S.symbol_size(sym, letter) == n:
+            if O.gap_ok_loop(sym) and S.has_type_shape(sym, letter) and \
+                    sum(map(sum, S.pair_of_symbol(sym, letter))) == n:
                 yield sym
 
 
@@ -429,12 +406,12 @@ def test_symbol_bijectivity_small():
                 seen = {}
                 for lam, mu in bipartitions(n):
                     if letter == "D":
-                        key = stripped(S.underline(
+                        key = O.normalize_by_steps(S.underline(
                             S.symbol_of_pair(lam, mu, letter, kind)), letter)
                         seen.setdefault(key, set()).add(
                             frozenset([(lam, mu), (mu, lam)]))
                     else:
-                        key = stripped(
+                        key = O.normalize_by_steps(
                             S.symbol_of_pair(lam, mu, letter, kind), letter)
                         seen.setdefault(key, set()).add((lam, mu))
                 for key, sources in seen.items():
@@ -459,19 +436,6 @@ def test_family_bijection_size():
             assert sorted(map(len, classes)) == sizes
             counts.append(len(classes))
         assert counts == [2, 3, 6, 10, 16]
-
-
-def test_add_and_shriek():
-    a = S.Symbol((0, 2), (1,), "a")
-    zero = S.Symbol((0, 1), (0,), "a")
-    total = S.add(a, zero)
-    assert total == S.Symbol((0, 3), (1,), "s")
-    with pytest.raises(S.SymbolError):
-        S.add(a, S.Symbol((0,), (), "a"))
-    assert S.shriek(S.Symbol((0, 1), (1, 2), "a")) == \
-        S.Symbol((0, 1, 2), (2, 3), "a")
-    with pytest.raises(S.SymbolError):
-        S.shriek(a)  # defect 1 is not allowed
 
 
 def test_sgn_twist_pair():
@@ -589,28 +553,6 @@ def test_symbol_rows_match_loop():
                         (top, bottom, kind)
     assert symbol_outcome([0, 2], [1], "s") == \
         ("returns", ([0, 2], [1], "s"))
-
-
-def test_gap_ok_matches_loop():
-    """Every symbol of every bipartition through rank 8, both kinds, each
-    convention, at the minimal size and one more; with its rows swapped and
-    with the other kind's gap, so off-type and malformed symbols (gaps
-    below 2 in an s-symbol) are checked too."""
-    outcomes = set()
-    for n in range(9):
-        for lam, mu in bipartitions(n):
-            for letter in ("B", "C", "D"):
-                for kind in ("s", "a"):
-                    other = "a" if kind == "s" else "s"
-                    k0 = S.min_size_pair(lam, mu, letter)
-                    for k in (k0, k0 + 1):
-                        sym = S.symbol_of_pair(lam, mu, letter, kind, k)
-                        for case in (sym, sym.swapped(),
-                                     S.Symbol(sym.top, sym.bottom, other)):
-                            got = case.gap_ok()
-                            assert got == O.gap_ok_loop(case), case
-                            outcomes.add(got)
-    assert outcomes == {True, False}
 
 
 def test_pair_of_symbol_matches_loop():
