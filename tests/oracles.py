@@ -664,7 +664,7 @@ def j_induce_by_definition(shape, rep1, rep2):
         return halves + (rep.kappa,) if rep.letter == "D" else halves
 
     n, letter = shape.rank, shape.letter
-    (y, x) = shape.factor_letters
+    y, x = shape.factor_letters
     want = b(y, rep1.first, rep1.second) + b(x, rep2.first, rep2.second)
     mult = {"B": mult_b_restriction, "C": mult_c_restriction,
             "D": mult_d_restriction}[letter]
@@ -675,8 +675,9 @@ def j_induce_by_definition(shape, rep1, rep2):
     for e in ambient:
         times = mult(n, e, shape.k, avatar(rep1), avatar(rep2))
         if times:
-            assert b(letter, e[0], e[1]) >= want, (shape, rep1, rep2, e)
-            if b(letter, e[0], e[1]) == want:
+            b_e = b(letter, e[0], e[1])
+            assert b_e >= want, (shape, rep1, rep2, e)
+            if b_e == want:
                 lowest.append((e, times))
     assert len(lowest) == 1 and lowest[0][1] == 1, (shape, rep1, rep2, lowest)
     return lowest[0][0][:2]
