@@ -304,7 +304,7 @@ def build_parser(verb: str | None = None) -> _Parser:
         _opt("--witness-file"), own_output=True)
     add("exceptional", "faithful pair data for an exceptional group",
         lambda a: fa.exceptional_lookup(a.group, a.label, a.table_path),
-        _opt("group", choices=("G2", "F4", "E6", "E7", "E8")), "label",
+        _opt("group", choices=tuple(fa._CATALOG)), "label",
         _opt("--table", dest="table_path"), typed=False)
     add("enumerate", "all orbits of the type and rank",
         lambda a: pt.enumerate_orbits(a.letter, a.rank), rank=True)
@@ -357,23 +357,17 @@ def _verify(args, out: _Out) -> int:
                                       args.letter, twist)]
     else:
         reports = fa.verify_all(args.letter, args.rank, twist)
-    lines = []
-    for rep in reports:
-        lines.append(f"{rep.letter} {rep.orbit}: condition-i="
-                     f"{_text_of(rep.condition_i)} condition-ii="
-                     f"{_text_of(rep.condition_ii)} "
-                     f"[{'ok' if rep.ok else 'FAIL'}] {rep.pair}")
-        for e_label, f_label in rep.witnesses:
-            lines.append(f"    {e_label} <- {f_label if f_label else 'NO WITNESS'}")
-    body = "\n".join(lines)
+    texts = ["\n".join([
+        f"{rep.letter} {rep.orbit}: condition-i={_text_of(rep.condition_i)} "
+        f"condition-ii={_text_of(rep.condition_ii)} "
+        f"[{'ok' if rep.ok else 'FAIL'}] {rep.pair}",
+        *(f"    {e} <- {f if f else 'NO WITNESS'}" for e, f in rep.witnesses)])
+        for rep in reports]
     if args.witness_file:
         with open(args.witness_file, "w", encoding="utf-8") as fh:
-            fh.write(body + "\n")
-    if out.mode == "structured":
-        for rep in reports:
-            out.emit(rep)
-    else:
-        print(body, file=out.stream)
+            fh.writelines(text + "\n" for text in texts)
+    for rep, text in zip(reports, texts):
+        out.emit(rep, text)
     return EXIT_OK if all(rep.ok for rep in reports) else EXIT_VERIFY
 
 

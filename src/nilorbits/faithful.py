@@ -16,7 +16,6 @@ from itertools import product
 from . import duality as du
 from . import partitions as pt
 from . import springer as sp
-from .duality import _orbit
 from .partitions import (DecoratedPartition, Partition, PartitionError,
                          dual_letter, format_partition, is_very_even)
 # perfbench/tracer.py's self-test reaches it through this binding
@@ -31,26 +30,19 @@ class TableError(ValueError):
 
 
 def is_edge_case(lam, letter: str) -> tuple[bool, str]:
-    """Shapes whose second subpartition is too small or too large to sit on
-    a product shape: a single largest part over an odd run and then even
-    runs (with the top gap even), and the two smallest type-D duals."""
-    return _edge_case(_orbit(lam, letter), letter)
+    """Shapes whose second subpartition mu is too small or too large to sit
+    on a product shape, so that its pair lands on a degenerate node: mu is a
+    pair of ones, or in type D it fills all but a rank-one slot."""
+    return _edge_case(du.pi_mu(lam, letter)[1], sum(pt.bare(lam)) // 2, letter)
 
 
-def _edge_case(bare: Partition, letter: str) -> tuple[bool, str]:
-    # ``is_edge_case`` of an orbit that has already been checked
+def _edge_case(mu: Partition, rank: int, letter: str) -> tuple[bool, str]:
+    # ``is_edge_case`` from the second parity subpartition of a checked orbit
     if letter == "C":
         return False, "type C has no edge shapes"
-    if letter == "D" and bare in ((1, 1), (3, 1)):
+    if letter == "D" and sum(mu) == 2 * rank - 2:
         return True, "second subpartition fills all but a rank-one slot"
-    values = sorted(set(bare), reverse=True)
-    mults = list(map(bare.count, values))
-    # the run below the largest part may consist of zeros
-    if len(values) == 1 and mults[0] == 1 and values[0] % 2 == 0:
-        return True, "second subpartition is a pair of ones"
-    if len(values) >= 2 and mults[0] == 1 and mults[1] % 2 == 1 \
-            and all(m % 2 == 0 for m in mults[2:]) \
-            and (values[0] - values[1]) % 2 == 0:
+    if sum(mu) == 2:
         return True, "second subpartition is a pair of ones"
     return False, "not an edge shape"
 
@@ -112,7 +104,7 @@ def _route(lam, letter: str):
     fiber = sp.dual_fiber(lam, letter)
     target, mu = du._d_A_of_orbit(letter, bare)
     d = target.orbit
-    edge, _reason = _edge_case(bare, letter)
+    edge, _reason = _edge_case(mu, sum(bare) // 2, letter)
     # the full diagram hits the Achar dual only when the marking is empty
     if edge or letter == "D" and is_very_even(bare) or \
             target.marking == () and len(fiber) == 1:

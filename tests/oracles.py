@@ -7,7 +7,8 @@ formula, pinned to a concrete labelling by brute-force conjugacy at small
 rank.  Everything is verified internally through orthogonality relations.
 A brute-force search over row splittings serves as the reference for the
 symbol-class enumerators, the fully sorted product of two families as
-the reference for the witness scan of the faithfulness check, a filter
+the reference for the witness scan of the faithfulness check, the runs
+of equal parts of a dual orbit as the reference for its edge shapes, a filter
 over the subsets of the markable parts as the list of reduced markings,
 truncated induction as the reference for the closed form of Sommers
 duality, the cell-by-cell search as the reference for the Littlewood-Richardson
@@ -538,6 +539,29 @@ def reduced_markings(lam, letter: str):
         for sub in combinations(marks, r):
             if pt.reduction(lam, sub, letter) == sub:
                 yield sub
+
+
+def edge_case_by_runs(lam, letter: str) -> tuple[bool, str]:
+    """The edge shapes of the faithfulness construction, read off the runs
+    of equal parts of the dual orbit: a single largest part over an odd run
+    and then even runs (with the top gap even), and the two smallest type-D
+    duals.  The reference for ``faithful.is_edge_case``, which reads them
+    off the second parity subpartition."""
+    bare = pt.as_partition(pt.bare(lam))
+    if letter == "C":
+        return False, "type C has no edge shapes"
+    if letter == "D" and bare in ((1, 1), (3, 1)):
+        return True, "second subpartition fills all but a rank-one slot"
+    values = sorted(set(bare), reverse=True)
+    mults = list(map(bare.count, values))
+    # the run below the largest part may consist of zeros
+    if len(values) == 1 and mults[0] == 1 and values[0] % 2 == 0:
+        return True, "second subpartition is a pair of ones"
+    if len(values) >= 2 and mults[0] == 1 and mults[1] % 2 == 1 \
+            and all(m % 2 == 0 for m in mults[2:]) \
+            and (values[0] - values[1]) % 2 == 0:
+        return True, "second subpartition is a pair of ones"
+    return False, "not an edge shape"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from cli_contract import CONTRACT
 from nilorbits import cli
 from nilorbits import duality as du
 from nilorbits import faithful as fa
@@ -89,68 +90,24 @@ def test_readme_tour_runs():
     assert checked == 5
 
 
-def test_dual():
-    code, out = run("dual", "-t", "B", "3,1,1")
-    assert code == 0 and out.strip() == "2^2"
+@pytest.mark.parametrize("argv, code, out, err", CONTRACT,
+                         ids=[" ".join(argv) for argv, *_ in CONTRACT])
+def test_contract_row(capsys, monkeypatch, argv, code, out, err):
+    """Each row of the CLI contract, run in process, gives exactly its exit
+    code, standard output and standard error, with the default rank bound;
+    each structured line parses back through ``object_of`` and re-serialises
+    through ``record_of`` to the same line."""
+    monkeypatch.delenv("NILORBITS_MAX_RANK", raising=False)
+    assert cli.run(list(argv)) == code
+    assert capsys.readouterr() == (out, err)
+    if "structured" in argv:
+        for line in out.splitlines():
+            rec = cli.record_of(cli.object_of(json.loads(line)))
+            assert json.dumps(rec, sort_keys=True) == line
 
 
-def test_collapse_and_special():
-    assert run("collapse", "-t", "C", "3,1") == (0, "2^2\n")
-    assert run("special", "-t", "B", "2,2,1")[1].strip() == "false"
-
-
-def test_wf_regular_dual_is_zero_orbit():
-    code, out = run("wf", "-t", "C", "--az-dual-orbit", "5")
-    assert code == 0 and out.strip() == "1^4 | -"
-
-
-def test_exceptional():
-    code, out = run("exceptional", "F4", "A_2")
-    assert code == 0 and "B4" in out and "7,1,1" in out
-    code, out = run("exceptional", "E6", "A_2")
-    assert code == 0 and out.strip() == "use-default"
-
-
-def test_misc_verbs():
-    assert run("markable", "-t", "B", "3,1,1") == (0, "3,1\n")
-    assert run("reduce", "-t", "B", "3,1,1", "1")[1].strip() == "1"
-    assert run("sbar", "-t", "C", "2,2", "2")[1].strip() == "2^3 | -"
-    assert run("ds", "-t", "B", "-", "3,1,1")[1].strip() == "2^2"
-    assert run("da", "-t", "C", "3,1,1")[1].strip() == "2^2 | -"
-    assert run("lea", "-t", "C", "2,2|-", "2,2|-") == (0, "true\n")
-    code, out = run("springer", "-t", "B", "3,1,1")
-    assert code == 0 and "character (1;1)" in out
-    code, out = run("enumerate", "-t", "D", "-n", "2")
-    assert out.splitlines() == ["3,1", "2^2:0", "2^2:1", "1^4"]
-    code, out = run("family", "-t", "B", "1;1", "--members")
-    assert "(1^2;-)" in out
-    code, out = run("jinduce", "-t", "B", "-k", "0", "-n", "2", "--",
-                    "-;-", "2;-")
-    assert code == 0 and out.strip() == "(2;-)"
-    code, out = run("restrict-mult", "-t", "C", "-k", "1", "-n", "3",
-                    "2;1", "1;-", "1;1")
-    assert code == 0 and out.strip().isdigit()
-    code, out = run("wf-wrep", "-t", "B", "1;1")
-    assert code == 0 and out.strip() == "3,1^2 | -"
-    code, out = run("faithful", "-t", "C", "3,3,1")
-    assert code == 0 and "C2 x C1" in out
-
-
-def test_exit_codes():
-    code, _ = run("dual", "-t", "B", "3,2")
-    assert code == cli.EXIT_PRECONDITION
-    code, _ = run("dual", "-t", "B", "3,x")
-    assert code == cli.EXIT_USAGE
-    code, _ = run("lea", "-t", "B", "3,1,1", "3,1,1")
-    assert code == cli.EXIT_USAGE  # missing the | separator
-    code, _ = run("verify-faithful", "-t", "C", "-n", "3", "--no-twist")
-    assert code == cli.EXIT_VERIFY
-    code, _ = run("verify-faithful", "-t", "C", "-n", "3")
-    assert code == cli.EXIT_OK
-    code, _ = run("enumerate", "-t", "B", "-n", "-3")
-    assert code == cli.EXIT_PRECONDITION
-    code, _ = run("verify-faithful", "-t", "C", "-n", "-3")
-    assert code == cli.EXIT_PRECONDITION
+def test_contract_rows_are_distinct():
+    assert len({argv for argv, *_ in CONTRACT}) == len(CONTRACT) == 61
 
 
 def _bad_table(tmp_path):
@@ -204,39 +161,6 @@ def test_too_deep_input_exits_2(capsys, monkeypatch):
     assert code == cli.EXIT_PRECONDITION
     assert err.startswith("precondition violated:") and "too large" in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
-
-
-@pytest.mark.parametrize("argv", (
-    ("dual", "-t", "B", "1^10000000000000000000"),
-    ("dual", "-t", "B", "--", "99999999999999999999999"),
-), ids=("huge-exponent", "huge-part"))
-def test_oversized_input_exits_2(capsys, argv):
-    """A part or exponent too large for a list index is a violated
-    precondition: exit 2 with one line, not an OverflowError."""
-    code, _ = run(*argv)
-    err = capsys.readouterr().err
-    assert code == cli.EXIT_PRECONDITION
-    assert err == ("precondition violated: the input is too large for this "
-                   "computation\n")
-
-
-def test_reduce_refuses_a_marking_outside_the_orbit(capsys):
-    """``reduce`` exits 2 on a mu that is no subpartition of the orbit, as
-    ``lea`` does on the same marking."""
-    for mu in ("5", "99999999999999999999"):
-        assert run("reduce", "-t", "B", "3,1,1", mu) == (2, "")
-        assert capsys.readouterr().err == \
-            f"precondition violated: {mu} is not a subpartition of 3,1^2\n"
-    assert run("lea", "-t", "B", "3,1,1|5", "3,1,1|-") == (2, "")
-    assert run("reduce", "-t", "B", "3,1,1", "3,1") == (0, "3,1\n")
-
-
-def test_lea_refuses_a_marking_outside_the_orbit(capsys):
-    """``lea`` refuses a marking that is no subpartition of its orbit with
-    the message of ``reduce``, and exits 2."""
-    assert run("lea", "-t", "B", "3,1,1|5", "3,1,1|-") == (2, "")
-    assert capsys.readouterr().err == \
-        "precondition violated: 5 is not a subpartition of 3,1^2\n"
 
 
 @pytest.mark.parametrize("error, reason", (
@@ -364,13 +288,23 @@ def test_package_entry_point():
 
 @pytest.mark.parametrize("value, code", (("abc", cli.EXIT_PRECONDITION),
                                          ("-1", cli.EXIT_PRECONDITION),
-                                         ("", cli.EXIT_OK)))
+                                         ("", cli.EXIT_OK),
+                                         ("13", cli.EXIT_OK)))
 @pytest.mark.parametrize("verb", ("verify-faithful", "enumerate"))
-def test_rank_bound_environment(monkeypatch, verb, value, code):
+def test_rank_bound_environment(capsys, monkeypatch, verb, value, code):
     """A malformed or negative NILORBITS_MAX_RANK is a violated
-    precondition; an empty one means the default bound."""
+    precondition; an empty one means the default bound, and a valid one is
+    the bound: rank 13 is enumerated under 13, rank 14 refused."""
     monkeypatch.setenv("NILORBITS_MAX_RANK", value)
     assert run(verb, "-t", "C", "-n", "3")[0] == code
+    if value == "13":
+        assert run(verb, "-t", "B", "-n", "14") == \
+            (cli.EXIT_PRECONDITION, "")
+        assert capsys.readouterr().err == ("precondition violated: rank 14 "
+                                           "exceeds the enumeration bound 13\n")
+        if verb == "enumerate":
+            code, out = run(verb, "-t", "B", "-n", "13")
+            assert code == cli.EXIT_OK and len(out.splitlines()) == 602
 
 
 def test_verify_witness_file(tmp_path):
@@ -380,6 +314,11 @@ def test_verify_witness_file(tmp_path):
     assert code == 0
     body = path.read_text()
     assert "condition-i=true" in body and "<-" in body
+    # the file holds the text report, in either output mode
+    assert body == out
+    run("verify-faithful", "-t", "C", "3,3,1", "--mode", "structured",
+        "--witness-file", str(path))
+    assert path.read_text() == body
 
 
 def test_structured_outputs_roundtrip():
@@ -453,13 +392,6 @@ def test_irrep_record_refuses_bad_decoration():
     rec["decoration"] = 9
     with pytest.raises(P.PartitionError):
         cli.object_of(rec)
-
-
-def test_verify_structured():
-    code, recs = run_json("verify-faithful", "-t", "B", "2,1,1")
-    assert code == 0
-    assert recs[0]["kind"] == "faithfulness_report"
-    assert recs[0]["condition_i"] and recs[0]["condition_ii"]
 
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(

@@ -11,10 +11,6 @@ from nilorbits import symbols as S
 from nilorbits import wavefront as wf
 
 
-def bare(lam):
-    return lam.parts if isinstance(lam, P.DecoratedPartition) else lam
-
-
 def test_pi_mu_examples():
     assert du.pi_mu((3, 1, 1), "C") == ((), ())
     assert du.pi_mu((3, 3, 1), "C") == ((), (2, 2))
@@ -90,6 +86,33 @@ def test_edge_cases():
                     (letter == "D" and sum(mu) == 2 * rank - 2)
                 assert F.is_edge_case(lam, letter)[0] == by_size, \
                     (letter, lam, mu)
+
+
+def _edge_cases_by_runs(ranks):
+    """How many bare dual orbits of B, C and D at ``ranks`` there are, and
+    how many are edge cases per type, each flag and reason of
+    ``is_edge_case`` checked against the parity-run rule."""
+    edges = dict.fromkeys(P.LETTERS, 0)
+    orbits = 0
+    for letter in P.LETTERS:
+        for rank in ranks:
+            for lam in P.type_partitions(P.dual_letter(letter), rank):
+                got = F.is_edge_case(lam, letter)
+                assert got == O.edge_case_by_runs(lam, letter), (letter, lam)
+                orbits += 1
+                edges[letter] += got[0]
+    return orbits, edges
+
+
+def test_edge_cases_match_parity_runs():
+    assert _edge_cases_by_runs(range(15)) == \
+        (8228, {"B": 631, "C": 0, "D": 633})
+
+
+@pytest.mark.slow
+def test_edge_cases_match_parity_runs_through_rank_18():
+    assert _edge_cases_by_runs(range(19)) == \
+        (34173, {"B": 2291, "C": 0, "D": 2292})
 
 
 OMEGA = {"B": 1, "C": 0, "D": 1}
@@ -533,7 +556,6 @@ def test_each_orbit_checked_once(monkeypatch):
         return call
 
     monkeypatch.setattr(du, "_orbit", counted("_orbit", du._orbit))
-    monkeypatch.setattr(F, "_orbit", counted("_orbit", F._orbit))
     monkeypatch.setattr(sp, "dual_fiber",
                         counted("dual_fiber", sp.dual_fiber))
     routes = set()
@@ -595,6 +617,9 @@ def test_exceptional_table():
     assert F.exceptional_lookup("G2", "G_2(a_1)") == F.USE_DEFAULT
     assert F.exceptional_lookup("E6", "A_2") == F.USE_DEFAULT
     assert F.exceptional_lookup("F4", "B_3") == F.USE_DEFAULT
+    # a leading ~ marks the short-root class as a trailing one does
+    assert F.exceptional_lookup("F4", "~A_1+A_1") == \
+        F.exceptional_lookup("F4", "A1+A1~")
     with pytest.raises(P.PartitionError):
         F.exceptional_lookup("F4", "Z_99")
     with pytest.raises(P.PartitionError):

@@ -325,6 +325,9 @@ def test_format_roundtrip(lam):
 def test_decorated_identification():
     assert P.DecoratedPartition((3, 1), 0) == P.DecoratedPartition((3, 1), 1)
     assert P.DecoratedPartition((2, 2), 0) != P.DecoratedPartition((2, 2), 1)
+    with pytest.raises(P.PartitionError) as exc:
+        P.DecoratedPartition((2, 2), 3)
+    assert str(exc.value) == "decoration must be 0 or 1, got 3"
 
 
 # ---------------------------------------------------------------------------

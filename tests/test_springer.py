@@ -14,10 +14,6 @@ from nilorbits import symbols as S
 from test_symbols import small_symbols
 
 
-def bare(lam):
-    return lam.parts if isinstance(lam, P.DecoratedPartition) else lam
-
-
 def test_irrep_counts():
     assert len(sp.irreps("B", 2)) == 5
     assert len(sp.irreps("C", 3)) == 10
@@ -81,7 +77,7 @@ def test_springer_symbol_monotonic():
                 rep = sp.rep_of_orbit(lam, letter, letter)
                 assert S.is_monotonic(O.rep_ssymbol(rep)), (letter, lam)
                 assert S.is_monotonic(sp.rep_asymbol(rep)) == \
-                    P.is_special(bare(lam), letter), (letter, lam)
+                    P.is_special(P.bare(lam), letter), (letter, lam)
 
 
 @pytest.mark.parametrize("letter", P.LETTERS)
@@ -354,13 +350,21 @@ def test_twist_of_family_is_family():
                     {str(m) for m in twisted}
 
 
+def test_pseudo_levi_shape_refusals():
+    for args, message in ((("E", 0, 3), "bad type letter 'E'"),
+                          (("B", 4, 3), "node index 4 outside 0..3")):
+        with pytest.raises(P.PartitionError) as exc:
+            sp.PseudoLeviShape(*args)
+        assert str(exc.value) == message
+
+
 def test_j_induce_identity_on_full_shape():
     for letter in P.LETTERS:
         shape = O.full_shape(letter, 3)
         y, _ = shape.factor_letters
         unit = O.trivial_rep(y, 0)
         for lam in P.enumerate_orbits(letter, 3):
-            if not P.is_special(bare(lam), letter):
+            if not P.is_special(P.bare(lam), letter):
                 continue
             rep = sp.rep_of_orbit(lam, letter, letter)
             assert sp.j_induce(shape, unit, rep) == rep
@@ -751,11 +755,11 @@ def test_frobenius_consistency():
                 y, x = shape.factor_letters
                 p, q = shape.factor_ranks
                 for lam1 in P.enumerate_orbits(y, p):
-                    if not P.is_special(bare(lam1), y):
+                    if not P.is_special(P.bare(lam1), y):
                         continue
                     rep1 = sp.rep_of_orbit(lam1, y, y)
                     for lam2 in P.enumerate_orbits(x, q):
-                        if not P.is_special(bare(lam2), x):
+                        if not P.is_special(P.bare(lam2), x):
                             continue
                         rep2 = sp.rep_of_orbit(lam2, x, x)
                         induced = sp.j_induce(shape, rep1, rep2)

@@ -32,6 +32,18 @@ def test_symbol_validation():
         S.Symbol((2, 1), (0,), "s")
     with pytest.raises(S.SymbolError):
         S.Symbol((1, 1), (), "a")
+    with pytest.raises(S.SymbolError) as exc:
+        S.DecoratedSymbol(S.Symbol((0, 2), (1,), "a"))
+    assert str(exc.value) == "a decorated symbol must have defect 0"
+    with pytest.raises(S.SymbolError) as exc:
+        S.DecoratedSymbol(S.Symbol((1,), (1,), "a"), 2)
+    assert str(exc.value) == "decoration must be 0 or 1, got 2"
+
+
+def test_decorated_symbol_text():
+    """Equal rows show their decoration; unequal rows, underlined, do not."""
+    assert str(S.DecoratedSymbol(S.Symbol((1,), (1,), "a"), 1)) == "{1;1}:1"
+    assert str(S.DecoratedSymbol(S.Symbol((0,), (2,), "a"))) == "{2;0}"
 
 
 def test_refinement_reproduces_worked_example():

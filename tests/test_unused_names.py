@@ -16,7 +16,6 @@ DOTTED = re.compile(r"(?:[A-Za-z_]\w*\.)*([A-Za-z_]\w*)")
 
 # Public names that only the tests read, each with the reason it stays.
 DOCUMENTED_API = {
-    "duality.pi_mu": "the paper's parity-selected subpartitions",
     "faithful.is_edge_case": "the paper's edge cases of the construction",
     "wavefront.wf_lower_bound_holds": "the paper's lower bound for the "
                                       "wavefront set",
